@@ -20,6 +20,7 @@ import numpy as np
 from .limits import covering_number, empirical_dim_estimate, hausdorff_dim_estimate
 from .lorentz import (
     IsotropicVectorError,
+    _cosh_between,
     form_A,
     geodesic_point,
     hyper_dist,
@@ -28,7 +29,7 @@ from .lorentz import (
 )
 from .shapedoc import ShapeDocError, load_shapedoc, to_even_fn
 from .supportfn import SpectralTailWarning, boundary_curve
-from .verify import SUITES, kernels_compare, run_suite
+from .verify import KERNEL_T_MAX, SUITES, kernels_compare, run_suite
 from .svgout import write_svg
 
 EXIT_OK = 0
@@ -53,6 +54,15 @@ class RunConfig:
     def __post_init__(self):
         if self.grid < 64 or self.grid % 4 != 0:
             raise CliError("grid must be a multiple of 4 and at least 64", EXIT_USAGE)
+
+
+def _grid(flag):
+    """The --grid value, else HYPKONVEX_GRID, else 2048."""
+    text = os.environ.get("HYPKONVEX_GRID", "2048") if flag is None else flag
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError("HYPKONVEX_GRID must be an integer, got %r" % (text,), EXIT_USAGE) from None
 
 
 def _fmt(x):
@@ -94,7 +104,7 @@ def cmd_dist(args, cfg):
     d = hyper_dist(pa, pb)
     record = {
         "distance": d,
-        "cosh_form": form_A(pa.fn, pb.fn),
+        "cosh_form": _cosh_between(pa.fn, pb.fn),
         "area_a": math.pi * form_A(ha),
         "area_b": math.pi * form_A(hb),
         "perimeter_a": 2.0 * math.pi * pi0(ha),
@@ -116,19 +126,14 @@ def cmd_geodesic(args, cfg):
     if args.steps < 1:
         raise CliError("steps must be at least 1", EXIT_USAGE)
 
-    # Distances along one geodesic must come from one form; fall back to the
-    # spectral route unless every intermediate point carries a shape tag.
-    probe = geodesic_point(pa, pb, 0.5)
-    method = "auto" if probe.fn.shape_tag is not None else "spectral"
-
-    total = hyper_dist(pa, pb, method=method)
+    total = hyper_dist(pa, pb)
     points = [geodesic_point(pa, pb, k / args.steps) for k in range(args.steps + 1)]
     rows = []
     cfg.out.mkdir(parents=True, exist_ok=True)
     for k, p in enumerate(points):
         t = k / args.steps
-        da = hyper_dist(pa, p, method=method)
-        db = hyper_dist(p, pb, method=method)
+        da = hyper_dist(pa, p)
+        db = hyper_dist(p, pb)
         if abs(da + db - total) > 1e-9 * (1.0 + total):
             raise CliError(
                 "geodesic additivity violated at t=%.3f: %.3g" % (t, abs(da + db - total)),
@@ -163,8 +168,8 @@ def cmd_verify(args, cfg):
 def cmd_kernels(args, cfg):
     if args.steps < 1:
         raise CliError("steps must be at least 1", EXIT_USAGE)
-    if args.t_min <= 0.0 or args.t_max < args.t_min:
-        raise CliError("need 0 < t_min <= t_max", EXIT_USAGE)
+    if not 0.0 < args.t_min <= args.t_max <= KERNEL_T_MAX:
+        raise CliError("need 0 < t_min <= t_max <= %.4g" % KERNEL_T_MAX, EXIT_USAGE)
     if args.t_min == args.t_max:
         tvals = [args.t_min]
     else:
@@ -186,9 +191,12 @@ def cmd_hdim(args, cfg):
     slope, resid = hausdorff_dim_estimate(args.j_min, args.j_max, metric=metric)
     emp = {}
     if args.empirical:
-        emp_slope, js, counts = empirical_dim_estimate(
-            args.j_min, args.j_max, args.samples, metric=metric
-        )
+        try:
+            emp_slope, js, counts = empirical_dim_estimate(
+                args.j_min, args.j_max, args.samples, metric=metric
+            )
+        except ValueError as exc:
+            raise CliError("--samples %d: %s" % (args.samples, exc), EXIT_USAGE) from None
         emp = dict(zip(js, counts))
     rows = []
     for j in range(args.j_min, args.j_max + 1):
@@ -256,11 +264,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    grid = args.grid
-    if grid is None:
-        grid = int(os.environ.get("HYPKONVEX_GRID", 2048))
     try:
-        cfg = RunConfig(grid=grid, seed=args.seed, out=args.out, strict=args.strict)
+        cfg = RunConfig(grid=_grid(args.grid), seed=args.seed, out=args.out, strict=args.strict)
         with warnings.catch_warnings():
             if cfg.strict:
                 warnings.simplefilter("error", SpectralTailWarning)

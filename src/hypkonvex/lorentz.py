@@ -6,9 +6,9 @@ hyperboloid {A(h) = 1, pi0(h) > 0} and acosh of the form is their distance.
 The form has signature (1, -, -, ...) on pi-periodic functions, which makes
 the reversed Cauchy-Schwarz inequality (the Minkowski inequality for bodies)
 hold exactly -- also for the discretized form, provided all operands are
-evaluated through the same route.  form_A therefore dispatches: closed-form
-mixed areas when both operands carry shape tags, and the Parseval sum on
-coefficients otherwise.
+evaluated through the same route.  One rule, in _route, picks that route for
+a set of operands: closed-form mixed areas when every operand carries a
+shape tag, and the Parseval sum on coefficients for all of them otherwise.
 """
 
 import math
@@ -66,38 +66,44 @@ def form_A_spectral(h1, h2=None):
 
 
 def _form_exact(h1, h2):
-    if h2 is None or h2 is h1:
-        return h1.scale**2 * h1.shape_tag.area() / math.pi
-    return h1.scale * h2.scale * mixed_area(h1.shape_tag, h2.shape_tag) / math.pi
+    other = h1 if h2 is None else h2
+    return mixed_area(h1.shape_tag, other.shape_tag) / math.pi
+
+
+def _route(method, *fns):
+    """The route ("exact" or "spectral") of every form value over ``fns``.
+
+    "auto" is exact only when every operand carries a shape tag; "exact"
+    requires tags, "spectral" always applies.
+    """
+    tagged = all(h.shape_tag is not None for h in fns if h is not None)
+    if method == "auto":
+        return "exact" if tagged else "spectral"
+    if method == "exact" and not tagged:
+        raise ValueError("exact form needs shape tags on every operand")
+    if method not in ("exact", "spectral"):
+        raise ValueError("unknown method %r" % (method,))
+    return method
 
 
 def form_A(h1, h2=None, method="auto"):
     """The Lorentzian area form A(h1, h2); A(h) when h2 is omitted.
 
-    method: "auto" uses exact mixed areas when both operands carry shape
-    tags and the spectral sum otherwise; "spectral" and "exact" force a
+    method: "auto" uses exact mixed areas when every operand carries a shape
+    tag and the spectral sum otherwise; "spectral" and "exact" force a
     route ("exact" requires tags).
     """
-    if method == "spectral":
+    if _route(method, h1, h2) == "spectral":
         return form_A_spectral(h1, h2)
-    both_tagged = h1.shape_tag is not None and (h2 is None or h2.shape_tag is not None)
-    if method == "exact":
-        if not both_tagged:
-            raise ValueError("exact form needs shape tags on every operand")
-        return _form_exact(h1, h2)
-    if method != "auto":
-        raise ValueError("unknown method %r" % (method,))
-    if both_tagged:
-        if h2 is not None and h1.grid != h2.grid:
-            raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, h2.grid))
-        return _form_exact(h1, h2)
-    return form_A_spectral(h1, h2)
+    if h2 is not None and h1.grid != h2.grid:
+        raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, h2.grid))
+    return _form_exact(h1, h2)
 
 
 def pi0(h, method="auto"):
     """Mean of h over the circle: A(h, 1), perimeter/(2 pi) for bodies."""
-    if method == "auto" and h.shape_tag is not None:
-        return h.scale * h.shape_tag.perimeter() / (2.0 * math.pi)
+    if _route(method, h) == "exact":
+        return h.shape_tag.perimeter() / (2.0 * math.pi)
     return float(h.samples.mean())
 
 
@@ -146,23 +152,25 @@ def normalize(h):
     return HPoint(scaled(h, 1.0 / math.sqrt(a)))
 
 
-def _cosh_between(p, q, method="auto"):
-    a12 = form_A(p.fn, q.fn, method=method)
-    a11 = form_A(p.fn, method=method)
-    a22 = form_A(q.fn, method=method)
+def _cosh_between(h1, h2, method="auto"):
+    """A(h1, h2) / sqrt(A(h1) A(h2)), all three values from one route."""
+    method = _route(method, h1, h2)
+    a12 = form_A(h1, h2, method=method)
+    a11 = form_A(h1, method=method)
+    a22 = form_A(h2, method=method)
     return a12 / math.sqrt(a11 * a22)
 
 
 def hyper_dist(p, q, method="auto"):
     """Hyperbolic distance acosh A(p, q) between hyperboloid points.
 
-    The form value is normalized by sqrt(A(p)A(q)) (unity within the HPoint
-    tolerance) so that mixed exact/spectral operands still satisfy the
-    reversed Cauchy-Schwarz bound.  Values within CLAMP_TOL below 1 are
-    round-off and clamp to 1; anything below 1 - 1e-9 is a real invariant
-    violation and raises.
+    A(p, q) and its normalization sqrt(A(p)A(q)) (unity within the HPoint
+    tolerance) come from one route, so the reversed Cauchy-Schwarz bound
+    holds whatever mix of tagged and untagged operands is given.  Values
+    within CLAMP_TOL below 1 are round-off and clamp to 1; anything below
+    1 - 1e-9 is a real invariant violation and raises.
     """
-    x = _cosh_between(p, q, method=method)
+    x = _cosh_between(p.fn, q.fn, method=method)
     if x < 1.0 - INVARIANT_TOL:
         raise HyperbolicInvariantError(
             "A(p, q) = %.17g < 1: reversed Cauchy-Schwarz violated" % x

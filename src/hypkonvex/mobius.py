@@ -21,6 +21,7 @@ from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
     SpectralTailWarning,
+    _from_shape,
     _interp,
     _tail_energy_fraction,
     from_ellipse,
@@ -36,7 +37,9 @@ class Mobius:
     """Element of PSL2(R): entries with ad - bc = 1, canonically signed.
 
     The stored representative makes the first nonzero of (a, b, c, d)
-    positive, so equality of group elements is equality of fields.
+    positive, so equality of group elements is equality of fields.  The
+    determinant is checked to DET_TOL relative to |ad| + |bc|, the scale of
+    its rounding error, which grows with the matrix norm.
     """
 
     a: float
@@ -49,7 +52,7 @@ class Mobius:
         det = vals[0] * vals[3] - vals[1] * vals[2]
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("entries must be finite")
-        if abs(det - 1.0) > DET_TOL:
+        if abs(det - 1.0) > DET_TOL * (abs(vals[0] * vals[3]) + abs(vals[1] * vals[2])):
             raise ValueError("determinant must be 1, got %.17g" % det)
         for v in vals:
             if v != 0.0:
@@ -118,14 +121,12 @@ def rho_act(m, h):
     """The isometric action on circle functions: |m^T u| h(angle(m^T u)).
 
     Shape tags transport exactly (ellipse matrix -> mA, segment -> mv,
-    polygon -> m vertices).  Untagged functions are resampled by
-    trigonometric interpolation; a warning fires when the input spectrum is
-    not resolved, since the action shears spectra.
+    polygon -> m vertices, Sum -> each term).  Untagged functions are
+    resampled by trigonometric interpolation; a warning fires when the input
+    spectrum is not resolved, since the action shears spectra.
     """
     if h.shape_tag is not None:
-        moved = h.shape_tag.transform(m.matrix)
-        samples = h.scale * moved.support(grid_angles(h.grid))
-        return EvenFn(samples, shape_tag=moved, scale=h.scale)
+        return _from_shape(h.shape_tag.transform(m.matrix), h.grid)
     frac = _tail_energy_fraction(h)
     if frac > 0.01:
         warnings.warn(

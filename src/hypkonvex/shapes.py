@@ -1,15 +1,18 @@
 """Exact primitives for plane symmetric convex bodies.
 
 Three shape families carry closed forms: ellipses (linear images of the unit
-disc), symmetric segments, and symmetric convex polygons.  Each knows its
-support function, support derivative, boundary parametrization, perimeter,
-area, and how to transform under a linear map.  Mixed areas between any two
-tagged shapes are available in closed form, which is what keeps segment and
-polygon computations free of grid error.
+disc), symmetric segments, and symmetric convex polygons.  A fourth, Sum, is
+a positive Minkowski combination of them, so the closed forms survive every
+nonnegative combination of bodies.  Each knows its support function, support
+derivative, boundary parametrization, perimeter, area, and how to transform
+under a linear map.  Mixed areas between any two shapes are available in
+closed form, which is what keeps segment and polygon computations free of
+grid error.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,14 +118,17 @@ class Segment:
         return 0.0
 
     def edges(self):
-        """Surface measure as (length, outward unit normal) pairs."""
+        """Surface measure as (lengths, outward unit normals) arrays."""
         v = self.endpoint
         length = float(np.hypot(v[0], v[1]))
         n = np.array([v[1], -v[0]]) / length
-        return [(2.0 * length, n), (2.0 * length, -n)]
+        return np.full(2, 2.0 * length), np.stack([n, -n])
 
     def transform(self, m):
         return Segment(np.asarray(m, dtype=float) @ self.endpoint)
+
+    def scaled(self, c):
+        return Segment(c * self.endpoint)
 
 
 @dataclass(frozen=True)
@@ -138,12 +144,16 @@ class Polygon:
         n = v.shape[0]
         if n < 4 or n % 2 != 0:
             raise ValueError("a symmetric polygon needs an even vertex count >= 4")
+        # Relative tolerances, so that scaled copies and Minkowski sums of
+        # bodies of very different sizes stay valid: every turn must exceed
+        # an angle of SYM_TOL, the threshold at which minkowski_sum merges.
         scale = float(np.abs(v).max())
-        if np.abs(v[(np.arange(n) + n // 2) % n] + v).max() > SYM_TOL * max(1.0, scale):
+        if np.abs(v[(np.arange(n) + n // 2) % n] + v).max() > SYM_TOL * scale:
             raise ValueError("polygon vertex set is not symmetric about the origin")
         e = np.roll(v, -1, axis=0) - v
         cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        if np.any(cross <= SYM_TOL * max(1.0, scale) ** 2):
+        length = np.hypot(e[:, 0], e[:, 1])
+        if np.any(cross <= SYM_TOL * length * np.roll(length, -1)):
             raise ValueError("polygon must be strictly convex in counterclockwise order")
         object.__setattr__(self, "vertices", v)
 
@@ -163,11 +173,11 @@ class Polygon:
         return self.vertices[np.argmax(self.vertices @ u, axis=0)]
 
     def edges(self):
+        """Surface measure as (lengths, outward unit normals) arrays."""
         v = self.vertices
         e = np.roll(v, -1, axis=0) - v
         lengths = np.hypot(e[:, 0], e[:, 1])
-        normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lengths[:, None]
-        return [(float(l), n) for l, n in zip(lengths, normals)]
+        return lengths, np.stack([e[:, 1], -e[:, 0]], axis=1) / lengths[:, None]
 
     def perimeter(self):
         e = np.roll(self.vertices, -1, axis=0) - self.vertices
@@ -181,6 +191,87 @@ class Polygon:
 
     def scaled(self, c):
         return Polygon(c * self.vertices)
+
+
+@dataclass(frozen=True, eq=False)
+class Sum:
+    """The Minkowski combination sum c_i K_i of shapes, every c_i > 0.
+
+    Build it with ``minkowski_combination``, which keeps it canonical: all
+    segments and polygons are folded into one polygonal term of coefficient
+    1, and only ellipses keep their own coefficient (an Ellipse has unit
+    determinant, so it cannot absorb one).
+    Support values, derivatives, boundary points and perimeters add term by
+    term; the area expands by bilinearity of the mixed area.
+    """
+
+    terms: tuple
+
+    def __post_init__(self):
+        terms = tuple((float(c), k) for c, k in self.terms)
+        if not terms:
+            raise ValueError("a Sum needs at least one term")
+        for c, k in terms:
+            if not (math.isfinite(c) and c > 0.0) or not isinstance(k, (Ellipse, Segment, Polygon)):
+                raise ValueError("Sum terms are (c > 0, Ellipse | Segment | Polygon) pairs")
+        object.__setattr__(self, "terms", terms)
+
+    def support(self, theta):
+        return sum(c * k.support(theta) for c, k in self.terms)
+
+    def support_deriv(self, theta):
+        return sum(c * k.support_deriv(theta) for c, k in self.terms)
+
+    def boundary(self, theta):
+        # The support point of a sum in direction u is the sum of support points.
+        return sum(c * k.boundary(theta) for c, k in self.terms)
+
+    def perimeter(self):
+        return sum(c * k.perimeter() for c, k in self.terms)
+
+    def area(self):
+        return self._area
+
+    @cached_property
+    def _area(self):
+        total = 0.0
+        for i, (ci, ki) in enumerate(self.terms):
+            total += ci * ci * ki.area()
+            for cj, kj in self.terms[i + 1 :]:
+                total += 2.0 * ci * cj * mixed_area(ki, kj)
+        return total
+
+    def transform(self, m):
+        return minkowski_combination((c, k.transform(m)) for c, k in self.terms)
+
+
+def minkowski_combination(terms):
+    """The body sum c_i K_i of (c_i, K_i) pairs with c_i > 0, in canonical form.
+
+    Sums among the K_i are expanded, each coefficient is folded into segment
+    and polygon geometry, and the polygonal terms merge into one by
+    ``minkowski_sum``.  A lone polygonal body, or a lone term with coefficient
+    1, is returned bare; anything else is a Sum.
+    """
+    flat = []
+    for c, k in terms:
+        if not (math.isfinite(c) and c > 0.0):
+            raise ValueError("Minkowski coefficients must be positive, got %r" % (c,))
+        if isinstance(k, Sum):
+            flat.extend((c * ci, ki) for ci, ki in k.terms)
+        else:
+            flat.append((c, k))
+    if len(flat) == 1 and flat[0][0] == 1.0:
+        return flat[0][1]
+    ellipses = [(c, k) for c, k in flat if isinstance(k, Ellipse)]
+    polygonal = None
+    for c, k in flat:
+        if not isinstance(k, Ellipse):
+            k = k if c == 1.0 else k.scaled(c)
+            polygonal = k if polygonal is None else minkowski_sum(polygonal, k)
+    if polygonal is None:
+        return Sum(ellipses)
+    return Sum(ellipses + [(1.0, polygonal)]) if ellipses else polygonal
 
 
 def shoelace_area(vertices):
@@ -217,7 +308,7 @@ def _edge_fan(shape):
     """Edge vectors traversed counterclockwise (a segment degenerates to two)."""
     if isinstance(shape, Segment):
         v = shape.endpoint
-        return [2.0 * v, -2.0 * v]
+        return [2.0 * v + 0.0, -2.0 * v + 0.0]  # + 0.0 clears -0.0, whose angle sorts as -pi
     v = shape.vertices
     return list(np.roll(v, -1, axis=0) - v)
 
@@ -243,7 +334,7 @@ def minkowski_sum(a, b):
         if merged:
             p = merged[-1]
             np_, ne = np.hypot(p[0], p[1]), np.hypot(e[0], e[1])
-            if abs(p[0] * e[1] - p[1] * e[0]) <= 1e-12 * np_ * ne and p @ e > 0:
+            if abs(p[0] * e[1] - p[1] * e[0]) <= SYM_TOL * np_ * ne and p @ e > 0:
                 merged[-1] = p + e
                 continue
         merged.append(np.asarray(e, dtype=float))
@@ -263,16 +354,22 @@ def minkowski_sum(a, b):
 
 
 def mixed_area(a, b):
-    """Mixed area of two tagged shapes, in closed form.
+    """Mixed area of two shapes, in closed form.
 
     Polarizes the planar area: a(K, L) = (area(K+L) - area(K) - area(L)) / 2.
-    Polygonal operands contribute through their surface measure, ellipses
-    through singular values and the elliptic perimeter formula.
+    A Sum expands by bilinearity, polygonal operands contribute through their
+    surface measure, ellipses through singular values and the elliptic
+    perimeter formula.
     """
     if a is b:
         return a.area()
+    if isinstance(a, Sum):
+        return sum(c * mixed_area(k, b) for c, k in a.terms)
+    if isinstance(b, Sum):
+        return sum(c * mixed_area(a, k) for c, k in b.terms)
     if isinstance(b, (Polygon, Segment)):
-        return 0.5 * sum(length * float(a.support(math.atan2(n[1], n[0]))) for length, n in b.edges())
+        lengths, normals = b.edges()
+        return 0.5 * float(lengths @ a.support(np.arctan2(normals[:, 1], normals[:, 0])))
     if isinstance(a, (Polygon, Segment)):
         return mixed_area(b, a)
     # Two ellipses: reduce to ellipse-against-disc through C = B^{-1} A,

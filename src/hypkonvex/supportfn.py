@@ -4,10 +4,12 @@ An EvenFn holds M samples of a pi-periodic function on [0, 2pi) -- the kind
 of function a symmetric convex body produces as its support function.  The
 samples are canonical; Fourier coefficients are derived on demand and cached.
 A function constructed from an ellipse, segment, or polygon also carries the
-shape (plus a scalar multiplier), and every operation that can use the closed
-form does, so those bodies never suffer interpolation error.  Untagged
-functions go through the spectral machinery: trigonometric interpolation for
-off-grid values and rfft-based differentiation.
+shape, and every operation that can use the closed form does, so those bodies
+never suffer interpolation error.  Scaling and nonnegative combination keep
+the tag (as a Sum when the bodies differ in kind), so only functions built
+from raw samples or signed differences go through the spectral machinery:
+trigonometric interpolation for off-grid values and rfft-based
+differentiation.
 """
 
 import math
@@ -17,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .shapes import Ellipse, Polygon, Segment, minkowski_sum, shoelace_area
+from .shapes import Ellipse, Polygon, Segment, Sum, minkowski_combination, minkowski_sum, shoelace_area
 
 DEFAULT_GRID = 2048
 EVEN_TOL = 1e-12
@@ -53,12 +55,11 @@ class EvenFn:
     """Samples of a pi-periodic function at angles 2*pi*j/M, j = 0..M-1.
 
     ``shape_tag`` is an optional exact descriptor; when present the function
-    equals ``scale * support(shape)`` and closed forms take over.
+    is the support function of that shape and closed forms take over.
     """
 
     samples: np.ndarray
     shape_tag: object = None
-    scale: float = 1.0
 
     def __post_init__(self):
         s = np.array(self.samples, dtype=float)
@@ -68,10 +69,8 @@ class EvenFn:
         top = 1.0 + float(np.abs(s).max()) if s.size else 1.0
         if np.abs(s - np.roll(s, s.size // 2)).max() > EVEN_TOL * top:
             raise ValueError("samples are not pi-periodic within tolerance")
-        if self.shape_tag is not None and not isinstance(self.shape_tag, (Ellipse, Segment, Polygon)):
-            raise TypeError("shape tag must be an Ellipse, Segment, or Polygon")
-        if self.scale < 0.0:
-            raise ValueError("scale must be nonnegative")
+        if self.shape_tag is not None and not isinstance(self.shape_tag, (Ellipse, Segment, Polygon, Sum)):
+            raise TypeError("shape tag must be an Ellipse, Segment, Polygon, or Sum")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
 
@@ -87,8 +86,8 @@ class EvenFn:
         return c
 
 
-def _tag_samples(shape, scale, M):
-    return scale * shape.support(grid_angles(M))
+def _from_shape(shape, M):
+    return EvenFn(shape.support(grid_angles(M)), shape_tag=shape)
 
 
 def from_samples(values, M=None):
@@ -112,47 +111,38 @@ def from_ellipse(e, M=DEFAULT_GRID):
     """Support samples |A^T u| of the ellipse e = A·D."""
     if not isinstance(e, Ellipse):
         e = Ellipse(e)
-    return EvenFn(_tag_samples(e, 1.0, M), shape_tag=e, scale=1.0)
+    return _from_shape(e, M)
 
 
 def from_segment(s, M=DEFAULT_GRID):
     """Support samples |<u, v>| of the segment [-v, v]."""
     if not isinstance(s, Segment):
         s = Segment(s)
-    return EvenFn(_tag_samples(s, 1.0, M), shape_tag=s, scale=1.0)
+    return _from_shape(s, M)
 
 
 def from_polygon(p, M=DEFAULT_GRID):
     """Support samples max_v <u, v> of a symmetric convex polygon."""
     if not isinstance(p, Polygon):
         p = Polygon(p)
-    return EvenFn(_tag_samples(p, 1.0, M), shape_tag=p, scale=1.0)
+    return _from_shape(p, M)
 
 
 def scaled(h, c):
-    """c*h with the tag preserved exactly."""
+    """c*h; a tagged h (c > 0) stays tagged with the scaled body."""
     if c < 0.0:
         raise ValueError("scaling coefficient must be nonnegative")
-    if h.shape_tag is not None and c > 0.0:
-        f = c * h.scale
-        return EvenFn(_tag_samples(h.shape_tag, f, h.grid), shape_tag=h.shape_tag, scale=f)
-    return EvenFn(c * h.samples)
-
-
-def _scaled_polygonal(h, c):
-    """Fold c*scale into Segment/Polygon geometry for exact Minkowski sums."""
-    f = c * h.scale
-    if isinstance(h.shape_tag, Segment):
-        return Segment(f * h.shape_tag.endpoint)
-    return h.shape_tag.scaled(f)
+    if h.shape_tag is None or c == 0.0:
+        return EvenFn(c * h.samples)
+    return EvenFn(c * h.samples, shape_tag=minkowski_combination([(c, h.shape_tag)]))
 
 
 def combine(c1, h1, c2, h2):
     """The nonnegative combination c1*h1 + c2*h2.
 
     Adding support functions adds the bodies (Minkowski sum), so when both
-    operands are segments or polygons the result carries the exact sum
-    polygon as its tag; anything else is returned untagged.
+    operands are tagged the result carries the body c1 K1 + c2 K2 as its
+    tag; otherwise it is returned untagged.
     """
     if h1.grid != h2.grid:
         raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, h2.grid))
@@ -162,11 +152,10 @@ def combine(c1, h1, c2, h2):
         return scaled(h1, c1)
     if c1 == 0.0:
         return scaled(h2, c2)
-    polygonal = (Segment, Polygon)
-    if isinstance(h1.shape_tag, polygonal) and isinstance(h2.shape_tag, polygonal):
-        total = minkowski_sum(_scaled_polygonal(h1, c1), _scaled_polygonal(h2, c2))
-        return EvenFn(_tag_samples(total, 1.0, h1.grid), shape_tag=total, scale=1.0)
-    return EvenFn(c1 * h1.samples + c2 * h2.samples)
+    samples = c1 * h1.samples + c2 * h2.samples
+    if h1.shape_tag is None or h2.shape_tag is None:
+        return EvenFn(samples)
+    return EvenFn(samples, shape_tag=minkowski_combination([(c1, h1.shape_tag), (c2, h2.shape_tag)]))
 
 
 def signed_diff(h1, h2):
@@ -208,7 +197,7 @@ def eval_at(h, theta):
     """Value of h at arbitrary angles: closed form when tagged, else
     trigonometric interpolation through the samples."""
     if h.shape_tag is not None:
-        v = h.scale * h.shape_tag.support(theta)
+        v = h.shape_tag.support(theta)
         return float(v) if np.ndim(theta) == 0 else v
     return _interp(h._coeffs, h.grid, theta)
 
@@ -216,7 +205,7 @@ def eval_at(h, theta):
 def eval_deriv(h, theta):
     """dh/dtheta at arbitrary angles (closed form when tagged)."""
     if h.shape_tag is not None:
-        v = h.scale * h.shape_tag.support_deriv(theta)
+        v = h.shape_tag.support_deriv(theta)
         return float(v) if np.ndim(theta) == 0 else v
     d = 1j * np.arange(h.grid // 2 + 1) * h._coeffs
     d[-1] = 0.0  # the sawtooth mode has no consistent odd derivative
@@ -345,7 +334,7 @@ def boundary_curve(h, n_points=DEFAULT_GRID):
     _check_grid(n_points)
     theta = grid_angles(n_points)
     if h.shape_tag is not None:
-        return h.scale * h.shape_tag.boundary(theta)
+        return h.shape_tag.boundary(theta)
     tol = CONVEXITY_TOL * (1.0 + float(np.abs(h.samples).max()))
     if chord_convexity_defect(h) < -tol:
         raise NotSupportFunctionError("input is not a support function (h''+h < 0 somewhere)")

@@ -2,10 +2,21 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import hypkonvex
 from hypkonvex.cli import main
+from hypkonvex.lorentz import geodesic_point, normalize
+from hypkonvex.shapedoc import parse_shapedoc, to_even_fn
+from hypkonvex.shapes import Sum
+from hypkonvex.supportfn import grid_angles
+from hypkonvex.svgout import render_boundary
 
 DISC = '{"type":"ellipse","matrix":[[1.0,0.0],[0.0,1.0]]}'
 SQUARE = '{"type":"polygon","vertices":[[1,1],[-1,1],[-1,-1],[1,-1]]}'
@@ -50,6 +61,65 @@ def test_dist_disc_vs_square(tmp_path, capsys):
     assert main(["dist", a, b, "--out", str(tmp_path / "out")]) == 0
     val = float(capsys.readouterr().out.strip())
     assert val == pytest.approx(math.acosh(2.0 / math.sqrt(math.pi)), abs=1e-13)
+
+
+def _area_pi_square():
+    h = 0.5 * math.sqrt(math.pi)
+    return json.dumps({"type": "polygon", "vertices": [[h, h], [-h, h], [-h, -h], [h, -h]]})
+
+
+def test_dist_polygon_vs_its_own_samples(tmp_path, capsys):
+    # one operand tagged, one not: every form value must come from one route
+    sq = _area_pi_square()
+    samples = to_even_fn(parse_shapedoc(sq), 2048).samples
+    a = _write(tmp_path, "a.json", sq)
+    b = _write(tmp_path, "b.json", json.dumps({"type": "samples", "grid": 2048, "values": samples.tolist()}))
+    assert main(["dist", a, b, "--out", str(tmp_path / "out")]) == 0
+    assert 0.0 <= float(capsys.readouterr().out.strip()) <= 1e-12
+
+
+def test_geodesic_disc_to_square_closed_form(tmp_path, capsys):
+    a = _write(tmp_path, "a.json", DISC)
+    b = _write(tmp_path, "b.json", _area_pi_square())
+    out = tmp_path / "geo"
+    assert main(["geodesic", a, b, "--steps", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    c = 2.0 / math.sqrt(math.pi)  # A(disc, area-pi square)
+    lines = (out / "geodesic.csv").read_text().strip().splitlines()[1:]
+    assert len(lines) == 9
+    for ln in lines:
+        t, da, db, _ = map(float, ln.split(","))
+        norm = math.sqrt((1 - t) ** 2 + 2 * t * (1 - t) * c + t * t)
+        assert da == pytest.approx(math.acosh(((1 - t) + t * c) / norm), abs=1e-12)
+        assert db == pytest.approx(math.acosh((t + (1 - t) * c) / norm), abs=1e-12)
+    # frames are drawn from the closed-form boundary of the Minkowski combination
+    pa, pb = (normalize(to_even_fn(parse_shapedoc(Path(p).read_text()), 2048)) for p in (a, b))
+    mid = geodesic_point(pa, pb, 0.5).fn.shape_tag
+    assert isinstance(mid, Sum)
+    expect = render_boundary(mid.boundary(grid_angles(2048))).find("path").get("d")
+    assert 'd="%s"' % expect in (out / "frame_004.svg").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["dist", "{disc}", "{disc}"], {"HYPKONVEX_GRID": "abc"}),
+        (["hdim", "--empirical", "--samples", "0"], {}),
+        (["kernels", "--t-min", "400", "--t-max", "400"], {}),
+        (["kernels", "--t-min", "8", "--t-max", "8"], {}),
+    ],
+    ids=["grid-env-not-int", "hdim-no-samples", "kernels-overflow", "kernels-capped-grid"],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, argv, env):
+    disc = _write(tmp_path, "disc.json", DISC)
+    argv = [arg.format(disc=disc) for arg in argv] + ["--out", str(tmp_path / "out")]
+    src = str(Path(hypkonvex.__file__).resolve().parents[1])
+    full_env = dict(os.environ, PYTHONPATH=src, **env)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hypkonvex.cli", *argv], env=full_env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_dist_zero_area_exits_3(tmp_path):

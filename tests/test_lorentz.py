@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypkonvex.lorentz import (
     HPoint,
@@ -18,7 +19,7 @@ from hypkonvex.lorentz import (
     project_disc_to_segment_geodesic,
 )
 from hypkonvex.mobius import Mobius, iota_dist_quadrature
-from hypkonvex.shapes import Ellipse, Polygon, Segment
+from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum
 from hypkonvex.supportfn import (
     EvenFn,
     combine,
@@ -26,11 +27,13 @@ from hypkonvex.supportfn import (
     eval_at,
     from_ellipse,
     from_polygon,
+    from_samples,
     from_segment,
     grid_angles,
     scaled,
     unit_disc,
 )
+from hypkonvex.verify import random_ellipse, random_polygon, random_support_fn
 
 M = 1024
 THETA = grid_angles(M)
@@ -190,6 +193,17 @@ def test_geodesic_additivity_polygon_pairs_exact():
         assert abs(hyper_dist(p, r) + hyper_dist(r, q) - total) < 1e-12
 
 
+def test_midpoint_additivity_across_tag_kinds():
+    # the midpoint of an ellipse and a polygon is tagged with their Minkowski combination
+    p = normalize(_random_ellipse_fn(np.random.default_rng(13)))
+    q = normalize(from_polygon(SQUARE, M))
+    mid = geodesic_point(p, q, 0.5)
+    assert isinstance(mid.fn.shape_tag, Sum)
+    total = hyper_dist(p, q)
+    assert abs(hyper_dist(p, mid) - 0.5 * total) < 1e-12
+    assert abs(hyper_dist(mid, q) - 0.5 * total) < 1e-12
+
+
 def test_midpoint_matches_closed_formula():
     # d(h1, m) = acosh((A(h1,h2)+1)/sqrt(A(h1+h2))) for hyperboloid points
     rng = np.random.default_rng(11)
@@ -267,3 +281,44 @@ def test_eval_on_geodesic_points_stays_even():
     q = normalize(unit_disc(M))
     r = geodesic_point(p, q, 0.4)
     assert abs(eval_at(r.fn, 0.1) - eval_at(r.fn, 0.1 + math.pi)) < 1e-12
+
+
+PROPERTY_GRID = 256
+
+
+def _body(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "ellipse":
+        return from_ellipse(random_ellipse(rng), PROPERTY_GRID)
+    if kind == "polygon":
+        return from_polygon(random_polygon(rng), PROPERTY_GRID)
+    if kind == "segments":
+        h = None
+        for a in rng.uniform(0.0, math.pi, 3):
+            s = from_segment(Segment(rng.uniform(0.2, 2.0) * np.array([math.cos(a), math.sin(a)])), PROPERTY_GRID)
+            h = s if h is None else combine(1.0, h, 1.0, s)
+        return h
+    if kind == "polygon-samples":
+        return from_samples(from_polygon(random_polygon(rng), PROPERTY_GRID).samples)
+    return random_support_fn(rng, PROPERTY_GRID)
+
+
+_LEAVES = st.builds(
+    _body,
+    st.sampled_from(["ellipse", "polygon", "segments", "polygon-samples", "smooth"]),
+    st.integers(0, 2**32 - 1),
+)
+_COEFF = st.floats(1e-3, 1e3)
+_BODIES = st.recursive(_LEAVES, lambda kids: st.builds(combine, _COEFF, kids, _COEFF, kids), max_leaves=4)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_BODIES, _BODIES)
+def test_hyper_dist_never_raises_and_is_symmetric(h1, h2):
+    p = normalize(h1)
+    same = normalize(from_samples(h1.samples))  # the first body again, untagged
+    for q in (normalize(h2), same):
+        d, d_rev = hyper_dist(p, q), hyper_dist(q, p)
+        assert math.isfinite(d) and d >= 0.0
+        assert math.cosh(d_rev) == pytest.approx(math.cosh(d), rel=1e-12)
+    assert hyper_dist(p, same) < 1e-6

@@ -64,6 +64,14 @@ def test_mobius_validation_and_sign():
         Mobius.from_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 
+def test_products_of_large_norm_keep_unit_determinant():
+    # the determinant's rounding grows like |ad| + |bc| ~ e^s
+    for k in range(1, 161):
+        s = 0.1 * k
+        m = Mobius.rotation(0.3) @ Mobius.axial(s) @ Mobius.rotation(1.1)
+        assert m.a * m.d - m.b * m.c == pytest.approx(1.0, rel=1e-12 * math.exp(s))
+
+
 def test_group_ops():
     rng = np.random.default_rng(0)
     for _ in range(20):

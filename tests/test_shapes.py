@@ -10,7 +10,9 @@ from hypkonvex.shapes import (
     Ellipse,
     Polygon,
     Segment,
+    Sum,
     convex_hull,
+    minkowski_combination,
     minkowski_sum,
     mixed_area,
     shoelace_area,
@@ -35,6 +37,7 @@ def test_polygon_validation():
         Polygon(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.1], [0.0, -1.0]]))
     with pytest.raises(ValueError):  # collinear triple
         Polygon(np.array([[1.0, -1.0], [1.0, 0.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0]]))
+    Polygon(1e-7 * SQUARE.vertices)  # a scaled copy of a valid polygon stays valid
 
 
 def test_square_support_and_area():
@@ -167,3 +170,69 @@ def test_minkowski_sum_segment_with_polygon():
     total = minkowski_sum(sq, s)
     got = {tuple(np.round(v, 12)) for v in total.vertices}
     assert got == {(1.0, 3.0), (-1.0, 3.0), (-1.0, -3.0), (1.0, -3.0)}
+    # a horizontal segment's edge fan holds -0.0, which must not split the edge at angle pi
+    total = minkowski_sum(sq, Segment(np.array([1.0, 0.0])))
+    got = {tuple(np.round(v, 12)) for v in total.vertices}
+    assert got == {(2.0, 1.0), (-2.0, 1.0), (-2.0, -1.0), (2.0, -1.0)}
+
+
+def _tilted_ellipse():
+    raw = np.array([[1.5, 0.3], [0.1, 0.9]])
+    return Ellipse(raw / math.sqrt(np.linalg.det(raw)))
+
+
+def test_minkowski_combination_canonical_form():
+    disc = Ellipse(np.eye(2))
+    seg = Segment(np.array([0.0, 2.0]))
+    assert minkowski_combination([(1.0, SQUARE)]) is SQUARE
+    assert minkowski_combination([(1.0, disc)]) is disc
+    # coefficients fold into polygonal geometry, which merges into one polygon
+    poly = minkowski_combination([(2.0, SQUARE), (0.5, seg)])
+    assert isinstance(poly, Polygon)
+    got = {tuple(np.round(v, 12)) for v in poly.vertices}
+    assert got == {(2.0, 3.0), (-2.0, 3.0), (-2.0, -3.0), (2.0, -3.0)}
+    # only ellipses keep a coefficient; a Sum operand expands
+    body = minkowski_combination([(0.5, disc), (2.0, SQUARE)])
+    assert isinstance(body, Sum)
+    assert [c for c, _ in body.terms] == [0.5, 1.0] and body.terms[0][1] is disc
+    nested = minkowski_combination([(2.0, body), (1.0, seg)])
+    assert [c for c, _ in nested.terms] == [1.0, 1.0]
+    assert isinstance(nested.terms[1][1], Polygon) and nested.terms[1][1].area() == pytest.approx(96.0, rel=1e-14)
+    assert isinstance(minkowski_combination([(3.0, disc)]), Sum)
+    with pytest.raises(ValueError):
+        minkowski_combination([(0.0, disc)])
+
+
+def test_sum_of_disc_and_polygon_obeys_steiner():
+    # K + cD: area(K) + c per(K) + pi c^2 and perimeter per(K) + 2 pi c
+    c = 0.7
+    body = minkowski_combination([(c, Ellipse(np.eye(2))), (1.0, SQUARE)])
+    assert body.area() == pytest.approx(4.0 + 8.0 * c + math.pi * c * c, rel=1e-14)
+    assert body.perimeter() == pytest.approx(8.0 + 2.0 * math.pi * c, rel=1e-14)
+    assert mixed_area(body, Ellipse(np.eye(2))) == pytest.approx(body.perimeter() / 2.0, rel=1e-14)
+
+
+def test_sum_boundary_support_and_derivative_agree():
+    body = minkowski_combination(
+        [(0.6, _tilted_ellipse()), (1.3, Segment(np.array([1.0, 0.5]))), (0.4, SQUARE), (0.2, Ellipse(np.eye(2)))]
+    )
+    theta = np.linspace(0.0, 2.0 * np.pi, 999, endpoint=False) + 1e-3
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    uperp = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
+    pts = body.boundary(theta)
+    assert np.abs(np.sum(pts * u, axis=1) - body.support(theta)).max() < 1e-13
+    assert np.abs(np.sum(pts * uperp, axis=1) - body.support_deriv(theta)).max() < 1e-13
+    assert body.support_deriv(0.4) == pytest.approx(float(body.support_deriv(np.array([0.4]))[0]), abs=1e-15)
+    dense = np.linspace(0.0, 2.0 * np.pi, 1 << 14, endpoint=False)
+    assert body.area() == pytest.approx(shoelace_area(body.boundary(dense)), rel=1e-6)
+
+
+def test_sum_transform_keeps_mixed_areas():
+    m = np.array([[1.2, 0.7], [0.1, 0.9]])
+    m /= math.sqrt(np.linalg.det(m))
+    body = minkowski_combination([(0.6, _tilted_ellipse()), (1.0, SQUARE)])
+    moved = body.transform(m)
+    assert isinstance(moved, Sum) and isinstance(moved.terms[1][1], Polygon)
+    assert moved.area() == pytest.approx(body.area(), rel=1e-13)
+    other = Ellipse(np.diag([2.0, 0.5]))
+    assert mixed_area(moved, other.transform(m)) == pytest.approx(mixed_area(body, other), rel=1e-13)

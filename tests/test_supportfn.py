@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hypkonvex.shapes import Ellipse, Polygon, Segment, shoelace_area
+from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, shoelace_area
 from hypkonvex.lorentz import form_A, pi0
 from hypkonvex.supportfn import (
     EvenFn,
@@ -25,6 +25,7 @@ from hypkonvex.supportfn import (
     grid_angles,
     is_support_function,
     polygon_mixed_area_oracle,
+    scaled,
     signed_diff,
     support_split,
     synthesize,
@@ -334,3 +335,20 @@ def test_combine_segment_with_polygon_tags():
     assert isinstance(out.shape_tag, Polygon)
     expect = sq.samples + 2.0 * seg.samples
     assert np.abs(out.samples - expect).max() < 1e-13
+
+
+def test_scaled_and_combine_keep_tags_of_every_kind():
+    e = from_ellipse(DIAG_2_HALF, M)
+    sq = from_polygon(SQUARE, M)
+    assert isinstance(scaled(sq, 2.0).shape_tag, Polygon)
+    big = scaled(e, 2.0)
+    assert isinstance(big.shape_tag, Sum)
+    assert form_A(big) == pytest.approx(4.0, rel=1e-14)
+    mix = combine(0.3, e, 0.7, sq)
+    assert isinstance(mix.shape_tag, Sum)
+    assert np.abs(mix.samples - mix.shape_tag.support(THETA)).max() < 1e-14
+    bilinear = 0.09 * form_A(e) + 0.42 * form_A(e, sq) + 0.49 * form_A(sq)
+    assert form_A(mix) == pytest.approx(bilinear, rel=1e-14)
+    assert pi0(mix) == pytest.approx(0.3 * pi0(e) + 0.7 * pi0(sq), rel=1e-14)
+    assert signed_diff(mix, e).shape_tag is None
+    assert combine(1.0, mix, 1.0, from_samples(sq.samples)).shape_tag is None
