@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lorentz import hyper_dist, normalize
+from .lorentz import _direction_angle, hyper_dist, normalize
 from .mobius import BASEPOINT, Mobius, halfplane_apply, iota
 from .supportfn import DEFAULT_GRID, from_segment, unit_disc
 from .shapes import Segment
@@ -38,13 +38,9 @@ class BoundaryDir:
         return cls(float(angle) % math.pi)
 
 
-def _angle_of(d):
-    return float(getattr(d, "theta", d))
-
-
 def class_angle(d1, d2):
     """Angle between direction classes, folded into [0, pi/2]."""
-    delta = abs(_angle_of(d1) - _angle_of(d2)) % math.pi
+    delta = abs(_direction_angle(d1) - _direction_angle(d2)) % math.pi
     return min(delta, math.pi - delta)
 
 
@@ -54,7 +50,7 @@ def boundary_rep(d, M=DEFAULT_GRID):
     A segment of length pi pointed along the class, so that pi0 = 1; its
     support function is (pi/2)|<u, v>| and its form value is 0.
     """
-    t = _angle_of(d)
+    t = _direction_angle(d)
     return from_segment(Segment(0.5 * math.pi * np.array([math.cos(t), math.sin(t)])), M)
 
 
@@ -72,7 +68,7 @@ def visual_dist_isotropic(d1, d2, order=48):
     with kinks where either segment support crosses zero, so Gauss-Legendre
     panels between consecutive kinks integrate it to machine precision.
     """
-    t1, t2 = _angle_of(d1), _angle_of(d2)
+    t1, t2 = _direction_angle(d1), _direction_angle(d2)
     amp = 0.5 * math.pi
 
     kinks = sorted({(t + 0.5 * math.pi * k) % (2.0 * math.pi) for t in (t1, t2) for k in (1, 3)})
@@ -104,7 +100,7 @@ def boundary_approach(d, radius, M=DEFAULT_GRID):
     """
     if not 0.0 <= radius <= 15.0:
         raise ValueError("radius must lie in [0, 15], got %r" % (radius,))
-    t = _angle_of(d)
+    t = _direction_angle(d)
     m = Mobius.rotation(t) @ Mobius.axial(radius)
     return iota(halfplane_apply(m, BASEPOINT), M)
 

@@ -54,15 +54,16 @@ def _spectral_weights(M):
     return w
 
 
+def _parseval(c1, c2, M):
+    return float(np.dot(_spectral_weights(M), (c1 * np.conj(c2)).real))
+
+
 def form_A_spectral(h1, h2=None):
     """The Parseval form of the samples: a0 a0' + (1/2) sum (1-n^2)(an an' + bn bn')."""
-    if h2 is None or h2 is h1:
-        c = h1._coeffs
-        return float(np.dot(_spectral_weights(h1.grid), (c * np.conj(c)).real))
+    h2 = h1 if h2 is None else h2
     if h1.grid != h2.grid:
         raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, h2.grid))
-    c1, c2 = h1._coeffs, h2._coeffs
-    return float(np.dot(_spectral_weights(h1.grid), (c1 * np.conj(c2)).real))
+    return _parseval(h1._coeffs, h2._coeffs, h1.grid)
 
 
 def _form_exact(h1, h2):
@@ -166,16 +167,26 @@ def hyper_dist(p, q, method="auto"):
 
     A(p, q) and its normalization sqrt(A(p)A(q)) (unity within the HPoint
     tolerance) come from one route, so the reversed Cauchy-Schwarz bound
-    holds whatever mix of tagged and untagged operands is given.  Values
-    within CLAMP_TOL below 1 are round-off and clamp to 1; anything below
-    1 - 1e-9 is a real invariant violation and raises.
+    holds whatever mix of tagged and untagged operands is given.  On the
+    spectral route x - 1 = A(p, q)/sqrt(A(p)A(q)) - 1 is computed as
+    -A(p/|p| - q/|q|)/2, free of the cancellation that would floor small
+    distances at sqrt(machine epsilon).  Values within CLAMP_TOL below 1 are
+    round-off and clamp to 1; anything below 1 - 1e-9 is a real invariant
+    violation and raises.
     """
-    x = _cosh_between(p.fn, q.fn, method=method)
-    if x < 1.0 - INVARIANT_TOL:
+    if _route(method, p.fn, q.fn) == "exact":
+        xm1 = _cosh_between(p.fn, q.fn, method="exact") - 1.0
+    else:
+        if p.fn.grid != q.fn.grid:
+            raise GridMismatchError("grids differ: %d vs %d" % (p.fn.grid, q.fn.grid))
+        u = p.fn._coeffs / math.sqrt(form_A_spectral(p.fn))
+        v = q.fn._coeffs / math.sqrt(form_A_spectral(q.fn))
+        xm1 = -0.5 * _parseval(u - v, u - v, p.fn.grid)
+    if xm1 < -INVARIANT_TOL:
         raise HyperbolicInvariantError(
-            "A(p, q) = %.17g < 1: reversed Cauchy-Schwarz violated" % x
+            "A(p, q) = %.17g < 1: reversed Cauchy-Schwarz violated" % (1.0 + xm1)
         )
-    return acosh1p(max(0.0, x - 1.0))
+    return acosh1p(max(0.0, xm1))
 
 
 def geodesic_point(p, q, t):
@@ -196,8 +207,8 @@ def geodesic_point(p, q, t):
 
 
 def _direction_angle(d):
-    theta = getattr(d, "theta", d)
-    return float(theta)
+    """The angle of a direction class (anything with ``theta``) or a bare angle."""
+    return float(getattr(d, "theta", d))
 
 
 def project_disc_to_segment_geodesic(nu, omega, M=DEFAULT_GRID):

@@ -122,8 +122,9 @@ def rho_act(m, h):
 
     Shape tags transport exactly (ellipse matrix -> mA, segment -> mv,
     polygon -> m vertices, Sum -> each term).  Untagged functions are
-    resampled by trigonometric interpolation; a warning fires when the input
-    spectrum is not resolved, since the action shears spectra.
+    resampled at the sheared angles by trigonometric interpolation (the
+    nonuniform FFT of supportfn._interp, O(M log M)); a warning fires when
+    the input spectrum is not resolved, since the action shears spectra.
     """
     if h.shape_tag is not None:
         return _from_shape(h.shape_tag.transform(m.matrix), h.grid)

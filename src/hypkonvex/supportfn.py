@@ -8,7 +8,8 @@ shape, and every operation that can use the closed form does, so those bodies
 never suffer interpolation error.  Scaling and nonnegative combination keep
 the tag (as a Sum when the bodies differ in kind), so only functions built
 from raw samples or signed differences go through the spectral machinery:
-trigonometric interpolation for off-grid values and rfft-based
+trigonometric interpolation for off-grid values, evaluated by a nonuniform
+FFT in O(M log M) to 1e-12 of the coefficients' absolute sum, and rfft-based
 differentiation.
 """
 
@@ -25,7 +26,7 @@ DEFAULT_GRID = 2048
 EVEN_TOL = 1e-12
 CONVEXITY_TOL = 1e-8
 
-_CHUNK = 4096  # bound the interpolation work matrix
+_SPREAD = 16  # half-width of the Gaussian gathering stencil, in fine-grid points
 
 
 class GridMismatchError(ValueError):
@@ -166,30 +167,52 @@ def signed_diff(h1, h2):
 
 
 def _interp(coeffs, M, theta):
-    """Evaluate the trigonometric interpolant at arbitrary angles.
+    """Evaluate the trigonometric interpolant with rfft/M coefficients
+    ``coeffs`` at arbitrary angles.
 
-    Exact for trig polynomials resolved by the grid; the coefficient tail
-    below 1e-15 of the peak is dropped, which keeps band-limited inputs
-    cheap without losing accuracy.
+    A type-2 nonuniform FFT by fast Gaussian gridding (Dutt & Rokhlin 1993,
+    Greengard & Lee 2004): the coefficients are deconvolved by the Gaussian's
+    spectrum, one irfft puts them on a twice-oversampled grid, and each angle
+    gathers 2*_SPREAD fine-grid values under the Gaussian.  The coefficient
+    tail below 1e-15 of the peak is dropped, which sets the bandwidth, so the
+    cost is O(n_max log n_max + points) and the result matches the direct sum
+    to about 1e-12 of the sum of |coeffs|; a constant is returned exactly.
     """
     theta = np.asarray(theta, dtype=float)
     flat = np.atleast_1d(theta).ravel()
-    half = M // 2
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("angles must be finite")
     mags = np.abs(coeffs)
-    peak = mags.max()
-    out = np.full(flat.shape, coeffs[0].real)
-    if peak > 0.0:
-        sig = np.nonzero(mags > 1e-15 * peak)[0]
-        nmax = int(sig[-1])
-        n_up = min(nmax, half - 1)
-        if n_up >= 1:
-            n = np.arange(1, n_up + 1)
-            c = coeffs[1 : n_up + 1]
-            for lo in range(0, flat.size, _CHUNK):
-                blk = flat[lo : lo + _CHUNK]
-                out[lo : lo + _CHUNK] += 2.0 * (np.exp(1j * np.outer(blk, n)) @ c).real
-        if nmax == half:
-            out += coeffs[half].real * np.cos(half * flat)
+    sig = np.nonzero(mags > 1e-15 * mags.max())[0]
+    nmax = int(sig[-1]) if sig.size else 0
+    if nmax == 0:
+        out = np.full(flat.shape, coeffs[0].real)
+        return out.reshape(theta.shape) if theta.ndim else float(out[0])
+    # Bandwidth N > 2 n_max, a fine grid of 2N points, and the Gaussian
+    # exp(-x^2 / 4 tau) whose width suits a 2*msp-point stencil there.
+    N = min(M, 1 << (2 * nmax + 1).bit_length())
+    fine, msp = 2 * N, _SPREAD
+    tau = math.pi * msp / (N * N * 2 * 1.5)
+    k = np.arange(nmax + 1)
+    spec = np.zeros(N + 1, dtype=complex)
+    spec[: nmax + 1] = coeffs[: nmax + 1] * (math.sqrt(math.pi / tau) * np.exp(k * k * tau))
+    if nmax == M // 2:
+        spec[nmax] = 0.5 * spec[nmax].real  # an ordinary mode on the fine grid
+    f = np.fft.irfft(spec, n=fine)
+    f = f[np.arange(-msp, fine + msp) % fine]  # padded: the gather needs no modulo
+    h = 2.0 * math.pi / fine
+    u = np.mod(flat, 2.0 * math.pi) / h
+    m0 = np.minimum(np.floor(u), fine - 1)
+    xi = (u - m0) * h
+    # exp(-(xi - l h)^2 / 4 tau) = e1 * a**l * e3(l) for l = 1 - msp .. msp,
+    # built by one cumprod of e1 * e3(1 - msp), then a * e3(l) / e3(l - 1).
+    l = np.arange(1 - msp, msp + 1)
+    log_e3 = -((l * h) ** 2) / (4.0 * tau)
+    steps = np.empty((flat.size, 2 * msp))
+    steps[:, 0] = np.exp(log_e3[0] - xi * (xi + (msp - 1) * 2.0 * h) / (4.0 * tau))
+    steps[:, 1:] = np.exp(xi * h / (2.0 * tau))[:, None] * np.exp(np.diff(log_e3))
+    windows = np.lib.stride_tricks.sliding_window_view(f, 2 * msp)
+    out = np.einsum("ij,ij->i", np.cumprod(steps, axis=1), windows[m0.astype(np.intp) + 1])
     return out.reshape(theta.shape) if theta.ndim else float(out[0])
 
 

@@ -170,13 +170,16 @@ def random_mobius(rng, norm_bound=3.0):
 
 
 def random_band_limited(rng, grid=DEFAULT_GRID, max_harmonic=16, mean=0.0):
-    """Even band-limited function with 1/n-damped Gaussian coefficients."""
-    theta = grid_angles(grid)
-    vals = np.full(grid, float(mean))
-    for n in range(2, max_harmonic + 1, 2):
-        an, bn = rng.normal(size=2) / n
-        vals += an * np.cos(n * theta) + bn * np.sin(n * theta)
-    return EvenFn(vals)
+    """Even band-limited function with 1/n-damped Gaussian coefficients:
+    mean + sum over even n <= max_harmonic of a_n cos(n t) + b_n sin(n t)."""
+    if max_harmonic >= grid // 2:
+        raise ValueError("harmonic %d is not resolved by a %d-point grid" % (max_harmonic, grid))
+    n = np.arange(2, max_harmonic + 1, 2)
+    ab = rng.normal(size=(n.size, 2)) / n[:, None]
+    c = np.zeros(grid // 2 + 1, dtype=complex)
+    c[0] = mean
+    c[n] = 0.5 * (ab[:, 0] - 1j * ab[:, 1])
+    return EvenFn(np.fft.irfft(c * grid, n=grid))
 
 
 def random_support_fn(rng, grid=DEFAULT_GRID, max_harmonic=16):

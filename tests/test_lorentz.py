@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hypkonvex.lorentz import (
     HPoint,
     IsotropicVectorError,
+    _cosh_between,
     form_A,
     form_A_spectral,
     geodesic_point,
@@ -33,7 +34,7 @@ from hypkonvex.supportfn import (
     scaled,
     unit_disc,
 )
-from hypkonvex.verify import random_ellipse, random_polygon, random_support_fn
+from hypkonvex.verify import random_body_fn, random_ellipse, random_polygon, random_support_fn
 
 M = 1024
 THETA = grid_angles(M)
@@ -322,3 +323,14 @@ def test_hyper_dist_never_raises_and_is_symmetric(h1, h2):
         assert math.isfinite(d) and d >= 0.0
         assert math.cosh(d_rev) == pytest.approx(math.cosh(d), rel=1e-12)
     assert hyper_dist(p, same) < 1e-6
+
+
+def test_hyper_dist_resolves_zero_on_the_spectral_route():
+    # x - 1 taken as -A(p/|p| - q/|q|)/2 has no sqrt(eps) floor; distances
+    # between distinct bodies agree with acosh of the form ratio
+    for seed in range(120):
+        h = random_body_fn(np.random.default_rng(seed), PROPERTY_GRID)
+        p = normalize(h)
+        assert hyper_dist(p, normalize(from_samples(h.samples))) <= 1e-12
+        q = normalize(from_samples(random_body_fn(np.random.default_rng(seed + 1000), PROPERTY_GRID).samples))
+        assert hyper_dist(p, q) == pytest.approx(math.acosh(_cosh_between(p.fn, q.fn)), rel=1e-12)

@@ -1,10 +1,13 @@
 """Grid functions: constructors, Fourier machinery, convexity, boundaries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hypkonvex.mobius import rho_act
 from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, shoelace_area
 from hypkonvex.lorentz import form_A, pi0
 from hypkonvex.supportfn import (
@@ -17,6 +20,7 @@ from hypkonvex.supportfn import (
     combine,
     constant,
     eval_at,
+    eval_deriv,
     fourier,
     from_ellipse,
     from_polygon,
@@ -30,7 +34,9 @@ from hypkonvex.supportfn import (
     support_split,
     synthesize,
     unit_disc,
+    _interp,
 )
+from hypkonvex.verify import random_band_limited, random_mobius, random_polygon
 
 M = 512
 THETA = grid_angles(M)
@@ -295,8 +301,6 @@ def test_evenness_preserved_by_ops():
 
 
 def test_eval_deriv_finite_differences():
-    from hypkonvex.supportfn import eval_deriv
-
     fns = (
         from_ellipse(DIAG_2_HALF, M),
         from_segment(Segment(np.array([0.8, -0.3])), M),
@@ -352,3 +356,79 @@ def test_scaled_and_combine_keep_tags_of_every_kind():
     assert pi0(mix) == pytest.approx(0.3 * pi0(e) + 0.7 * pi0(sq), rel=1e-14)
     assert signed_diff(mix, e).shape_tag is None
     assert combine(1.0, mix, 1.0, from_samples(sq.samples)).shape_tag is None
+
+
+def _dense_interp(coeffs, M, theta):
+    """The direct O(points * n_max) sum of the interpolant with rfft/M
+    coefficients, with the same 1e-15 coefficient cut: the NUFFT's oracle."""
+    theta = np.asarray(theta, dtype=float)
+    flat = np.atleast_1d(theta).ravel()
+    half = M // 2
+    mags = np.abs(coeffs)
+    out = np.full(flat.shape, coeffs[0].real)
+    if mags.max() > 0.0:
+        nmax = int(np.nonzero(mags > 1e-15 * mags.max())[0][-1])
+        n = np.arange(1, min(nmax, half - 1) + 1)
+        out += 2.0 * (np.exp(1j * np.outer(flat, n)) @ coeffs[n]).real
+        if nmax == half:
+            out += coeffs[half].real * np.cos(half * flat)
+    return out.reshape(theta.shape) if theta.ndim else float(out[0])
+
+
+def _offgrid_input(kind, M, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "band-limited":
+        return random_band_limited(rng, M, min(16, M // 2 - 1), mean=1.5)._coeffs
+    if kind == "polygon-samples":
+        return from_samples(from_polygon(random_polygon(rng), M).samples)._coeffs
+    if kind == "sheared":
+        h = random_band_limited(rng, M, min(16, M // 2 - 1), mean=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SpectralTailWarning)
+            return rho_act(random_mobius(rng), h)._coeffs
+    return np.fft.rfft(rng.normal(size=M)) / M  # raw: odd harmonics and a full Nyquist mode
+
+
+_ANGLE = st.one_of(
+    st.floats(-20.0, 20.0),
+    st.sampled_from([0.0, -1e-300, -2.0 * math.pi, 2.0 * math.pi, math.nextafter(2.0 * math.pi, 0.0), 1e3]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([8, 12, 16, 64, 256, 2048]),
+    st.sampled_from(["band-limited", "polygon-samples", "sheared", "raw"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.one_of(_ANGLE, _ANGLE.map(np.array), st.lists(_ANGLE, min_size=1, max_size=40).map(np.array)),
+)
+def test_interp_matches_dense_sum(grid, kind, deriv, seed, theta):
+    c = _offgrid_input(kind, grid, seed)
+    if deriv:
+        c = 1j * np.arange(grid // 2 + 1) * c
+        c[-1] = 0.0
+    got, want = _interp(c, grid, theta), _dense_interp(c, grid, theta)
+    assert np.shape(got) == np.shape(want) and type(got) is type(want)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(c).sum()
+
+
+def test_interp_refuses_nonfinite_angles():
+    h = EvenFn(1.2 + 0.3 * np.cos(2 * THETA))
+    for bad in (math.nan, np.array([0.5, math.inf])):
+        with pytest.raises(ValueError):
+            eval_at(h, bad)
+
+
+def test_eval_deriv_of_band_limited_body_off_grid():
+    # noise lifted by the factor n keeps every harmonic above the cut; the
+    # derivative must stay accurate (and cheap) all the same
+    grid = 8192
+    rng = np.random.default_rng(21)
+    n = np.arange(2, 17, 2)
+    a, b = rng.normal(size=(2, n.size)) / n
+    t = grid_angles(grid)
+    h = EvenFn(1.5 + np.cos(np.outer(t, n)) @ a + np.sin(np.outer(t, n)) @ b)
+    theta = rng.uniform(0.0, 2.0 * np.pi, grid)
+    expect = n * np.cos(np.outer(theta, n)) @ b - n * np.sin(np.outer(theta, n)) @ a
+    assert np.abs(eval_deriv(h, theta) - expect).max() < 1e-10

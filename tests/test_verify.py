@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from hypkonvex.shapes import Ellipse
-from hypkonvex.supportfn import from_ellipse, unit_disc
+from hypkonvex.supportfn import from_ellipse, grid_angles, unit_disc
 from hypkonvex.verify import (
     HALF_CURVATURE_RATIO,
     SUITES,
@@ -17,6 +17,7 @@ from hypkonvex.verify import (
     kernels_compare,
     minkowski_extended_test,
     quasi_iso_suite,
+    random_band_limited,
     random_mobius,
     run_suite,
 )
@@ -124,3 +125,16 @@ def test_every_suite_passes(name):
     # the sheared spectra in the equivariance checks)
     report = run_suite(name, seed=1, grid=2048)
     assert report.passed, "%s max violation %.3g" % (name, report.max_violation)
+
+
+def test_random_band_limited_is_the_trig_sum_of_its_draws():
+    theta = grid_angles(M)
+    h = random_band_limited(np.random.default_rng(4), M, max_harmonic=24, mean=0.7)
+    rng = np.random.default_rng(4)
+    expect = np.full(M, 0.7)
+    for n in range(2, 25, 2):
+        an, bn = rng.normal(size=2) / n
+        expect += an * np.cos(n * theta) + bn * np.sin(n * theta)
+    assert np.abs(h.samples - expect).max() < 1e-13
+    with pytest.raises(ValueError):
+        random_band_limited(np.random.default_rng(4), 64, max_harmonic=32)
