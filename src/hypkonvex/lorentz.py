@@ -27,7 +27,6 @@ from .supportfn import (
 )
 
 FORM_UNIT_TOL = 1e-10
-CLAMP_TOL = 1e-12
 INVARIANT_TOL = 1e-9
 
 
@@ -170,9 +169,9 @@ def hyper_dist(p, q, method="auto"):
     holds whatever mix of tagged and untagged operands is given.  On the
     spectral route x - 1 = A(p, q)/sqrt(A(p)A(q)) - 1 is computed as
     -A(p/|p| - q/|q|)/2, free of the cancellation that would floor small
-    distances at sqrt(machine epsilon).  Values within CLAMP_TOL below 1 are
-    round-off and clamp to 1; anything below 1 - 1e-9 is a real invariant
-    violation and raises.
+    distances at sqrt(machine epsilon).  Values of x - 1 in [-INVARIANT_TOL, 0)
+    are taken for round-off and give distance 0; anything below
+    -INVARIANT_TOL (1e-9) is a real invariant violation and raises.
     """
     if _route(method, p.fn, q.fn) == "exact":
         xm1 = _cosh_between(p.fn, q.fn, method="exact") - 1.0

@@ -22,6 +22,13 @@ DET_TOL = 1e-9
 SYM_TOL = 1e-12
 
 
+def _check_unit_det(a, b, c, d, tol):
+    # relative to |ad| + |bc|, the scale of the rounding error of ad - bc
+    det = a * d - b * c
+    if abs(det - 1.0) > tol * (abs(a * d) + abs(b * c)):
+        raise ValueError("determinant must be 1, got %.17g" % det)
+
+
 def _freeze(arr):
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
@@ -37,7 +44,7 @@ def _unit_vectors(theta):
 class Ellipse:
     """The body A·D, the image of the closed unit disc under ``matrix``.
 
-    The determinant must be 1 up to ``DET_TOL`` so the body has area pi.
+    ad - bc must be 1 to ``DET_TOL`` relative to |ad| + |bc|, so the area is pi.
     """
 
     matrix: np.ndarray
@@ -46,9 +53,7 @@ class Ellipse:
         m = _freeze(self.matrix)
         if m.shape != (2, 2) or not np.all(np.isfinite(m)):
             raise ValueError("ellipse matrix must be a finite 2x2 array")
-        det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        if abs(det - 1.0) > DET_TOL:
-            raise ValueError("ellipse matrix must have unit determinant, got det=%.17g" % det)
+        _check_unit_det(*m.ravel(), DET_TOL)
         object.__setattr__(self, "matrix", m)
 
     def support(self, theta):

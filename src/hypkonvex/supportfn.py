@@ -177,11 +177,10 @@ def _interp(coeffs, M, theta):
     tail below 1e-15 of the peak is dropped, which sets the bandwidth, so the
     cost is O(n_max log n_max + points) and the result matches the direct sum
     to about 1e-12 of the sum of |coeffs|; a constant is returned exactly.
+    The angles must be finite (eval_at and eval_deriv check theirs).
     """
     theta = np.asarray(theta, dtype=float)
     flat = np.atleast_1d(theta).ravel()
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("angles must be finite")
     mags = np.abs(coeffs)
     sig = np.nonzero(mags > 1e-15 * mags.max())[0]
     nmax = int(sig[-1]) if sig.size else 0
@@ -219,6 +218,8 @@ def _interp(coeffs, M, theta):
 def eval_at(h, theta):
     """Value of h at arbitrary angles: closed form when tagged, else
     trigonometric interpolation through the samples."""
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("angles must be finite")
     if h.shape_tag is not None:
         v = h.shape_tag.support(theta)
         return float(v) if np.ndim(theta) == 0 else v
@@ -227,6 +228,8 @@ def eval_at(h, theta):
 
 def eval_deriv(h, theta):
     """dh/dtheta at arbitrary angles (closed form when tagged)."""
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("angles must be finite")
     if h.shape_tag is not None:
         v = h.shape_tag.support_deriv(theta)
         return float(v) if np.ndim(theta) == 0 else v

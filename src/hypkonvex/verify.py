@@ -19,10 +19,13 @@ from .mobius import (
     BASEPOINT,
     HalfPlanePoint,
     Mobius,
+    _graded_edges,
+    _panel_mean,
     dist_h2,
     halfplane_apply,
     iota,
     iota_dist_closed,
+    iota_dist_quadrature,
     rho_act,
 )
 from .shapes import Ellipse, Polygon, convex_hull
@@ -32,7 +35,6 @@ from .supportfn import (
     EvenFn,
     from_ellipse,
     from_polygon,
-    grid_angles,
     scaled,
     support_split,
     unit_disc,
@@ -222,15 +224,13 @@ def jacobian_circle(t, theta):
     return float(out) if out.ndim == 0 else out
 
 
-KERNEL_GRID_CAP = 2**22
-# Beyond this t the 24 e^{2t} nodes _kernel_grid asks for exceed the cap.
-KERNEL_T_MAX = 0.5 * math.log(KERNEL_GRID_CAP / 24.0)
+# The end of the t range over which the tests validate kernels_compare.
+KERNEL_T_MAX = 30.0
 
 
-def _kernel_grid(t, cap=KERNEL_GRID_CAP):
-    # resolve the e^{-2t}-wide analyticity strip: trapezoid error ~ e^{-M e^{-2t}}
-    need = max(8192.0, 24.0 * math.exp(2.0 * t))
-    return min(1 << math.ceil(math.log2(need)), cap)
+def _jacobian_mean(t, power):
+    # the Jacobian is even about pi and peaks at 0 with width e^{-2t}
+    return _panel_mean(lambda x: jacobian_circle(t, x) ** power, _graded_edges(math.exp(-2.0 * t), math.pi))
 
 
 @dataclass(frozen=True)
@@ -253,19 +253,13 @@ def kernels_compare(t):
 
     The first three agree (the embeddings are isometric to each other); the
     fourth comes from a reducible construction and stays strictly above.
-    Refuses t above KERNEL_T_MAX, where the quadrature grid would be capped.
+    I1 (the Jacobian to the power 3/2) and I2 (iota_dist_quadrature) are good
+    to about 1e-15 relative.  Refuses t outside (0, KERNEL_T_MAX].
     """
     if not 0.0 < t <= KERNEL_T_MAX:
         raise ValueError("t must lie in (0, %.4g], got %r" % (KERNEL_T_MAX, t))
-    m = _kernel_grid(t)
-    j = np.arange(m)
-    theta = 2.0 * math.pi * j / m
-    # sin(pi j/m) via the fold sin(pi min(j, m-j)/m): well-conditioned at both
-    # ends, where the integrand peaks
-    half_sin = np.sin(math.pi * np.minimum(j, m - j) / m)
-    base = math.exp(-2.0 * t) + 2.0 * math.sinh(2.0 * t) * half_sin**2
-    i1 = float(np.mean(base**-1.5))
-    i2 = float(np.mean(np.hypot(math.exp(t) * np.cos(theta), math.exp(-t) * np.sin(theta))))
+    i1 = _jacobian_mean(t, 1.5)
+    i2 = math.cosh(iota_dist_quadrature(Mobius.axial(2.0 * t)))
     _, E = agm_KE_from_complement(math.exp(-2.0 * t))
     closed = 2.0 * math.exp(t) * E / math.pi
     kern2 = math.exp(0.5 * dist_h2(halfplane_apply(Mobius.axial(2.0 * t), BASEPOINT), BASEPOINT))
@@ -378,13 +372,7 @@ def _kernels_suite(seed=0, grid=DEFAULT_GRID):
             dist_kern2=math.acosh(kv.kern2),
         )
     for t in (0.25, 0.5, 1.0, 2.0, 5.0):
-        m = _kernel_grid(t)
-        j = np.arange(m)
-        # the integrand is symmetric about pi; folding keeps sin(theta/2)
-        # well-conditioned at the right-end peak
-        theta = 2.0 * math.pi * np.minimum(j, m - j) / m
-        total = float(np.mean(jacobian_circle(t, theta)))
-        col.add("jacobian-unit-mass", _digest([t]), total - 1.0, 1e-12, t=t)
+        col.add("jacobian-unit-mass", _digest([t]), _jacobian_mean(t, 1.0) - 1.0, 1e-12, t=t)
     return col.report("kernels", seed, grid)
 
 
@@ -394,8 +382,7 @@ def _curvature_suite(seed=0, grid=DEFAULT_GRID):
     col.add("ratio-at-1e-2", _digest([1e-2]), ratios[2] - HALF_CURVATURE_RATIO, 1e-4)
     col.add("richardson", _digest([5e-4, 1e-3]), extrapolated - HALF_CURVATURE_RATIO, 1e-8)
     s = 1e-3
-    w = Mobius.axial(s).matrix.T @ np.stack([np.cos(grid_angles(8192)), np.sin(grid_angles(8192))])
-    cosh_val = float(np.hypot(w[0], w[1]).mean())
+    cosh_val = math.cosh(iota_dist_quadrature(Mobius.axial(s)))
     col.add("small-s-expansion", _digest([s]), cosh_val - (1.0 + 3.0 * s * s / 16.0), 1e-13)
     return col.report("curvature", seed, grid)
 

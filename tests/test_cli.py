@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ellipe
 
 import hypkonvex
 from hypkonvex.cli import main
@@ -106,7 +107,7 @@ def test_geodesic_disc_to_square_closed_form(tmp_path, capsys):
         (["dist", "{disc}", "{disc}"], {"HYPKONVEX_GRID": "abc"}),
         (["hdim", "--empirical", "--samples", "0"], {}),
         (["kernels", "--t-min", "400", "--t-max", "400"], {}),
-        (["kernels", "--t-min", "8", "--t-max", "8"], {}),
+        (["kernels", "--t-min", "31", "--t-max", "31"], {}),
     ],
     ids=["grid-env-not-int", "hdim-no-samples", "kernels-overflow", "kernels-capped-grid"],
 )
@@ -206,6 +207,15 @@ def test_kernels_table(tmp_path, capsys):
         t, i1, i2, closed, kern2, gap = map(float, ln.split(","))
         assert abs(i1 - closed) < 1e-10 and abs(i2 - closed) < 1e-10
         assert gap > 0.0
+
+
+def test_kernels_at_large_t_match_the_closed_form(tmp_path):
+    out = tmp_path / "k"
+    assert main(["kernels", "--t-min", "8", "--t-max", "8", "--out", str(out)]) == 0
+    (row,) = (out / "kernels.csv").read_text().strip().splitlines()[1:]
+    t, i1 = (float(v) for v in row.split(",")[:2])
+    oracle = 2.0 * math.exp(t) * ellipe(-math.expm1(-4.0 * t)) / math.pi
+    assert t == 8.0 and i1 == pytest.approx(oracle, rel=1e-12)
 
 
 def test_kernels_validation(tmp_path):

@@ -65,11 +65,14 @@ def test_mobius_validation_and_sign():
 
 
 def test_products_of_large_norm_keep_unit_determinant():
-    # the determinant's rounding grows like |ad| + |bc| ~ e^s
-    for k in range(1, 161):
+    # the determinant's rounding grows like |ad| + |bc| ~ e^s, for group
+    # elements and for the ellipses they map the disc to alike
+    disc = unit_disc(64)
+    for k in range(1, 201):
         s = 0.1 * k
         m = Mobius.rotation(0.3) @ Mobius.axial(s) @ Mobius.rotation(1.1)
         assert m.a * m.d - m.b * m.c == pytest.approx(1.0, rel=1e-12 * math.exp(s))
+        assert np.array_equal(rho_act(m, disc).shape_tag.matrix, m.matrix)
 
 
 def test_group_ops():

@@ -414,10 +414,19 @@ def test_interp_matches_dense_sum(grid, kind, deriv, seed, theta):
 
 
 def test_interp_refuses_nonfinite_angles():
-    h = EvenFn(1.2 + 0.3 * np.cos(2 * THETA))
-    for bad in (math.nan, np.array([0.5, math.inf])):
-        with pytest.raises(ValueError):
-            eval_at(h, bad)
+    bodies = [
+        EvenFn(1.2 + 0.3 * np.cos(2 * THETA)),
+        unit_disc(M),
+        from_polygon(SQUARE, M),
+        from_segment(Segment(np.array([1.0, 0.5])), M),
+        combine(0.5, unit_disc(M), 0.5, from_polygon(SQUARE, M)),
+    ]
+    assert isinstance(bodies[-1].shape_tag, Sum)
+    for h in bodies:
+        for bad in (math.nan, np.array([0.5, math.inf])):
+            for evaluate in (eval_at, eval_deriv):
+                with pytest.raises(ValueError):
+                    evaluate(h, bad)
 
 
 def test_eval_deriv_of_band_limited_body_off_grid():

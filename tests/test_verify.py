@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipe
 
+from hypkonvex.mobius import Mobius, iota_dist_quadrature
 from hypkonvex.shapes import Ellipse
 from hypkonvex.supportfn import from_ellipse, grid_angles, unit_disc
 from hypkonvex.verify import (
     HALF_CURVATURE_RATIO,
+    KERNEL_T_MAX,
     SUITES,
+    _jacobian_mean,
     curvature_scale_estimate,
     ellipse_sum_test,
     jacobian_circle,
@@ -55,6 +59,19 @@ def test_kernels_compare():
         assert kv.gap > 0.0
     with pytest.raises(ValueError):
         kernels_compare(0.0)
+
+
+def test_kernels_scan_against_scipy_closed_form():
+    # scipy's E(m) is independent of the AGM that kernels_compare reports
+    ts = [1e-3, 1e-2] + [k / 10.0 for k in range(1, round(10 * KERNEL_T_MAX) + 1)]
+    assert ts[-1] == KERNEL_T_MAX
+    for t in ts:
+        oracle = 2.0 * math.exp(t) * ellipe(-math.expm1(-4.0 * t)) / math.pi
+        kv = kernels_compare(t)
+        cosh_iota = math.cosh(iota_dist_quadrature(Mobius.axial(2.0 * t)))
+        for value in (kv.i1, kv.i2, cosh_iota):
+            assert value == pytest.approx(oracle, rel=1e-13), t
+        assert abs(_jacobian_mean(t, 1.0) - 1.0) < 1e-14, t
 
 
 def test_minkowski_extended_examples():
