@@ -11,7 +11,7 @@ verification harness binding the identities and inequalities into suites.
 """
 
 from .shapes import Ellipse, Polygon, Segment, Sum, minkowski_combination, minkowski_sum, mixed_area, shoelace_area
-from .specfun import EllipticTriple, agm_KE, ellip_I
+from .specfun import agm_KE, ellip_I
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
@@ -32,7 +32,6 @@ from .supportfn import (
     from_segment,
     grid_angles,
     is_support_function,
-    polygon_mixed_area_oracle,
     scaled,
     signed_diff,
     support_split,

@@ -11,6 +11,7 @@ a set of operands: closed-form mixed areas when every operand carries a
 shape tag, and the Parseval sum on coefficients for all of them otherwise.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,14 +43,19 @@ def acosh1p(x):
     """acosh(1 + x) for x >= 0 without cancellation near 0."""
     if x < 0.0:
         raise ValueError("acosh1p needs a nonnegative argument, got %r" % (x,))
+    if x > 1e150:  # x * x would overflow; log(2 + 2x) is then exact to 1/(4x^2)
+        return math.log(2.0) + math.log1p(x)
     return math.log1p(x + math.sqrt(2.0 * x + x * x))
 
 
+@functools.cache
 def _spectral_weights(M):
+    # once per grid, read-only: every spectral form value on that grid reads it
     n = np.arange(M // 2 + 1, dtype=float)
     w = 2.0 * (1.0 - n**2)
     w[0] = 1.0
     w[-1] = 1.0 - n[-1] ** 2
+    w.setflags(write=False)
     return w
 
 

@@ -11,6 +11,7 @@ elliptic integrals.
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -171,9 +172,15 @@ def iota(z, M=DEFAULT_GRID):
     return normalize(from_ellipse(Ellipse(mobius_from_halfplane(z).matrix), M))
 
 
-def _graded_edges(width, end):
-    """Panel edges 0, w, 2w, 4w, ... up to ``end``, graded toward a peak of width w at 0."""
-    return [0.0] + [width * 2.0**k for k in range(math.ceil(math.log2(end / width)))] + [end]
+def _graded_edges(log2_width, end):
+    """Panel edges 0, w, 2w, 4w, ... up to ``end``, graded toward a peak of
+    width w = 2**log2_width at 0.
+
+    The width comes as a logarithm, so that no ratio of scales is formed and
+    any peak width works; edges that underflow to 0 are dropped.
+    """
+    grown = (2.0 ** (log2_width + k) for k in range(math.ceil(math.log2(end) - log2_width)))
+    return [0.0] + [e for e in grown if e > 0.0] + [end]
 
 
 @functools.cache
@@ -200,9 +207,14 @@ def iota_dist_quadrature(m):
     For singular values s0 >= s1 of m this is the mean of
     hypot(s0 sin x, s1 cos x) over [0, pi/2], which peaks at 0 with width s1/s0.
     """
-    s0, s1 = np.linalg.svd(m.matrix, compute_uv=False)
-    mean = _panel_mean(lambda x: np.hypot(s0 * np.sin(x), s1 * np.cos(x)), _graded_edges(s1 / s0, 0.5 * math.pi))
+    s0 = float(np.linalg.svd(m.matrix, compute_uv=False)[0])
+    s1 = 1.0 / s0  # det m = 1; svd's own s1 errs by eps*s0 (it is 0 for diag(1e231, 1e-231))
+    edges = _graded_edges(math.log2(s1) - math.log2(s0), 0.5 * math.pi)
+    mean = _panel_mean(lambda x: np.hypot(s0 * np.sin(x), s1 * np.cos(x)), edges)
     return acosh1p(max(0.0, mean - 1.0))
+
+
+_S_MAX = 2.0 * math.log(sys.float_info.max)  # where e^{s/2} overflows
 
 
 def iota_dist_closed(s):
@@ -210,11 +222,14 @@ def iota_dist_closed(s):
 
     acosh((2/pi) e^{s/2} E(k)) with complementary modulus k' = e^{-s}; the
     diagonal case extends to any pair by equivariance of the embedding.
+    Refuses s outside [0, 2 log(largest double)), where e^{s/2} overflows.
     """
-    if s < 0.0:
-        raise ValueError("s must be nonnegative, got %r" % (s,))
+    if not 0.0 <= s < _S_MAX:
+        raise ValueError("s must lie in [0, %.6g), got %r" % (_S_MAX, s))
     if s == 0.0:
         return 0.0
-    _, E = agm_KE_from_complement(math.exp(-s))
+    # k' underflows to 0 past s = 745, where E = 1 + O(k'^2 log(1/k')) is 1 to double precision
+    k_prime = math.exp(-s)
+    E = agm_KE_from_complement(k_prime)[1] if k_prime > 0.0 else 1.0
     x = (2.0 / math.pi) * math.exp(0.5 * s) * E - 1.0
     return acosh1p(max(0.0, x))

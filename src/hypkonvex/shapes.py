@@ -10,9 +10,9 @@ closed form, which is what keeps segment and polygon computations free of
 grid error.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +35,29 @@ def _freeze(arr):
     return out
 
 
+def _once(method):
+    """A method of no arguments whose value is computed on first call and kept
+    on the (immutable) instance."""
+    key = "_once_" + method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        if key not in self.__dict__:
+            self.__dict__[key] = method(self)
+        return self.__dict__[key]
+
+    return cached
+
+
+def _angles(normals):
+    return _freeze(np.arctan2(normals[:, 1], normals[:, 0]))
+
+
+def _next(a):
+    """a shifted one step back along axis 0: a[1], ..., a[n-1], a[0]."""
+    return np.concatenate((a[1:], a[:1]))
+
+
 def _unit_vectors(theta):
     theta = np.asarray(theta, dtype=float)
     return np.stack([np.cos(theta), np.sin(theta)])
@@ -45,6 +68,7 @@ class Ellipse:
     """The body A·D, the image of the closed unit disc under ``matrix``.
 
     ad - bc must be 1 to ``DET_TOL`` relative to |ad| + |bc|, so the area is pi.
+    Semi-axes, perimeter and area are computed once per ellipse.
     """
 
     matrix: np.ndarray
@@ -72,15 +96,18 @@ class Ellipse:
         w = self.matrix.T @ _unit_vectors(theta)
         return (self.matrix @ (w / np.hypot(w[0], w[1]))).T
 
+    @_once
     def semi_axes(self):
         s = np.linalg.svd(self.matrix, compute_uv=False)
         return float(s[0]), float(s[1])
 
+    @_once
     def perimeter(self):
         s1, s2 = self.semi_axes()
         _, E = agm_KE_from_complement(min(1.0, s2 / s1))
         return 4.0 * s1 * E
 
+    @_once
     def area(self):
         return math.pi * float(np.linalg.det(self.matrix))
 
@@ -122,12 +149,17 @@ class Segment:
     def area(self):
         return 0.0
 
+    @_once
     def edges(self):
         """Surface measure as (lengths, outward unit normals) arrays."""
         v = self.endpoint
         length = float(np.hypot(v[0], v[1]))
         n = np.array([v[1], -v[0]]) / length
-        return np.full(2, 2.0 * length), np.stack([n, -n])
+        return _freeze(np.full(2, 2.0 * length)), _freeze(np.stack([n, -n]))
+
+    @_once
+    def _normal_angles(self):
+        return _angles(self.edges()[1])
 
     def transform(self, m):
         return Segment(np.asarray(m, dtype=float) @ self.endpoint)
@@ -138,13 +170,17 @@ class Segment:
 
 @dataclass(frozen=True)
 class Polygon:
-    """A symmetric strictly convex polygon with counterclockwise vertices."""
+    """A symmetric strictly convex polygon with counterclockwise vertices.
+
+    Edge lengths, unit normals and their angles, area and perimeter are
+    computed once per polygon, on first use.
+    """
 
     vertices: np.ndarray
 
     def __post_init__(self):
         v = _freeze(self.vertices)
-        if v.ndim != 2 or v.shape[1] != 2 or not np.all(np.isfinite(v)):
+        if v.ndim != 2 or v.shape[1] != 2 or not np.isfinite(v).all():
             raise ValueError("polygon vertices must be a finite (n, 2) array")
         n = v.shape[0]
         if n < 4 or n % 2 != 0:
@@ -153,12 +189,12 @@ class Polygon:
         # bodies of very different sizes stay valid: every turn must exceed
         # an angle of SYM_TOL, the threshold at which minkowski_sum merges.
         scale = float(np.abs(v).max())
-        if np.abs(v[(np.arange(n) + n // 2) % n] + v).max() > SYM_TOL * scale:
+        if np.abs(v[: n // 2] + v[n // 2 :]).max() > SYM_TOL * scale:
             raise ValueError("polygon vertex set is not symmetric about the origin")
-        e = np.roll(v, -1, axis=0) - v
-        cross = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+        e = _next(v) - v
+        cross = e[:, 0] * _next(e[:, 1]) - e[:, 1] * _next(e[:, 0])
         length = np.hypot(e[:, 0], e[:, 1])
-        if np.any(cross <= SYM_TOL * length * np.roll(length, -1)):
+        if np.any(cross <= SYM_TOL * length * _next(length)):
             raise ValueError("polygon must be strictly convex in counterclockwise order")
         object.__setattr__(self, "vertices", v)
 
@@ -177,17 +213,22 @@ class Polygon:
         u = _unit_vectors(theta)
         return self.vertices[np.argmax(self.vertices @ u, axis=0)]
 
+    @_once
     def edges(self):
         """Surface measure as (lengths, outward unit normals) arrays."""
-        v = self.vertices
-        e = np.roll(v, -1, axis=0) - v
+        e = _next(self.vertices) - self.vertices
         lengths = np.hypot(e[:, 0], e[:, 1])
-        return lengths, np.stack([e[:, 1], -e[:, 0]], axis=1) / lengths[:, None]
+        return _freeze(lengths), _freeze(np.stack([e[:, 1], -e[:, 0]], axis=1) / lengths[:, None])
 
+    @_once
+    def _normal_angles(self):
+        return _angles(self.edges()[1])
+
+    @_once
     def perimeter(self):
-        e = np.roll(self.vertices, -1, axis=0) - self.vertices
-        return float(np.hypot(e[:, 0], e[:, 1]).sum())
+        return float(self.edges()[0].sum())
 
+    @_once
     def area(self):
         return shoelace_area(self.vertices)
 
@@ -207,7 +248,8 @@ class Sum:
     1, and only ellipses keep their own coefficient (an Ellipse has unit
     determinant, so it cannot absorb one).
     Support values, derivatives, boundary points and perimeters add term by
-    term; the area expands by bilinearity of the mixed area.
+    term; the area expands by bilinearity of the mixed area.  Perimeter and
+    area are computed once per Sum.
     """
 
     terms: tuple
@@ -231,14 +273,12 @@ class Sum:
         # The support point of a sum in direction u is the sum of support points.
         return sum(c * k.boundary(theta) for c, k in self.terms)
 
+    @_once
     def perimeter(self):
         return sum(c * k.perimeter() for c, k in self.terms)
 
+    @_once
     def area(self):
-        return self._area
-
-    @cached_property
-    def _area(self):
         total = 0.0
         for i, (ci, ki) in enumerate(self.terms):
             total += ci * ci * ki.area()
@@ -283,7 +323,7 @@ def shoelace_area(vertices):
     """Signed shoelace area; positive for counterclockwise order."""
     v = np.asarray(vertices, dtype=float)
     x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - y * np.roll(x, -1)))
+    return 0.5 * float(np.sum(x * _next(y) - y * _next(x)))
 
 
 def convex_hull(points):
@@ -315,7 +355,7 @@ def _edge_fan(shape):
         v = shape.endpoint
         return [2.0 * v + 0.0, -2.0 * v + 0.0]  # + 0.0 clears -0.0, whose angle sorts as -pi
     v = shape.vertices
-    return list(np.roll(v, -1, axis=0) - v)
+    return list(_next(v) - v)
 
 
 def minkowski_sum(a, b):
@@ -373,8 +413,7 @@ def mixed_area(a, b):
     if isinstance(b, Sum):
         return sum(c * mixed_area(a, k) for c, k in b.terms)
     if isinstance(b, (Polygon, Segment)):
-        lengths, normals = b.edges()
-        return 0.5 * float(lengths @ a.support(np.arctan2(normals[:, 1], normals[:, 0])))
+        return 0.5 * float(b.edges()[0] @ a.support(b._normal_angles()))
     if isinstance(a, (Polygon, Segment)):
         return mixed_area(b, a)
     # Two ellipses: reduce to ellipse-against-disc through C = B^{-1} A,

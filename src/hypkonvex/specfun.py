@@ -7,7 +7,6 @@ quadratically, so machine precision is reached in at most a dozen steps.
 
 import math
 import sys
-from dataclasses import dataclass
 
 _EPS = sys.float_info.epsilon
 _MAX_ITER = 64
@@ -81,29 +80,3 @@ def ellip_I(k):
         raise EllipticDomainError("modulus must lie in [0, 1-1e-12], got %r" % (k,))
     _, E = agm_KE(k)
     return E / ((1.0 - k) * (1.0 + k))
-
-
-@dataclass(frozen=True)
-class EllipticTriple:
-    """Value bundle (k, K(k), E(k), I(k)) with the defining identities checked."""
-
-    k: float
-    K: float
-    E: float
-    I: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.k < 1.0):
-            raise EllipticDomainError("modulus must lie in [0, 1), got %r" % (self.k,))
-        if self.K < math.pi / 2 - 1e-15 or self.E > math.pi / 2 + 1e-15:
-            raise ValueError("K must be >= pi/2 and E <= pi/2")
-        if self.K <= 0.0 or self.E <= 0.0:
-            raise ValueError("K and E must be positive")
-        resid = abs(self.I * (1.0 - self.k**2) - self.E)
-        if resid > 1e-13 * max(1.0, abs(self.E)):
-            raise ValueError("I != E/(1-k^2): residual %g" % resid)
-
-    @classmethod
-    def from_modulus(cls, k):
-        K, E = agm_KE(k)
-        return cls(k=k, K=K, E=E, I=E / ((1.0 - k) * (1.0 + k)))

@@ -1,11 +1,12 @@
 """Even circle functions on a uniform grid, with exact shape tags.
 
 An EvenFn holds M samples of a pi-periodic function on [0, 2pi) -- the kind
-of function a symmetric convex body produces as its support function.  The
-samples are canonical; Fourier coefficients are derived on demand and cached.
-A function constructed from an ellipse, segment, or polygon also carries the
-shape, and every operation that can use the closed form does, so those bodies
-never suffer interpolation error.  Scaling and nonnegative combination keep
+of function a symmetric convex body produces as its support function.  A
+function built from an ellipse, segment, polygon or Sum stores only that
+shape, as its tag, and M: every operation that can use the closed form does,
+so those bodies never suffer interpolation error and cost per vertex, not per
+grid point; their samples are computed on first read.  Fourier coefficients
+are derived on demand and cached.  Scaling and nonnegative combination keep
 the tag (as a Sum when the bodies differ in kind), so only functions built
 from raw samples or signed differences go through the spectral machinery:
 trigonometric interpolation for off-grid values, evaluated by a nonuniform
@@ -20,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .shapes import Ellipse, Polygon, Segment, Sum, minkowski_combination, minkowski_sum, shoelace_area
+from .shapes import Ellipse, Polygon, Segment, Sum, minkowski_combination
 
 DEFAULT_GRID = 2048
 EVEN_TOL = 1e-12
@@ -51,33 +52,49 @@ def grid_angles(M):
     return 2.0 * np.pi * np.arange(M) / M
 
 
-@dataclass(frozen=True, eq=False)
+def _checked(s):
+    """s, made read-only, once it is finite and pi-periodic within EVEN_TOL."""
+    if not np.all(np.isfinite(s)):
+        raise ValueError("samples must be a finite 1-d array")
+    half = s.size // 2
+    top = 1.0 + float(np.abs(s).max())
+    if np.abs(s[:half] - s[half:]).max() > EVEN_TOL * top:
+        raise ValueError("samples are not pi-periodic within tolerance")
+    s.setflags(write=False)
+    return s
+
+
 class EvenFn:
     """Samples of a pi-periodic function at angles 2*pi*j/M, j = 0..M-1.
 
-    ``shape_tag`` is an optional exact descriptor; when present the function
-    is the support function of that shape and closed forms take over.
+    ``EvenFn(samples)`` wraps raw samples; its ``shape_tag`` is None.  A
+    function built from a shape (by ``from_ellipse``, ``from_segment``,
+    ``from_polygon``, ``scaled``, ``combine`` or ``rho_act``) stores only that
+    shape, as ``shape_tag``, and the grid size ``grid``: it is the shape's
+    support function and closed forms take over.  Its ``samples``, the
+    support at the grid angles, are computed on first read and pass the
+    same finite and pi-periodic check as raw ones.  Instances are immutable.
     """
 
-    samples: np.ndarray
-    shape_tag: object = None
-
-    def __post_init__(self):
-        s = np.array(self.samples, dtype=float)
-        if s.ndim != 1 or not np.all(np.isfinite(s)):
+    def __init__(self, samples):
+        s = np.array(samples, dtype=float)
+        if s.ndim != 1:
             raise ValueError("samples must be a finite 1-d array")
         _check_grid(s.size)
-        top = 1.0 + float(np.abs(s).max()) if s.size else 1.0
-        if np.abs(s - np.roll(s, s.size // 2)).max() > EVEN_TOL * top:
-            raise ValueError("samples are not pi-periodic within tolerance")
-        if self.shape_tag is not None and not isinstance(self.shape_tag, (Ellipse, Segment, Polygon, Sum)):
-            raise TypeError("shape tag must be an Ellipse, Segment, Polygon, or Sum")
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "grid", s.size)
+        object.__setattr__(self, "shape_tag", None)
+        object.__setattr__(self, "samples", _checked(s))
 
-    @property
-    def grid(self):
-        return self.samples.size
+    def __setattr__(self, name, value):
+        raise AttributeError("EvenFn is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("EvenFn is immutable")
+
+    @cached_property
+    def samples(self):
+        # reached only by tagged functions: raw ones hold their samples
+        return _checked(self.shape_tag.support(grid_angles(self.grid)))
 
     @cached_property
     def _coeffs(self):
@@ -88,7 +105,14 @@ class EvenFn:
 
 
 def _from_shape(shape, M):
-    return EvenFn(shape.support(grid_angles(M)), shape_tag=shape)
+    """The support function of ``shape`` on an M-point grid; no sample is computed."""
+    if not isinstance(shape, (Ellipse, Segment, Polygon, Sum)):
+        raise TypeError("shape tag must be an Ellipse, Segment, Polygon, or Sum")
+    _check_grid(M)
+    h = EvenFn.__new__(EvenFn)
+    object.__setattr__(h, "grid", M)
+    object.__setattr__(h, "shape_tag", shape)
+    return h
 
 
 def from_samples(values, M=None):
@@ -130,12 +154,16 @@ def from_polygon(p, M=DEFAULT_GRID):
 
 
 def scaled(h, c):
-    """c*h; a tagged h (c > 0) stays tagged with the scaled body."""
+    """c*h; a tagged h (c > 0) stays tagged with the scaled body.
+
+    The tagged result is built from the scaled body alone, with no grid
+    arithmetic; its samples are that body's support, read on demand.
+    """
     if c < 0.0:
         raise ValueError("scaling coefficient must be nonnegative")
     if h.shape_tag is None or c == 0.0:
         return EvenFn(c * h.samples)
-    return EvenFn(c * h.samples, shape_tag=minkowski_combination([(c, h.shape_tag)]))
+    return _from_shape(minkowski_combination([(c, h.shape_tag)]), h.grid)
 
 
 def combine(c1, h1, c2, h2):
@@ -143,7 +171,8 @@ def combine(c1, h1, c2, h2):
 
     Adding support functions adds the bodies (Minkowski sum), so when both
     operands are tagged the result carries the body c1 K1 + c2 K2 as its
-    tag; otherwise it is returned untagged.
+    tag, built from the two tags alone with no grid arithmetic; otherwise it
+    is returned untagged, as the sum of the samples.
     """
     if h1.grid != h2.grid:
         raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, h2.grid))
@@ -153,10 +182,9 @@ def combine(c1, h1, c2, h2):
         return scaled(h1, c1)
     if c1 == 0.0:
         return scaled(h2, c2)
-    samples = c1 * h1.samples + c2 * h2.samples
     if h1.shape_tag is None or h2.shape_tag is None:
-        return EvenFn(samples)
-    return EvenFn(samples, shape_tag=minkowski_combination([(c1, h1.shape_tag), (c2, h2.shape_tag)]))
+        return EvenFn(c1 * h1.samples + c2 * h2.samples)
+    return _from_shape(minkowski_combination([(c1, h1.shape_tag), (c2, h2.shape_tag)]), h1.grid)
 
 
 def signed_diff(h1, h2):
@@ -369,15 +397,3 @@ def boundary_curve(h, n_points=DEFAULT_GRID):
     u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     uperp = np.stack([-np.sin(theta), np.cos(theta)], axis=1)
     return vals[:, None] * u + dvals[:, None] * uperp
-
-
-def polygon_mixed_area_oracle(p, q):
-    """Mixed area of two polygons by polarizing shoelace areas.
-
-    Uses the exact Minkowski sum (edge merge), fully independent of both the
-    spectral form and the surface-measure formula.
-    """
-    if not isinstance(p, Polygon) or not isinstance(q, Polygon):
-        raise TypeError("the oracle takes two Polygon instances")
-    total = minkowski_sum(p, q)
-    return 0.5 * (shoelace_area(total.vertices) - p.area() - q.area())

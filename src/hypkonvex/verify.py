@@ -230,7 +230,7 @@ KERNEL_T_MAX = 30.0
 
 def _jacobian_mean(t, power):
     # the Jacobian is even about pi and peaks at 0 with width e^{-2t}
-    return _panel_mean(lambda x: jacobian_circle(t, x) ** power, _graded_edges(math.exp(-2.0 * t), math.pi))
+    return _panel_mean(lambda x: jacobian_circle(t, x) ** power, _graded_edges(-2.0 * t / math.log(2.0), math.pi))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from hypkonvex.lorentz import (
     HPoint,
     IsotropicVectorError,
     _cosh_between,
+    acosh1p,
     form_A,
     form_A_spectral,
     geodesic_point,
@@ -19,8 +20,9 @@ from hypkonvex.lorentz import (
     pi0,
     project_disc_to_segment_geodesic,
 )
-from hypkonvex.mobius import Mobius, iota_dist_quadrature
-from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum
+from hypkonvex.mobius import Mobius, iota_dist_quadrature, rho_act
+from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, shoelace_area
+from hypkonvex.specfun import agm_KE_from_complement
 from hypkonvex.supportfn import (
     EvenFn,
     combine,
@@ -34,7 +36,7 @@ from hypkonvex.supportfn import (
     scaled,
     unit_disc,
 )
-from hypkonvex.verify import random_body_fn, random_ellipse, random_polygon, random_support_fn
+from hypkonvex.verify import random_body_fn, random_ellipse, random_mobius, random_polygon, random_support_fn
 
 M = 1024
 THETA = grid_angles(M)
@@ -334,3 +336,82 @@ def test_hyper_dist_resolves_zero_on_the_spectral_route():
         assert hyper_dist(p, normalize(from_samples(h.samples))) <= 1e-12
         q = normalize(from_samples(random_body_fn(np.random.default_rng(seed + 1000), PROPERTY_GRID).samples))
         assert hyper_dist(p, q) == pytest.approx(math.acosh(_cosh_between(p.fn, q.fn)), rel=1e-12)
+
+
+def test_acosh1p_past_the_square_root_of_the_largest_double():
+    for x in (1e100, 1e150, 2e150, 1e200, 1e308):
+        assert acosh1p(x) == pytest.approx(math.acosh(x), rel=1e-15)
+
+
+def test_tagged_bodies_never_sample_the_grid(monkeypatch):
+    # Tagged operations read vertices and matrices only: at M = 65536 no
+    # shape's support is evaluated at the M grid angles, until samples are read.
+    big = 65536
+    sizes = []
+    for cls in (Ellipse, Segment, Polygon, Sum):
+
+        def spy(self, theta, original=cls.support):
+            sizes.append(np.size(theta))
+            return original(self, theta)
+
+        monkeypatch.setattr(cls, "support", spy)
+    rng = np.random.default_rng(6)
+    ell = from_ellipse(random_ellipse(rng), big)
+    poly = from_polygon(random_polygon(rng), big)
+    seg = from_segment(Segment(np.array([0.7, -0.3])), big)
+    summed = combine(1.5, ell, 0.5, seg)
+    assert isinstance(summed.shape_tag, Sum)
+    m = random_mobius(rng)
+    fns = [ell, poly, seg, summed]
+    fns += [scaled(h, 2.5) for h in fns] + [rho_act(m, h) for h in fns] + [combine(0.3, h, 0.7, poly) for h in fns]
+    for h in fns:
+        assert pi0(h) > 0.0
+        for g in fns:
+            form_A(h, g)
+    points = [normalize(h) for h in fns if not isinstance(h.shape_tag, Segment)]  # a segment has no area
+    for p in points:
+        for q in points:
+            assert hyper_dist(p, q) >= 0.0
+    assert sizes and big not in sizes
+    assert ell.samples.size == big and sizes[-1] == big  # the spy sees a grid read
+
+
+def _shape_terms(shape):
+    return [k for _, k in shape.terms] if isinstance(shape, Sum) else [shape]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_BODIES, _BODIES, _COEFF, _COEFF, st.integers(0, 2**32 - 1))
+def test_tagged_samples_are_the_support_of_the_tag(h1, h2, c1, c2, seed):
+    # Samples of a tagged function are its tag's support at the grid angles,
+    # equal to the sample arithmetic that built it, and every cached shape
+    # invariant equals its uncached formula.
+    built = [
+        (scaled(h1, c1), c1 * h1.samples),
+        (combine(c1, h1, c2, h2), c1 * h1.samples + c2 * h2.samples),
+        (rho_act(random_mobius(np.random.default_rng(seed)), h1), None),
+    ]
+    for h, arithmetic in [(h1, None), (h2, None)] + built:
+        if h.shape_tag is None:
+            continue
+        assert np.array_equal(h.samples, h.shape_tag.support(grid_angles(h.grid)))
+        if arithmetic is not None:
+            assert np.abs(h.samples - arithmetic).max() <= 1e-14 * (1.0 + np.abs(h.samples).max())
+        for k in _shape_terms(h.shape_tag):
+            if isinstance(k, Ellipse):
+                s = np.linalg.svd(k.matrix, compute_uv=False)
+                assert k.semi_axes() == (s[0], s[1])
+                assert k.perimeter() == 4.0 * s[0] * agm_KE_from_complement(min(1.0, s[1] / s[0]))[1]
+                continue
+            if isinstance(k, Segment):
+                v = k.endpoint
+                n = np.array([v[1], -v[0]]) / np.hypot(v[0], v[1])
+                lengths, normals = np.full(2, 2.0 * np.hypot(v[0], v[1])), np.stack([n, -n])
+            else:
+                e = np.roll(k.vertices, -1, axis=0) - k.vertices
+                lengths = np.hypot(e[:, 0], e[:, 1])
+                normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lengths[:, None]
+                assert k.area() == shoelace_area(k.vertices)
+                assert k.perimeter() == float(lengths.sum())
+            got_lengths, got_normals = k.edges()
+            assert np.array_equal(got_lengths, lengths) and np.array_equal(got_normals, normals)

