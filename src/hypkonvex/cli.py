@@ -1,7 +1,9 @@
 """Command-line surface: distances, geodesic renders, suites, kernel tables.
 
-Exit codes: 0 success, 2 usage or parse error, 3 domain error (zero-area
-body, identical geodesic endpoints), 4 suite failure.  Output is
+Exit codes: 0 success, 2 usage or parse error, 3 domain error (a body with
+no finite positive area, identical geodesic endpoints, a distance that
+breaks the reversed Cauchy-Schwarz bound, samples that are not a support
+function where a boundary is drawn), 4 suite failure.  Output is
 deterministic for a fixed (seed, grid); machine-readable floats are written
 with 17 significant digits.
 """
@@ -19,6 +21,7 @@ import numpy as np
 
 from .limits import covering_number, empirical_dim_estimate, hausdorff_dim_estimate
 from .lorentz import (
+    HyperbolicInvariantError,
     IsotropicVectorError,
     _cosh_between,
     form_A,
@@ -28,7 +31,7 @@ from .lorentz import (
     pi0,
 )
 from .shapedoc import ShapeDocError, load_shapedoc, to_even_fn
-from .supportfn import SpectralTailWarning, boundary_curve
+from .supportfn import NotSupportFunctionError, SpectralTailWarning, boundary_curve
 from .verify import KERNEL_T_MAX, SUITES, kernels_compare, run_suite
 from .svgout import write_svg
 
@@ -94,7 +97,7 @@ def _normalized(h, label):
     try:
         return normalize(h)
     except IsotropicVectorError as exc:
-        raise CliError("%s has zero area: %s" % (label, exc), EXIT_DOMAIN)
+        raise CliError("%s: %s" % (label, exc), EXIT_DOMAIN)
 
 
 def cmd_dist(args, cfg):
@@ -121,12 +124,12 @@ def cmd_geodesic(args, cfg):
     ha = _load_body(args.shape_a, cfg)
     hb = _load_body(args.shape_b, cfg)
     pa, pb = _normalized(ha, "shape_a"), _normalized(hb, "shape_b")
-    if np.array_equal(pa.fn.samples, pb.fn.samples):
+    total = hyper_dist(pa, pb)
+    if total == 0.0:
         raise CliError("geodesic endpoints are identical", EXIT_DOMAIN)
     if args.steps < 1:
         raise CliError("steps must be at least 1", EXIT_USAGE)
 
-    total = hyper_dist(pa, pb)
     points = [geodesic_point(pa, pb, k / args.steps) for k in range(args.steps + 1)]
     rows = []
     cfg.out.mkdir(parents=True, exist_ok=True)
@@ -273,6 +276,9 @@ def main(argv=None):
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
+    except (HyperbolicInvariantError, NotSupportFunctionError) as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_DOMAIN
     except SpectralTailWarning as exc:
         print("error (strict): %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN

@@ -13,6 +13,7 @@ shape tag, and the Parseval sum on coefficients for all of them otherwise.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,14 +147,17 @@ class HPoint:
 def normalize(h):
     """Project h onto the hyperboloid: h / sqrt(A(h)).
 
-    Raises IsotropicVectorError for isotropic or negative vectors, e.g. the
-    support function of a segment (zero area).
+    Raises IsotropicVectorError unless A(h) and pi0(h) are positive and
+    finite, with A(h) a normal double: the support function of a segment
+    (zero area), say, or of a body too large or too small for its area to
+    be represented.
     """
-    a = form_A(h)
-    p = pi0(h)
-    if a <= 0.0 or p <= 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        a = form_A(h)
+        p = pi0(h)
+    if not (sys.float_info.min <= a < math.inf and 0.0 < p < math.inf):
         raise IsotropicVectorError(
-            "isotropic or negative vector: A(h) = %.3g, pi0(h) = %.3g" % (a, p)
+            "no finite positive area: A(h) = %.3g, pi0(h) = %.3g" % (a, p)
         )
     return HPoint(scaled(h, 1.0 / math.sqrt(a)))
 
@@ -202,9 +206,7 @@ def geodesic_point(p, q, t):
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1], got %r" % (t,))
-    if p.fn is q.fn or np.array_equal(p.fn.samples, q.fn.samples):
-        return p
-    if t == 0.0:
+    if t == 0.0 or p.fn is q.fn:  # the chord from a point to itself is that point
         return p
     if t == 1.0:
         return q

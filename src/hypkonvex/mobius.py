@@ -228,8 +228,6 @@ def iota_dist_closed(s):
         raise ValueError("s must lie in [0, %.6g), got %r" % (_S_MAX, s))
     if s == 0.0:
         return 0.0
-    # k' underflows to 0 past s = 745, where E = 1 + O(k'^2 log(1/k')) is 1 to double precision
-    k_prime = math.exp(-s)
-    E = agm_KE_from_complement(k_prime)[1] if k_prime > 0.0 else 1.0
+    E = agm_KE_from_complement(math.exp(-s))[1]
     x = (2.0 / math.pi) * math.exp(0.5 * s) * E - 1.0
     return acosh1p(max(0.0, x))

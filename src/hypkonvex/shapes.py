@@ -23,10 +23,13 @@ SYM_TOL = 1e-12
 
 
 def _check_unit_det(a, b, c, d, tol):
-    # relative to |ad| + |bc|, the scale of the rounding error of ad - bc
+    # relative to |ad| + |bc|, the scale of the rounding error of ad - bc,
+    # on entries divided by the largest, so that no product overflows
+    s = float(max(abs(a), abs(b), abs(c), abs(d))) or 1.0
+    a, b, c, d = (float(x) / s for x in (a, b, c, d))
     det = a * d - b * c
-    if abs(det - 1.0) > tol * (abs(a * d) + abs(b * c)):
-        raise ValueError("determinant must be 1, got %.17g" % det)
+    if abs(det - 1.0 / s / s) > tol * (abs(a * d) + abs(b * c)):
+        raise ValueError("determinant must be 1, got %.17g" % (det * s * s))
 
 
 def _freeze(arr):
@@ -164,9 +167,6 @@ class Segment:
     def transform(self, m):
         return Segment(np.asarray(m, dtype=float) @ self.endpoint)
 
-    def scaled(self, c):
-        return Segment(c * self.endpoint)
-
 
 @dataclass(frozen=True)
 class Polygon:
@@ -185,13 +185,14 @@ class Polygon:
         n = v.shape[0]
         if n < 4 or n % 2 != 0:
             raise ValueError("a symmetric polygon needs an even vertex count >= 4")
-        # Relative tolerances, so that scaled copies and Minkowski sums of
-        # bodies of very different sizes stay valid: every turn must exceed
-        # an angle of SYM_TOL, the threshold at which minkowski_sum merges.
-        scale = float(np.abs(v).max())
-        if np.abs(v[: n // 2] + v[n // 2 :]).max() > SYM_TOL * scale:
+        # Tested on v / max|v|, so that the same thresholds hold at every
+        # scale with no overflow or underflow, and Minkowski sums of bodies
+        # of very different sizes stay valid: every turn must exceed an angle
+        # of SYM_TOL, the threshold at which minkowski_sum merges.
+        u = v / (np.abs(v).max() or 1.0)
+        if np.abs(u[: n // 2] + u[n // 2 :]).max() > SYM_TOL:
             raise ValueError("polygon vertex set is not symmetric about the origin")
-        e = _next(v) - v
+        e = _next(u) - u
         cross = e[:, 0] * _next(e[:, 1]) - e[:, 1] * _next(e[:, 0])
         length = np.hypot(e[:, 0], e[:, 1])
         if np.any(cross <= SYM_TOL * length * _next(length)):
@@ -235,18 +236,15 @@ class Polygon:
     def transform(self, m):
         return Polygon(self.vertices @ np.asarray(m, dtype=float).T)
 
-    def scaled(self, c):
-        return Polygon(c * self.vertices)
-
 
 @dataclass(frozen=True, eq=False)
 class Sum:
     """The Minkowski combination sum c_i K_i of shapes, every c_i > 0.
 
-    Build it with ``minkowski_combination``, which keeps it canonical: all
-    segments and polygons are folded into one polygonal term of coefficient
-    1, and only ellipses keep their own coefficient (an Ellipse has unit
-    determinant, so it cannot absorb one).
+    Build it with ``minkowski_combination``, which keeps it canonical: every
+    term keeps its coefficient, and the segments and polygons of a
+    combination of two or more of them are merged into one polygonal term of
+    coefficient 1.  A scaled polygon P is the one-term Sum ((c, P),).
     Support values, derivatives, boundary points and perimeters add term by
     term; the area expands by bilinearity of the mixed area.  Perimeter and
     area are computed once per Sum.
@@ -293,10 +291,10 @@ class Sum:
 def minkowski_combination(terms):
     """The body sum c_i K_i of (c_i, K_i) pairs with c_i > 0, in canonical form.
 
-    Sums among the K_i are expanded, each coefficient is folded into segment
-    and polygon geometry, and the polygonal terms merge into one by
-    ``minkowski_sum``.  A lone polygonal body, or a lone term with coefficient
-    1, is returned bare; anything else is a Sum.
+    Sums among the K_i are expanded and every term keeps its coefficient;
+    two or more segment and polygon terms merge into one by
+    ``minkowski_sum``.  A lone term with coefficient 1 is returned bare;
+    anything else is a Sum.
     """
     flat = []
     for c, k in terms:
@@ -306,17 +304,12 @@ def minkowski_combination(terms):
             flat.extend((c * ci, ki) for ci, ki in k.terms)
         else:
             flat.append((c, k))
+    polygonal = [(c, k) for c, k in flat if not isinstance(k, Ellipse)]
+    if len(polygonal) > 1:
+        flat = [(c, k) for c, k in flat if isinstance(k, Ellipse)] + [(1.0, minkowski_sum(polygonal))]
     if len(flat) == 1 and flat[0][0] == 1.0:
         return flat[0][1]
-    ellipses = [(c, k) for c, k in flat if isinstance(k, Ellipse)]
-    polygonal = None
-    for c, k in flat:
-        if not isinstance(k, Ellipse):
-            k = k if c == 1.0 else k.scaled(c)
-            polygonal = k if polygonal is None else minkowski_sum(polygonal, k)
-    if polygonal is None:
-        return Sum(ellipses)
-    return Sum(ellipses + [(1.0, polygonal)]) if ellipses else polygonal
+    return Sum(flat)
 
 
 def shoelace_area(vertices):
@@ -352,49 +345,40 @@ def convex_hull(points):
 def _edge_fan(shape):
     """Edge vectors traversed counterclockwise (a segment degenerates to two)."""
     if isinstance(shape, Segment):
-        v = shape.endpoint
-        return [2.0 * v + 0.0, -2.0 * v + 0.0]  # + 0.0 clears -0.0, whose angle sorts as -pi
-    v = shape.vertices
-    return list(_next(v) - v)
+        return 2.0 * np.stack([shape.endpoint, -shape.endpoint])
+    return _next(shape.vertices) - shape.vertices
 
 
-def minkowski_sum(a, b):
-    """Exact Minkowski sum of segments/polygons by merging edge fans.
+def minkowski_sum(terms):
+    """The exact Minkowski sum of (c, K) pairs, K a Segment or Polygon.
 
-    Returns a Polygon, or a Segment when both inputs are parallel segments.
-    The sum of a symmetric body with a symmetric body is symmetric, which
-    pins the translation of the merged edge path exactly.
+    The coefficient-scaled edge fans are sorted once by angle, and runs of
+    parallel same-direction neighbours merge into one edge.  Two merged
+    edges give a Segment, more a Polygon.  A sum of symmetric bodies is
+    symmetric, which pins the translation of the merged edge path exactly.
     """
-    if isinstance(a, Segment) and isinstance(b, Segment):
-        va, vb = a.endpoint, b.endpoint
-        la, lb = float(np.hypot(*va)), float(np.hypot(*vb))
-        if abs(va[0] * vb[1] - va[1] * vb[0]) <= SYM_TOL * la * lb:
-            return Segment((la + lb) / la * va)
-
-    edges = _edge_fan(a) + _edge_fan(b)
-    edges.sort(key=lambda e: math.atan2(e[1], e[0]))
-
-    merged = []
-    for e in edges:
-        if merged:
-            p = merged[-1]
-            np_, ne = np.hypot(p[0], p[1]), np.hypot(e[0], e[1])
-            if abs(p[0] * e[1] - p[1] * e[0]) <= SYM_TOL * np_ * ne and p @ e > 0:
-                merged[-1] = p + e
-                continue
-        merged.append(np.asarray(e, dtype=float))
+    # + 0.0 clears -0.0, whose angle sorts as -pi
+    e = np.concatenate([c * _edge_fan(k) for c, k in terms]) + 0.0
+    e = e[np.argsort(np.arctan2(e[:, 1], e[:, 0]), kind="stable")]
+    f = _next(e)
+    length = np.hypot(e[:, 0], e[:, 1])
+    same = (np.abs(e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]) <= SYM_TOL * length * _next(length)) & (
+        np.einsum("ij,ij->i", e, f) > 0.0
+    )
+    # a run starts after every edge that does not continue into the next,
+    # and may wrap from the end of the sorted fan to its start
+    starts = np.sort((np.flatnonzero(~same) + 1) % len(e))
+    e = np.concatenate((e[starts[0] :], e[: starts[0]]))
+    merged = np.add.reduceat(e, starts - starts[0])
     k = len(merged)
     if k % 2 != 0:
         raise ValueError("edge fan of a symmetric sum must be even")
-
-    # Walk half the fan from an arbitrary basepoint; central symmetry fixes
-    # the translation (vertex i and i + k/2 must be antipodal) and the second
-    # half is the exact mirror of the first.
-    path = np.zeros((k // 2, 2))
-    for i in range(1, k // 2):
-        path[i] = path[i - 1] + merged[i - 1]
-    center = 0.5 * (path[0] + path[-1] + merged[k // 2 - 1])
-    half = path - center
+    if k == 2:
+        return Segment(0.5 * merged[0])
+    # Walk half the fan; central symmetry fixes the translation (vertex i
+    # and i + k/2 are antipodal) and the second half mirrors the first.
+    path = np.cumsum(merged[: k // 2], axis=0)
+    half = path - 0.5 * path[-1]
     return Polygon(np.concatenate([half, -half]))
 
 

@@ -45,12 +45,15 @@ def _agm_with_sum(k_prime, k_sq):
 def agm_KE_from_complement(k_prime, k_sq=None):
     """(K, E) parameterized by the complementary modulus k' = sqrt(1-k^2).
 
-    Accepts any k' in (0, 1]; this is the entry point to use when k is so
+    Accepts any k' in [0, 1]; this is the entry point to use when k is so
     close to 1 that 1-k^2 would be lost to rounding (k' can then be formed
-    directly, e.g. k' = e^{-s}).
+    directly, e.g. k' = e^{-s}).  At k' = 0, where k' underflowed, K is
+    infinite and E = 1 + O(k'^2 log(1/k')) is 1 to double precision.
     """
-    if not 0.0 < k_prime <= 1.0:
-        raise EllipticDomainError("complementary modulus must lie in (0, 1], got %r" % (k_prime,))
+    if not 0.0 <= k_prime <= 1.0:
+        raise EllipticDomainError("complementary modulus must lie in [0, 1], got %r" % (k_prime,))
+    if k_prime == 0.0:
+        return math.inf, 1.0
     if k_sq is None:
         k_sq = (1.0 - k_prime) * (1.0 + k_prime)
     agm, s = _agm_with_sum(k_prime, k_sq)

@@ -7,7 +7,7 @@ shape, as its tag, and M: every operation that can use the closed form does,
 so those bodies never suffer interpolation error and cost per vertex, not per
 grid point; their samples are computed on first read.  Fourier coefficients
 are derived on demand and cached.  Scaling and nonnegative combination keep
-the tag (as a Sum when the bodies differ in kind), so only functions built
+the tag (as a Sum whose terms keep their coefficients), so only functions built
 from raw samples or signed differences go through the spectral machinery:
 trigonometric interpolation for off-grid values, evaluated by a nonuniform
 FFT in O(M log M) to 1e-12 of the coefficients' absolute sum, and rfft-based
@@ -156,8 +156,10 @@ def from_polygon(p, M=DEFAULT_GRID):
 def scaled(h, c):
     """c*h; a tagged h (c > 0) stays tagged with the scaled body.
 
-    The tagged result is built from the scaled body alone, with no grid
-    arithmetic; its samples are that body's support, read on demand.
+    The scaled body keeps c as a coefficient (a shape K becomes the one-term
+    Sum ((c, K),), a Sum multiplies its coefficients), so no geometry is
+    rebuilt and no grid arithmetic is done; its samples are that body's
+    support, read on demand.
     """
     if c < 0.0:
         raise ValueError("scaling coefficient must be nonnegative")

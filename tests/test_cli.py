@@ -5,18 +5,20 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ellipe
 
 import hypkonvex
 from hypkonvex.cli import main
 from hypkonvex.lorentz import geodesic_point, normalize
 from hypkonvex.shapedoc import parse_shapedoc, to_even_fn
-from hypkonvex.shapes import Sum
-from hypkonvex.supportfn import grid_angles
+from hypkonvex.shapes import Polygon, Sum, convex_hull
+from hypkonvex.supportfn import SpectralTailWarning, grid_angles
 from hypkonvex.svgout import render_boundary
 
 DISC = '{"type":"ellipse","matrix":[[1.0,0.0],[0.0,1.0]]}'
@@ -123,10 +125,14 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, env):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
-def test_dist_zero_area_exits_3(tmp_path):
+def test_dist_zero_area_exits_3(tmp_path, capsys):
     a = _write(tmp_path, "a.json", DISC)
-    b = _write(tmp_path, "b.json", SEGMENT)
-    assert main(["dist", a, b, "--out", str(tmp_path / "out")]) == 3
+    # a segment has area 0; samples of 1e300 have an area that overflows
+    for body in (SEGMENT, json.dumps({"type": "samples", "grid": 64, "values": [1e300] * 64})):
+        b = _write(tmp_path, "b.json", body)
+        for cmd in ("dist", "geodesic"):
+            assert main([cmd, a, b, "--grid", "64", "--out", str(tmp_path / "out")]) == 3
+            assert "no finite positive area" in capsys.readouterr().err
 
 
 def test_dist_parse_error_exits_2(tmp_path):
@@ -173,6 +179,62 @@ def test_geodesic_identical_inputs_exit_3(tmp_path):
     a = _write(tmp_path, "a.json", SQUARE)
     b = _write(tmp_path, "b.json", SQUARE)
     assert main(["geodesic", a, b, "--out", str(tmp_path / "geo")]) == 3
+
+
+def _rotation(a):
+    return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+
+
+def _hull(rng):
+    """Vertices of a random symmetric convex polygon of 4 to 10 vertices."""
+    pairs = int(rng.integers(2, 6))
+    ang = rng.uniform(0.0, math.pi, pairs)
+    pts = np.exp(rng.normal(0.0, 0.4, pairs))[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    hull = convex_hull(np.concatenate([pts, -pts]))
+    return hull if hull.shape[0] >= 4 else np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+
+@st.composite
+def _shapedoc_json(draw):
+    """ShapeDoc JSON of every type, valid or flawed, at scales 10^-300 to 10^300."""
+    kind = draw(st.sampled_from(["ellipse", "polygon", "segment", "samples"]))
+    flawed = draw(st.sampled_from([False, False, True]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.sampled_from([0, 0, 0, -300, -200, -160, -30, 30, 150, 200, 300]))
+    if kind == "ellipse":  # stretched up to 10^170, flawed: determinant 2 or -1
+        s = 10.0 ** draw(st.sampled_from([0, 1, 20, 170]))
+        m = _rotation(rng.uniform(0.0, math.pi)) @ np.diag([s, 1.0 / s]) @ _rotation(rng.uniform(0.0, math.pi))
+        if flawed:
+            m = m @ np.diag([2.0, draw(st.sampled_from([1.0, -0.5]))])
+        return json.dumps({"type": "ellipse", "matrix": m.tolist()})
+    if kind == "segment":  # flawed: the zero segment
+        v = np.zeros(2) if flawed else scale * rng.normal(size=2)
+        return json.dumps({"type": "segment", "endpoint": v.tolist()})
+    v = _hull(rng)
+    if kind == "polygon":  # flawed: asymmetric, non-convex or clockwise
+        if flawed:
+            i, half = int(rng.integers(len(v))), len(v) // 2
+            asymmetric, nonconvex = v.copy(), v.copy()
+            asymmetric[i] *= 1.1
+            nonconvex[[i % half, i % half + half]] *= 0.2
+            v = [asymmetric, nonconvex, v[::-1]][i % 3]
+        return json.dumps({"type": "polygon", "vertices": (scale * v).tolist()})
+    grid = draw(st.sampled_from([64, 64, 32, 60]))  # 32 is resampled, 60 is no grid
+    values = scale * Polygon(v).support(2.0 * np.pi * np.arange(grid) / grid)
+    if flawed:  # a NaN, one value too few, or 10^300 everywhere
+        values = [np.where(np.arange(grid) == 3, math.nan, values), values[1:], np.full(grid, 1e300)][rng.integers(3)]
+    return json.dumps({"type": "samples", "grid": grid, "values": values.tolist()})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_shapedoc_json(), _shapedoc_json())
+def test_dist_and_geodesic_end_in_a_documented_exit_code(tmp_path_factory, doc_a, doc_b):
+    tmp = tmp_path_factory.mktemp("docs")
+    a, b = _write(tmp, "a.json", doc_a), _write(tmp, "b.json", doc_b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTailWarning)  # resampling a grid-32 document
+        for argv in (["dist", a, b], ["geodesic", a, b, "--steps", "2"]):
+            assert main(argv + ["--grid", "64", "--out", str(tmp / "out")]) in (0, 2, 3)
 
 
 def test_verify_single_suite(tmp_path, capsys):

@@ -368,10 +368,11 @@ def test_tagged_bodies_never_sample_the_grid(monkeypatch):
         assert pi0(h) > 0.0
         for g in fns:
             form_A(h, g)
-    points = [normalize(h) for h in fns if not isinstance(h.shape_tag, Segment)]  # a segment has no area
+    points = [normalize(h) for h in fns if h.shape_tag.area() > 0]  # a segment has no area
     for p in points:
         for q in points:
             assert hyper_dist(p, q) >= 0.0
+            assert geodesic_point(p, q, 0.5).fn.shape_tag is not None
     assert sizes and big not in sizes
     assert ell.samples.size == big and sizes[-1] == big  # the spy sees a grid read
 

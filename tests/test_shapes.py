@@ -1,6 +1,7 @@
 """Shape primitives: validation, Minkowski sums, closed-form mixed areas."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ def test_polygon_validation():
     Polygon(1e-7 * SQUARE.vertices)  # a scaled copy of a valid polygon stays valid
 
 
+def test_polygon_check_is_scale_invariant():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-300, 301, 25):
+            p = Polygon(10.0**k * SQUARE.vertices)
+            assert np.array_equal(p._normal_angles(), SQUARE._normal_angles())
+
+
 def test_square_support_and_area():
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     expect = np.abs(np.cos(theta)) + np.abs(np.sin(theta))
@@ -58,7 +67,7 @@ def test_ellipse_perimeter_against_quadrature():
 def test_minkowski_sum_of_segments_is_parallelogram():
     s1 = Segment(np.array([1.0, 0.0]))
     s2 = Segment(np.array([0.0, 1.0]))
-    p = minkowski_sum(s1, s2)
+    p = minkowski_sum([(1.0, s1), (1.0, s2)])
     assert isinstance(p, Polygon)
     got = {tuple(np.round(v, 12)) for v in p.vertices}
     assert got == {(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)}
@@ -67,7 +76,7 @@ def test_minkowski_sum_of_segments_is_parallelogram():
 def test_minkowski_sum_parallel_segments_degenerates():
     s1 = Segment(np.array([2.0, 0.0]))
     s2 = Segment(np.array([-1.0, 0.0]))
-    out = minkowski_sum(s1, s2)
+    out = minkowski_sum([(1.0, s1), (1.0, s2)])
     assert isinstance(out, Segment)
     assert np.allclose(out.endpoint, [3.0, 0.0])
 
@@ -78,7 +87,7 @@ def test_minkowski_sum_supports_add():
     for _ in range(20):
         a = _random_polygon(rng)
         b = _random_polygon(rng)
-        total = minkowski_sum(a, b)
+        total = minkowski_sum([(1.0, a), (1.0, b)])
         direct = a.support(theta) + b.support(theta)
         assert np.abs(total.support(theta) - direct).max() < 1e-11 * (1.0 + direct.max())
 
@@ -104,7 +113,7 @@ def test_mixed_area_polarization_oracle():
     rng = np.random.default_rng(11)
     for _ in range(25):
         p, q = _random_polygon(rng), _random_polygon(rng)
-        total = minkowski_sum(p, q)
+        total = minkowski_sum([(1.0, p), (1.0, q)])
         oracle = 0.5 * (shoelace_area(total.vertices) - p.area() - q.area())
         direct = mixed_area(p, q)
         assert direct == pytest.approx(oracle, rel=1e-10, abs=1e-12)
@@ -158,7 +167,7 @@ def test_minkowski_sum_with_shared_edge_directions():
     # two axis-aligned boxes share all four edge normals: edges must merge
     a = Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
     b = Polygon(np.array([[2.0, 0.5], [-2.0, 0.5], [-2.0, -0.5], [2.0, -0.5]]))
-    total = minkowski_sum(a, b)
+    total = minkowski_sum([(1.0, a), (1.0, b)])
     got = {tuple(np.round(v, 12)) for v in total.vertices}
     assert got == {(3.0, 1.5), (-3.0, 1.5), (-3.0, -1.5), (3.0, -1.5)}
     assert total.area() == pytest.approx(a.area() + b.area() + 2.0 * mixed_area(a, b), rel=1e-13)
@@ -167,11 +176,11 @@ def test_minkowski_sum_with_shared_edge_directions():
 def test_minkowski_sum_segment_with_polygon():
     sq = Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
     s = Segment(np.array([0.0, 2.0]))
-    total = minkowski_sum(sq, s)
+    total = minkowski_sum([(1.0, sq), (1.0, s)])
     got = {tuple(np.round(v, 12)) for v in total.vertices}
     assert got == {(1.0, 3.0), (-1.0, 3.0), (-1.0, -3.0), (1.0, -3.0)}
     # a horizontal segment's edge fan holds -0.0, which must not split the edge at angle pi
-    total = minkowski_sum(sq, Segment(np.array([1.0, 0.0])))
+    total = minkowski_sum([(1.0, sq), (1.0, Segment(np.array([1.0, 0.0])))])
     got = {tuple(np.round(v, 12)) for v in total.vertices}
     assert got == {(2.0, 1.0), (-2.0, 1.0), (-2.0, -1.0), (2.0, -1.0)}
 
@@ -186,19 +195,20 @@ def test_minkowski_combination_canonical_form():
     seg = Segment(np.array([0.0, 2.0]))
     assert minkowski_combination([(1.0, SQUARE)]) is SQUARE
     assert minkowski_combination([(1.0, disc)]) is disc
-    # coefficients fold into polygonal geometry, which merges into one polygon
+    # two or more polygonal terms merge into one polygon of coefficient 1
     poly = minkowski_combination([(2.0, SQUARE), (0.5, seg)])
     assert isinstance(poly, Polygon)
     got = {tuple(np.round(v, 12)) for v in poly.vertices}
     assert got == {(2.0, 3.0), (-2.0, 3.0), (-2.0, -3.0), (2.0, -3.0)}
-    # only ellipses keep a coefficient; a Sum operand expands
+    # every other term keeps its coefficient; a Sum operand expands
     body = minkowski_combination([(0.5, disc), (2.0, SQUARE)])
     assert isinstance(body, Sum)
-    assert [c for c, _ in body.terms] == [0.5, 1.0] and body.terms[0][1] is disc
+    assert body.terms == ((0.5, disc), (2.0, SQUARE))
     nested = minkowski_combination([(2.0, body), (1.0, seg)])
     assert [c for c, _ in nested.terms] == [1.0, 1.0]
     assert isinstance(nested.terms[1][1], Polygon) and nested.terms[1][1].area() == pytest.approx(96.0, rel=1e-14)
-    assert isinstance(minkowski_combination([(3.0, disc)]), Sum)
+    assert minkowski_combination([(3.0, disc)]).terms == ((3.0, disc),)
+    assert minkowski_combination([(3.0, SQUARE)]).terms == ((3.0, SQUARE),)
     with pytest.raises(ValueError):
         minkowski_combination([(0.0, disc)])
 

@@ -266,7 +266,7 @@ def polygon_mixed_area_oracle(p, q):
     """
     if not isinstance(p, Polygon) or not isinstance(q, Polygon):
         raise TypeError("the oracle takes two Polygon instances")
-    total = minkowski_sum(p, q)
+    total = minkowski_sum([(1.0, p), (1.0, q)])
     return 0.5 * (shoelace_area(total.vertices) - p.area() - q.area())
 
 
@@ -355,7 +355,7 @@ def test_combine_segment_with_polygon_tags():
 def test_scaled_and_combine_keep_tags_of_every_kind():
     e = from_ellipse(DIAG_2_HALF, M)
     sq = from_polygon(SQUARE, M)
-    assert isinstance(scaled(sq, 2.0).shape_tag, Polygon)
+    assert scaled(sq, 2.0).shape_tag.terms == ((2.0, SQUARE),)
     big = scaled(e, 2.0)
     assert isinstance(big.shape_tag, Sum)
     assert form_A(big) == pytest.approx(4.0, rel=1e-14)
