@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage or parse error, 3 domain error (a body with
 no finite positive area, identical geodesic endpoints, a distance that
-breaks the reversed Cauchy-Schwarz bound, samples that are not a support
-function where a boundary is drawn), 4 suite failure.  Output is
+breaks the reversed Cauchy-Schwarz bound or whose mixed area overflows,
+samples that are not a support function where a boundary is drawn), 4 suite
+failure.  Output is
 deterministic for a fixed (seed, grid); machine-readable floats are written
 with 17 significant digits.
 """
@@ -57,6 +58,8 @@ class RunConfig:
     def __post_init__(self):
         if self.grid < 64 or self.grid % 4 != 0:
             raise CliError("grid must be a multiple of 4 and at least 64", EXIT_USAGE)
+        if self.seed < 0:
+            raise CliError("seed must be nonnegative, got %d" % self.seed, EXIT_USAGE)
 
 
 def _grid(flag):
@@ -93,17 +96,10 @@ def _load_body(path, cfg):
         raise CliError("cannot read body from %s: %s" % (path, exc), EXIT_USAGE)
 
 
-def _normalized(h, label):
-    try:
-        return normalize(h)
-    except IsotropicVectorError as exc:
-        raise CliError("%s: %s" % (label, exc), EXIT_DOMAIN)
-
-
 def cmd_dist(args, cfg):
     ha = _load_body(args.shape_a, cfg)
     hb = _load_body(args.shape_b, cfg)
-    pa, pb = _normalized(ha, "shape_a"), _normalized(hb, "shape_b")
+    pa, pb = normalize(ha), normalize(hb)
     d = hyper_dist(pa, pb)
     record = {
         "distance": d,
@@ -123,7 +119,7 @@ def cmd_dist(args, cfg):
 def cmd_geodesic(args, cfg):
     ha = _load_body(args.shape_a, cfg)
     hb = _load_body(args.shape_b, cfg)
-    pa, pb = _normalized(ha, "shape_a"), _normalized(hb, "shape_b")
+    pa, pb = normalize(ha), normalize(hb)
     total = hyper_dist(pa, pb)
     if total == 0.0:
         raise CliError("geodesic endpoints are identical", EXIT_DOMAIN)
@@ -276,7 +272,7 @@ def main(argv=None):
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    except (HyperbolicInvariantError, NotSupportFunctionError) as exc:
+    except (HyperbolicInvariantError, IsotropicVectorError, NotSupportFunctionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
     except SpectralTailWarning as exc:

@@ -72,39 +72,33 @@ def form_A_spectral(h1, h2=None):
     return _parseval(h1._coeffs, h2._coeffs, h1.grid)
 
 
-def _form_exact(h1, h2):
+def _form_exact(h1, h2=None):
     other = h1 if h2 is None else h2
+    if h1.grid != other.grid:
+        raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, other.grid))
     return mixed_area(h1.shape_tag, other.shape_tag) / math.pi
 
 
 def _route(method, *fns):
     """The route ("exact" or "spectral") of every form value over ``fns``.
 
-    "auto" is exact only when every operand carries a shape tag; "exact"
-    requires tags, "spectral" always applies.
+    "auto" is exact only when every operand carries a shape tag; "spectral"
+    always applies.
     """
-    tagged = all(h.shape_tag is not None for h in fns if h is not None)
-    if method == "auto":
-        return "exact" if tagged else "spectral"
-    if method == "exact" and not tagged:
-        raise ValueError("exact form needs shape tags on every operand")
-    if method not in ("exact", "spectral"):
+    if method not in ("auto", "spectral"):
         raise ValueError("unknown method %r" % (method,))
-    return method
+    tagged = all(h.shape_tag is not None for h in fns if h is not None)
+    return "exact" if method == "auto" and tagged else "spectral"
 
 
 def form_A(h1, h2=None, method="auto"):
     """The Lorentzian area form A(h1, h2); A(h) when h2 is omitted.
 
     method: "auto" uses exact mixed areas when every operand carries a shape
-    tag and the spectral sum otherwise; "spectral" and "exact" force a
-    route ("exact" requires tags).
+    tag and the spectral sum otherwise; "spectral" forces the spectral sum.
     """
-    if _route(method, h1, h2) == "spectral":
-        return form_A_spectral(h1, h2)
-    if h2 is not None and h1.grid != h2.grid:
-        raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, h2.grid))
-    return _form_exact(h1, h2)
+    form = _form_exact if _route(method, h1, h2) == "exact" else form_A_spectral
+    return form(h1, h2)
 
 
 def pi0(h, method="auto"):
@@ -162,13 +156,10 @@ def normalize(h):
     return HPoint(scaled(h, 1.0 / math.sqrt(a)))
 
 
-def _cosh_between(h1, h2, method="auto"):
+def _cosh_between(h1, h2):
     """A(h1, h2) / sqrt(A(h1) A(h2)), all three values from one route."""
-    method = _route(method, h1, h2)
-    a12 = form_A(h1, h2, method=method)
-    a11 = form_A(h1, method=method)
-    a22 = form_A(h2, method=method)
-    return a12 / math.sqrt(a11 * a22)
+    form = _form_exact if _route("auto", h1, h2) == "exact" else form_A_spectral
+    return form(h1, h2) / math.sqrt(form(h1) * form(h2))
 
 
 def hyper_dist(p, q, method="auto"):
@@ -181,20 +172,20 @@ def hyper_dist(p, q, method="auto"):
     -A(p/|p| - q/|q|)/2, free of the cancellation that would floor small
     distances at sqrt(machine epsilon).  Values of x - 1 in [-INVARIANT_TOL, 0)
     are taken for round-off and give distance 0; anything below
-    -INVARIANT_TOL (1e-9) is a real invariant violation and raises.
+    -INVARIANT_TOL (1e-9) is a real invariant violation and raises, and so
+    does a NaN or infinite x, the trace of a mixed area that overflowed.
     """
     if _route(method, p.fn, q.fn) == "exact":
-        xm1 = _cosh_between(p.fn, q.fn, method="exact") - 1.0
+        xm1 = _cosh_between(p.fn, q.fn) - 1.0
     else:
         if p.fn.grid != q.fn.grid:
             raise GridMismatchError("grids differ: %d vs %d" % (p.fn.grid, q.fn.grid))
         u = p.fn._coeffs / math.sqrt(form_A_spectral(p.fn))
         v = q.fn._coeffs / math.sqrt(form_A_spectral(q.fn))
         xm1 = -0.5 * _parseval(u - v, u - v, p.fn.grid)
-    if xm1 < -INVARIANT_TOL:
-        raise HyperbolicInvariantError(
-            "A(p, q) = %.17g < 1: reversed Cauchy-Schwarz violated" % (1.0 + xm1)
-        )
+    if not -INVARIANT_TOL <= xm1 < math.inf:
+        why = "< 1: reversed Cauchy-Schwarz violated" if xm1 < 0.0 else "is not finite: a mixed area overflowed"
+        raise HyperbolicInvariantError("A(p, q) = %.17g %s" % (1.0 + xm1, why))
     return acosh1p(max(0.0, xm1))
 
 

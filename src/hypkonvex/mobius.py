@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapes import Ellipse, _check_unit_det
-from .specfun import agm_KE_from_complement
+from .shapes import Ellipse, _check_unit_det, _form_value, _stretch
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
@@ -207,8 +206,8 @@ def iota_dist_quadrature(m):
     For singular values s0 >= s1 of m this is the mean of
     hypot(s0 sin x, s1 cos x) over [0, pi/2], which peaks at 0 with width s1/s0.
     """
-    s0 = float(np.linalg.svd(m.matrix, compute_uv=False)[0])
-    s1 = 1.0 / s0  # det m = 1; svd's own s1 errs by eps*s0 (it is 0 for diag(1e231, 1e-231))
+    s0 = _stretch(m.a, m.b, m.c, m.d)
+    s1 = 1.0 / s0  # det m = 1
     edges = _graded_edges(math.log2(s1) - math.log2(s0), 0.5 * math.pi)
     mean = _panel_mean(lambda x: np.hypot(s0 * np.sin(x), s1 * np.cos(x)), edges)
     return acosh1p(max(0.0, mean - 1.0))
@@ -220,14 +219,11 @@ _S_MAX = 2.0 * math.log(sys.float_info.max)  # where e^{s/2} overflows
 def iota_dist_closed(s):
     """Extrinsic distance between embedded points at hyperbolic distance s.
 
-    acosh((2/pi) e^{s/2} E(k)) with complementary modulus k' = e^{-s}; the
-    diagonal case extends to any pair by equivariance of the embedding.
-    Refuses s outside [0, 2 log(largest double)), where e^{s/2} overflows.
+    acosh C(e^{s/2}), with C the form value of an ellipse of stretch e^{s/2}
+    against the disc, (2/pi) e^{s/2} E(k' = e^{-s}); the diagonal case
+    extends to any pair by equivariance of the embedding.  Refuses s outside
+    [0, 2 log(largest double)), where e^{s/2} overflows.
     """
     if not 0.0 <= s < _S_MAX:
         raise ValueError("s must lie in [0, %.6g), got %r" % (_S_MAX, s))
-    if s == 0.0:
-        return 0.0
-    E = agm_KE_from_complement(math.exp(-s))[1]
-    x = (2.0 / math.pi) * math.exp(0.5 * s) * E - 1.0
-    return acosh1p(max(0.0, x))
+    return acosh1p(max(0.0, _form_value(math.exp(0.5 * s)) - 1.0))

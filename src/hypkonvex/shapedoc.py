@@ -24,6 +24,7 @@ from .supportfn import (
     from_ellipse,
     from_polygon,
     from_segment,
+    grid_angles,
 )
 
 
@@ -86,8 +87,7 @@ def to_even_fn(doc, M):
             "resampling raw samples from grid %d to %d" % (doc.grid, M),
             SpectralTailWarning,
         )
-        theta = 2.0 * np.pi * np.arange(M) / M
-        return EvenFn(_interp(doc._coeffs, doc.grid, theta))
+        return EvenFn(_interp(doc._coeffs, doc.grid, grid_angles(M)))
     raise ShapeDocError("cannot realize %r" % (doc,))
 
 

@@ -32,6 +32,35 @@ def _check_unit_det(a, b, c, d, tol):
         raise ValueError("determinant must be 1, got %.17g" % (det * s * s))
 
 
+def _stretch(a, b, c, d):
+    """The largest singular value s0 of the unit-determinant [[a, b], [c, d]].
+
+    s0^2 + s0^-2 = a^2 + b^2 + c^2 + d^2 = q^2 + 2(ad - bc) with
+    q = hypot(a - d, b + c), so s0 - 1/s0 = q: no product of entries is
+    formed, and nothing overflows where the entries do not.
+    """
+    q = math.hypot(a - d, b + c)
+    return 0.5 * q + math.hypot(0.5 * q, 1.0)
+
+
+def _form_value(s0):
+    """A(ellipse, disc) = perimeter / 2pi = (2/pi) s0 E(k' = 1/s0^2) for an
+    area-pi ellipse of stretch s0; a NaN stretch (an overflowed product) is
+    passed on for the caller to refuse."""
+    if math.isnan(s0):
+        return s0
+    _, E = agm_KE_from_complement(1.0 / s0 / s0)
+    return 2.0 / math.pi * s0 * E
+
+
+def _adjugate_product(b, a):
+    """The entries (p, q, r, s) of adj(B)·A = B^{-1}·A for unit-determinant
+    2x2 arrays B and A, in float arithmetic: adj(A)·A is exactly δ·I."""
+    (b11, b12), (b21, b22) = b.tolist()
+    (a11, a12), (a21, a22) = a.tolist()
+    return (b22 * a11 - b12 * a21, b22 * a12 - b12 * a22, b11 * a21 - b21 * a11, b11 * a22 - b21 * a12)
+
+
 def _freeze(arr):
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
@@ -66,12 +95,14 @@ def _unit_vectors(theta):
     return np.stack([np.cos(theta), np.sin(theta)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ellipse:
     """The body A·D, the image of the closed unit disc under ``matrix``.
 
-    ad - bc must be 1 to ``DET_TOL`` relative to |ad| + |bc|, so the area is pi.
-    Semi-axes, perimeter and area are computed once per ellipse.
+    ad - bc must be 1 to ``DET_TOL`` relative to |ad| + |bc|, and the area is
+    pi by that contract, whatever the rounding of the entries.  Every other
+    invariant depends only on the largest singular value of the matrix, its
+    stretch; the perimeter is computed once per ellipse.
     """
 
     matrix: np.ndarray
@@ -100,25 +131,17 @@ class Ellipse:
         return (self.matrix @ (w / np.hypot(w[0], w[1]))).T
 
     @_once
-    def semi_axes(self):
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        return float(s[0]), float(s[1])
-
-    @_once
     def perimeter(self):
-        s1, s2 = self.semi_axes()
-        _, E = agm_KE_from_complement(min(1.0, s2 / s1))
-        return 4.0 * s1 * E
+        return 2.0 * math.pi * _form_value(_stretch(*self.matrix.ravel().tolist()))
 
-    @_once
     def area(self):
-        return math.pi * float(np.linalg.det(self.matrix))
+        return math.pi
 
     def transform(self, m):
         return Ellipse(np.asarray(m, dtype=float) @ self.matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
     """The degenerate body [-v, v] for a nonzero endpoint v."""
 
@@ -168,7 +191,7 @@ class Segment:
         return Segment(np.asarray(m, dtype=float) @ self.endpoint)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon:
     """A symmetric strictly convex polygon with counterclockwise vertices.
 
@@ -387,8 +410,10 @@ def mixed_area(a, b):
 
     Polarizes the planar area: a(K, L) = (area(K+L) - area(K) - area(L)) / 2.
     A Sum expands by bilinearity, polygonal operands contribute through their
-    surface measure, ellipses through singular values and the elliptic
-    perimeter formula.
+    surface measure.  Two ellipses A·D and B·D reduce to an ellipse against
+    the disc, a(A·D, B·D) = a(B^{-1}A·D, D) = pi C(s0), with s0 the stretch
+    of adj(B)·A and C the form value; it is NaN or inf when that product
+    overflows.
     """
     if a is b:
         return a.area()
@@ -400,9 +425,4 @@ def mixed_area(a, b):
         return 0.5 * float(b.edges()[0] @ a.support(b._normal_angles()))
     if isinstance(a, (Polygon, Segment)):
         return mixed_area(b, a)
-    # Two ellipses: reduce to ellipse-against-disc through C = B^{-1} A,
-    # using a(T K1, T K2) = det(T) a(K1, K2) and a(K, D) = per(K)/2.
-    c = np.linalg.solve(b.matrix, a.matrix)
-    s = np.linalg.svd(c, compute_uv=False)
-    _, E = agm_KE_from_complement(min(1.0, s[1] / s[0]))
-    return float(np.linalg.det(b.matrix)) * 2.0 * s[0] * E
+    return math.pi * _form_value(_stretch(*_adjugate_product(b.matrix, a.matrix)))

@@ -28,8 +28,7 @@ from .mobius import (
     iota_dist_quadrature,
     rho_act,
 )
-from .shapes import Ellipse, Polygon, convex_hull
-from .specfun import agm_KE_from_complement
+from .shapes import Ellipse, Polygon, _adjugate_product, _form_value, _stretch, convex_hull
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
@@ -249,7 +248,8 @@ class KernelValues:
 
 def kernels_compare(t):
     """Evaluate the boundary-kernel integral, the ellipse-orbit integral, the
-    elliptic closed form 2 e^t E(k)/pi, and the exponential kernel e^t.
+    elliptic closed form C(e^t) = (2/pi) e^t E(k' = e^{-2t}), the form value of
+    an ellipse of stretch e^t against the disc, and the exponential kernel e^t.
 
     The first three agree (the embeddings are isometric to each other); the
     fourth comes from a reducible construction and stays strictly above.
@@ -260,13 +260,12 @@ def kernels_compare(t):
         raise ValueError("t must lie in (0, %.4g], got %r" % (KERNEL_T_MAX, t))
     i1 = _jacobian_mean(t, 1.5)
     i2 = math.cosh(iota_dist_quadrature(Mobius.axial(2.0 * t)))
-    _, E = agm_KE_from_complement(math.exp(-2.0 * t))
-    closed = 2.0 * math.exp(t) * E / math.pi
+    closed = _form_value(math.exp(t))
     kern2 = math.exp(0.5 * dist_h2(halfplane_apply(Mobius.axial(2.0 * t), BASEPOINT), BASEPOINT))
     return KernelValues(i1=i1, i2=i2, closed=closed, kern2=kern2)
 
 
-def minkowski_extended_test(bodies, coeffs, method="auto"):
+def minkowski_extended_test(bodies, coeffs):
     """Signed-coefficient extension of the Minkowski inequality.
 
     For bodies K_0..K_n of positive area and reals c_1..c_n the quantity
@@ -278,12 +277,12 @@ def minkowski_extended_test(bodies, coeffs, method="auto"):
     coeffs = np.asarray(coeffs, dtype=float)
     if len(bodies) != coeffs.size + 1:
         raise ValueError("need n+1 bodies for n coefficients")
-    areas = [form_A(b, method=method) for b in bodies]
+    areas = [form_A(b) for b in bodies]
     if min(areas) <= 0.0:
         raise ValueError("every body must have positive area")
     h0, rest = bodies[0], bodies[1:]
-    cross = np.array([form_A(h, h0, method=method) for h in rest])
-    gram = np.array([[form_A(hi, hj, method=method) for hj in rest] for hi in rest])
+    cross = np.array([form_A(h, h0) for h in rest])
+    gram = np.array([[form_A(hi, hj) for hj in rest] for hi in rest])
     lhs = float(coeffs @ cross) ** 2
     rhs = areas[0] * float(coeffs @ gram @ coeffs)
     scale = max(lhs, areas[0] * float(np.abs(coeffs) @ np.abs(gram) @ np.abs(coeffs)), 1e-300)
@@ -356,8 +355,7 @@ def _kernels_suite(seed=0, grid=DEFAULT_GRID):
         col.add("kern1-vs-closed", dig, kv.i1 - kv.closed, 1e-9, t=t)
         col.add("kern3-vs-closed", dig, kv.i2 - kv.closed, 1e-9, t=t)
         col.add("kern2-identity", dig, kv.kern2 - math.exp(t), 1e-12, t=t)
-        _, E = agm_KE_from_complement(math.exp(-2.0 * t))
-        ref_gap = math.exp(t) * (1.0 - 2.0 * E / math.pi)
+        ref_gap = math.exp(t) - kv.closed
         # record both cosh-domain and distance-domain values: acosh is badly
         # conditioned at large t, so the gap is judged in the cosh domain
         col.add_lower(
@@ -485,12 +483,10 @@ def _equivariance_suite(seed=0, grid=DEFAULT_GRID):
     return col.report("equivariance", seed, grid)
 
 
-def _halfplane_of_ellipse(e):
-    return halfplane_apply(Mobius.from_matrix(e.matrix), BASEPOINT)
-
-
 def _ellipse_h2_dist(e1, e2):
-    return dist_h2(_halfplane_of_ellipse(e1), _halfplane_of_ellipse(e2))
+    """Hyperbolic-plane distance between the orbit points of two ellipses:
+    2 asinh(q/2) = 2 log s0 for the stretch s0 of adj(B)·A."""
+    return 2.0 * math.log(_stretch(*_adjugate_product(e2.matrix, e1.matrix)))
 
 
 def _gram_rank_suite(seed=0, grid=DEFAULT_GRID):

@@ -1,5 +1,7 @@
 """End-to-end command-line checks: exit codes, file outputs, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -110,8 +113,9 @@ def test_geodesic_disc_to_square_closed_form(tmp_path, capsys):
         (["hdim", "--empirical", "--samples", "0"], {}),
         (["kernels", "--t-min", "400", "--t-max", "400"], {}),
         (["kernels", "--t-min", "31", "--t-max", "31"], {}),
+        (["verify", "--suite", "extended", "--seed", "-1"], {}),
     ],
-    ids=["grid-env-not-int", "hdim-no-samples", "kernels-overflow", "kernels-capped-grid"],
+    ids=["grid-env-not-int", "hdim-no-samples", "kernels-overflow", "kernels-capped-grid", "verify-negative-seed"],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, env):
     disc = _write(tmp_path, "disc.json", DISC)
@@ -133,6 +137,18 @@ def test_dist_zero_area_exits_3(tmp_path, capsys):
         for cmd in ("dist", "geodesic"):
             assert main([cmd, a, b, "--grid", "64", "--out", str(tmp_path / "out")]) == 3
             assert "no finite positive area" in capsys.readouterr().err
+
+
+def test_overflowing_mixed_area_exits_3(tmp_path, capsys):
+    # Two area-pi ellipses with entries near 1e169: the entries of adj(B)·A
+    # overflow, and the distance refuses instead of reading 0 or inf.
+    ma = [[-2.7612333583489972e169, 3.130451997749806e169], [6.011100620211319e169, -6.814875638206471e169]]
+    mb = [[4.0315245448133136e169, -5.4920768612965484e169], [4.3316380345016496e169, -5.900916329879418e169]]
+    a = _write(tmp_path, "a.json", json.dumps({"type": "ellipse", "matrix": ma}))
+    b = _write(tmp_path, "b.json", json.dumps({"type": "ellipse", "matrix": mb}))
+    for cmd in ("dist", "geodesic"):
+        assert main([cmd, a, b, "--grid", "64", "--out", str(tmp_path / "out")]) == 3
+        assert "overflowed" in capsys.readouterr().err
 
 
 def test_dist_parse_error_exits_2(tmp_path):
@@ -235,6 +251,68 @@ def test_dist_and_geodesic_end_in_a_documented_exit_code(tmp_path_factory, doc_a
         warnings.simplefilter("ignore", SpectralTailWarning)  # resampling a grid-32 document
         for argv in (["dist", a, b], ["geodesic", a, b, "--steps", "2"]):
             assert main(argv + ["--grid", "64", "--out", str(tmp / "out")]) in (0, 2, 3)
+
+
+def _valid_or_not(valid, invalid):
+    return st.one_of(st.sampled_from(valid), st.sampled_from(invalid))
+
+
+_T_TEXT = st.one_of(
+    st.floats(0.01, 30.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "30", "31", "1e308"]),
+    st.floats().map(repr),
+)
+_BODIES = ("disc", "square", "ellipse", "segment", "missing")
+_SUITES = ("ellipse-sum", "wirtinger", "curvature", "quasiiso", "kernels", "dimension", "bogus", "")
+
+
+@st.composite
+def _argv(draw, cmd):
+    """Argv of a subcommand, each flag valid or not, kept cheap: grid <= 256,
+    fast suites only, at most 2000 samples."""
+    argv = [cmd]
+    if cmd in ("dist", "geodesic"):
+        argv += [draw(st.sampled_from(_BODIES)), draw(st.sampled_from(_BODIES[:3]))]
+        argv += ["--steps=%d" % draw(st.integers(-1, 3))] if cmd == "geodesic" else []
+    elif cmd == "verify":
+        argv.append("--suite=" + draw(st.sampled_from(_SUITES)))
+    elif cmd == "kernels":
+        argv += ["--t-min=" + draw(_T_TEXT), "--t-max=" + draw(_T_TEXT)]
+        argv += ["--steps=%d" % draw(st.integers(-1, 6))]
+    else:
+        j_min = draw(st.one_of(st.integers(2, 10), st.integers(-1, 18)))
+        argv += ["--j-min=%d" % j_min, "--j-max=%d" % (j_min + draw(st.integers(-2, 8)))]
+        argv += ["--samples=%d" % draw(st.one_of(st.integers(200, 2000), st.integers(-5, 200)))]
+        argv += [flag for flag in ("--empirical", "--control") if draw(st.booleans())]
+    if draw(st.booleans()):
+        argv.append("--grid=" + draw(_valid_or_not(["64", "128", "256"], ["-4", "0", "63", "abc", "1e3"])))
+    if cmd == "verify" or draw(st.booleans()):  # the suites seed their generators
+        argv.append("--seed=%d" % draw(st.one_of(st.integers(0, 2**64), st.integers(-(2**64), -1))))
+    env = draw(_valid_or_not([None, "64", " 128 ", "256"], ["abc", "", "-64", "65", "1e3", "128.0"]))
+    return argv, env
+
+
+@pytest.mark.parametrize("cmd", ["dist", "geodesic", "verify", "kernels", "hdim"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_argv_ends_in_a_documented_exit_code(tmp_path_factory, cmd, data):
+    argv, env = data.draw(_argv(cmd))
+    tmp = tmp_path_factory.mktemp("argv")
+    bodies = {"disc": DISC, "square": SQUARE, "ellipse": _ellipse_doc(3.0), "segment": SEGMENT}
+    paths = {name: _write(tmp, name + ".json", text) for name, text in bodies.items()}
+    paths["missing"] = str(tmp / "missing.json")
+    argv = [paths.get(arg, arg) for arg in argv] + ["--out", str(tmp / "out")]
+    grid_env = {} if env is None else {"HYPKONVEX_GRID": env}
+    err = io.StringIO()
+    with mock.patch.dict(os.environ, grid_env), contextlib.redirect_stderr(err), contextlib.redirect_stdout(err):
+        if env is None:
+            os.environ.pop("HYPKONVEX_GRID", None)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing a flag
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, env, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_verify_single_suite(tmp_path, capsys):

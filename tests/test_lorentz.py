@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ellipe
 
 from hypkonvex.lorentz import (
     HPoint,
+    HyperbolicInvariantError,
     IsotropicVectorError,
     _cosh_between,
     acosh1p,
@@ -20,9 +22,8 @@ from hypkonvex.lorentz import (
     pi0,
     project_disc_to_segment_geodesic,
 )
-from hypkonvex.mobius import Mobius, iota_dist_quadrature, rho_act
-from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, shoelace_area
-from hypkonvex.specfun import agm_KE_from_complement
+from hypkonvex.mobius import Mobius, iota_dist_closed, iota_dist_quadrature, rho_act
+from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, _form_value, _stretch, mixed_area, shoelace_area
 from hypkonvex.supportfn import (
     EvenFn,
     combine,
@@ -400,9 +401,10 @@ def test_tagged_samples_are_the_support_of_the_tag(h1, h2, c1, c2, seed):
             assert np.abs(h.samples - arithmetic).max() <= 1e-14 * (1.0 + np.abs(h.samples).max())
         for k in _shape_terms(h.shape_tag):
             if isinstance(k, Ellipse):
-                s = np.linalg.svd(k.matrix, compute_uv=False)
-                assert k.semi_axes() == (s[0], s[1])
-                assert k.perimeter() == 4.0 * s[0] * agm_KE_from_complement(min(1.0, s[1] / s[0]))[1]
+                s0 = _stretch(*k.matrix.ravel().tolist())
+                assert s0 == pytest.approx(np.linalg.svd(k.matrix, compute_uv=False)[0], rel=1e-13)
+                assert k.area() == math.pi
+                assert k.perimeter() == 2.0 * math.pi * _form_value(s0)
                 continue
             if isinstance(k, Segment):
                 v = k.endpoint
@@ -416,3 +418,36 @@ def test_tagged_samples_are_the_support_of_the_tag(h1, h2, c1, c2, seed):
                 assert k.perimeter() == float(lengths.sum())
             got_lengths, got_normals = k.edges()
             assert np.array_equal(got_lengths, lengths) and np.array_equal(got_normals, normals)
+
+
+def test_ellipse_invariants_hold_at_every_stretch():
+    # rot·diag(s, 1/s)·rot up to s = 1e150, where ad - bc in floating point is
+    # off by eps·s^2: the area is pi by contract, an equal copy is at distance
+    # exactly 0 and the disc at the closed-form distance of the orbit.
+    rng = np.random.default_rng(8)
+    disc = normalize(unit_disc(64))
+    for k in np.arange(0.0, 150.1, 2.5):
+        s = 10.0**k
+        for _ in range(5):
+            m = Mobius.rotation(rng.uniform(0.0, math.pi)).matrix @ np.diag([s, 1.0 / s])
+            m = m @ Mobius.rotation(rng.uniform(0.0, math.pi)).matrix
+            e = Ellipse(m)
+            assert e.area() == math.pi
+            p = normalize(from_ellipse(e, 64))
+            assert hyper_dist(p, normalize(from_ellipse(Ellipse(m.copy()), 64))) == 0.0
+            closed = iota_dist_closed(2.0 * math.log(s))
+            assert hyper_dist(p, disc) == pytest.approx(closed, rel=1e-12, abs=0.0)
+    for _ in range(50):
+        a, b = random_ellipse(rng), random_ellipse(rng)
+        s0, s1 = np.linalg.svd(np.linalg.solve(b.matrix, a.matrix), compute_uv=False)
+        assert mixed_area(a, b) == pytest.approx(2.0 * s0 * ellipe(1.0 - (s1 / s0) ** 2), rel=1e-13)
+
+
+def test_overflowed_mixed_area_refuses():
+    # The entries of adj(B)·A overflow to inf - inf: the form value is NaN,
+    # which must not read as distance 0 through max(0, x - 1).
+    ma = [[-1.545923572999795e169, 1.3418074301417767e168], [9.841869249594742e169, -8.542397254454602e168]]
+    mb = [[8.545827228419174e168, 7.097413217968438e169], [-8.359242515638486e168, -6.942452349773414e169]]
+    p, q = (normalize(from_ellipse(Ellipse(np.array(m)), 64)) for m in (ma, mb))
+    with pytest.raises(HyperbolicInvariantError, match="overflowed"):
+        hyper_dist(p, q)

@@ -49,6 +49,17 @@ def test_polygon_check_is_scale_invariant():
             assert np.array_equal(p._normal_angles(), SQUARE._normal_angles())
 
 
+def test_shapes_compare_by_identity():
+    # == never compares array fields, so it never raises, and shapes hash
+    v = SQUARE.vertices
+    shapes = [Polygon(v), Polygon(v.copy()), Ellipse(np.eye(2)), Ellipse(np.eye(2))]
+    shapes += [Segment(np.array([1.0, 0.0])), Segment(np.array([1.0, 0.0]))]
+    for a in shapes:
+        assert a == a
+        assert [a == b for b in shapes].count(True) == 1
+    assert len(set(shapes)) == len(shapes) and shapes[0] in set(shapes)
+
+
 def test_square_support_and_area():
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     expect = np.abs(np.cos(theta)) + np.abs(np.sin(theta))
