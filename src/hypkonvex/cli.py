@@ -4,9 +4,8 @@ Exit codes: 0 success, 2 usage or parse error, 3 domain error (a body with
 no finite positive area, identical geodesic endpoints, a distance that
 breaks the reversed Cauchy-Schwarz bound or whose mixed area overflows,
 samples that are not a support function where a boundary is drawn), 4 suite
-failure.  Output is
-deterministic for a fixed (seed, grid); machine-readable floats are written
-with 17 significant digits.
+failure.  Output is deterministic for a fixed (seed, grid); machine-readable
+floats are written with 17 significant digits.
 """
 
 import argparse
@@ -96,10 +95,17 @@ def _load_body(path, cfg):
         raise CliError("cannot read body from %s: %s" % (path, exc), EXIT_USAGE)
 
 
+def _normalized(h, label):
+    try:
+        return normalize(h)
+    except IsotropicVectorError as exc:
+        raise CliError("%s: %s" % (label, exc), EXIT_DOMAIN)
+
+
 def cmd_dist(args, cfg):
     ha = _load_body(args.shape_a, cfg)
     hb = _load_body(args.shape_b, cfg)
-    pa, pb = normalize(ha), normalize(hb)
+    pa, pb = _normalized(ha, "shape_a"), _normalized(hb, "shape_b")
     d = hyper_dist(pa, pb)
     record = {
         "distance": d,
@@ -119,7 +125,7 @@ def cmd_dist(args, cfg):
 def cmd_geodesic(args, cfg):
     ha = _load_body(args.shape_a, cfg)
     hb = _load_body(args.shape_b, cfg)
-    pa, pb = normalize(ha), normalize(hb)
+    pa, pb = _normalized(ha, "shape_a"), _normalized(hb, "shape_b")
     total = hyper_dist(pa, pb)
     if total == 0.0:
         raise CliError("geodesic endpoints are identical", EXIT_DOMAIN)
@@ -134,10 +140,7 @@ def cmd_geodesic(args, cfg):
         da = hyper_dist(pa, p)
         db = hyper_dist(p, pb)
         if abs(da + db - total) > 1e-9 * (1.0 + total):
-            raise CliError(
-                "geodesic additivity violated at t=%.3f: %.3g" % (t, abs(da + db - total)),
-                EXIT_DOMAIN,
-            )
+            raise CliError("geodesic additivity violated at t=%.3f: %.3g" % (t, abs(da + db - total)), EXIT_DOMAIN)
         rows.append((t, da, db, 2.0 * math.pi * pi0(p.fn)))
         frame = boundary_curve(p.fn, min(cfg.grid, 2048))
         write_svg(frame, cfg.out / ("frame_%03d.svg" % k), title="t=%.4f" % t)
@@ -156,8 +159,7 @@ def cmd_verify(args, cfg):
     for name in names:
         report = run_suite(name, seed=cfg.seed, grid=cfg.grid)
         with open(cfg.out / ("%s.json" % name), "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
+            fh.write(report.to_json() + "\n")
         status = "PASS" if report.passed else "FAIL"
         print("%-12s %s  cases=%d  max_violation=%.3g" % (name, status, report.cases, report.max_violation))
         all_pass = all_pass and report.passed
@@ -169,10 +171,7 @@ def cmd_kernels(args, cfg):
         raise CliError("steps must be at least 1", EXIT_USAGE)
     if not 0.0 < args.t_min <= args.t_max <= KERNEL_T_MAX:
         raise CliError("need 0 < t_min <= t_max <= %.4g" % KERNEL_T_MAX, EXIT_USAGE)
-    if args.t_min == args.t_max:
-        tvals = [args.t_min]
-    else:
-        tvals = list(np.linspace(args.t_min, args.t_max, args.steps))
+    tvals = [args.t_min] if args.t_min == args.t_max else list(np.linspace(args.t_min, args.t_max, args.steps))
     rows = []
     for t in tvals:
         kv = kernels_compare(float(t))

@@ -39,7 +39,7 @@ class Mobius:
 
     The stored representative makes the first nonzero of (a, b, c, d)
     positive, so equality of group elements is equality of fields.  The
-    determinant is checked to DET_TOL relative to |ad| + |bc|.
+    determinant is checked to DET_TOL plus rounding, 16 eps (|ad| + |bc|).
     """
 
     a: float

@@ -12,6 +12,7 @@ grid error.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,12 @@ SYM_TOL = 1e-12
 
 
 def _check_unit_det(a, b, c, d, tol):
-    # relative to |ad| + |bc|, the scale of the rounding error of ad - bc,
-    # on entries divided by the largest, so that no product overflows
-    s = float(max(abs(a), abs(b), abs(c), abs(d))) or 1.0
+    # |ad - bc - 1| <= tol plus rounding, 16 eps (|ad| + |bc|), checked on
+    # entries divided by the largest above 1, so that no product overflows
+    s = max(1.0, abs(float(a)), abs(float(b)), abs(float(c)), abs(float(d)))
     a, b, c, d = (float(x) / s for x in (a, b, c, d))
     det = a * d - b * c
-    if abs(det - 1.0 / s / s) > tol * (abs(a * d) + abs(b * c)):
+    if abs(det - 1.0 / s / s) > tol / s / s + 16.0 * sys.float_info.epsilon * (abs(a * d) + abs(b * c)):
         raise ValueError("determinant must be 1, got %.17g" % (det * s * s))
 
 
@@ -99,8 +100,8 @@ def _unit_vectors(theta):
 class Ellipse:
     """The body A·D, the image of the closed unit disc under ``matrix``.
 
-    ad - bc must be 1 to ``DET_TOL`` relative to |ad| + |bc|, and the area is
-    pi by that contract, whatever the rounding of the entries.  Every other
+    ad - bc must be 1 to ``DET_TOL`` plus the rounding of the entries,
+    16 eps (|ad| + |bc|), and the area is pi by that contract.  Every other
     invariant depends only on the largest singular value of the matrix, its
     stretch; the perimeter is computed once per ellipse.
     """

@@ -136,7 +136,8 @@ def test_dist_zero_area_exits_3(tmp_path, capsys):
         b = _write(tmp_path, "b.json", body)
         for cmd in ("dist", "geodesic"):
             assert main([cmd, a, b, "--grid", "64", "--out", str(tmp_path / "out")]) == 3
-            assert "no finite positive area" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "shape_b:" in err and "no finite positive area" in err
 
 
 def test_overflowing_mixed_area_exits_3(tmp_path, capsys):
@@ -154,6 +155,11 @@ def test_overflowing_mixed_area_exits_3(tmp_path, capsys):
 def test_dist_parse_error_exits_2(tmp_path):
     a = _write(tmp_path, "a.json", DISC)
     b = _write(tmp_path, "b.json", '{"type":"ellipse","matrix":[[2,0],[0,1]]}')
+    assert main(["dist", a, b, "--out", str(tmp_path / "out")]) == 2
+    # R diag(1e5, 5e-5) R^T at 45 degrees: determinant 5, far beyond rounding
+    # at stretch 1e5, so it must not be read as an area-pi ellipse
+    det5 = [[50000.000025, 49999.999975], [49999.999975, 50000.000025]]
+    b = _write(tmp_path, "b.json", json.dumps({"type": "ellipse", "matrix": det5}))
     assert main(["dist", a, b, "--out", str(tmp_path / "out")]) == 2
     assert main(["dist", a, str(tmp_path / "missing.json")]) == 2
 

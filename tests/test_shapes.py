@@ -26,6 +26,10 @@ def test_ellipse_rejects_bad_determinant():
     with pytest.raises(ValueError):
         Ellipse(np.array([[2.0, 0.0], [0.0, 1.0]]))
     Ellipse(np.array([[2.0, 0.0], [0.0, 0.5]]))  # fine
+    # at stretch 1e5 a determinant of 5 is no rounding error
+    with pytest.raises(ValueError):
+        Ellipse(np.array([[50000.000025, 49999.999975], [49999.999975, 50000.000025]]))
+    Ellipse(np.array([[50000.000005, 49999.999995], [49999.999995, 50000.000005]]))  # det 1 to rounding
 
 
 def test_segment_rejects_zero():
