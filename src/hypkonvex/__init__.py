@@ -10,7 +10,7 @@ kernels, the boundary visual metric with its dimension estimators, and a
 verification harness binding the identities and inequalities into suites.
 """
 
-from .shapes import Ellipse, Polygon, Segment, Sum, minkowski_combination, minkowski_sum, mixed_area, shoelace_area
+from .shapes import Ellipse, Polygon, Segment, Sum, minkowski_combination, minkowski_sum, mixed_area
 from .specfun import agm_KE, ellip_I
 from .supportfn import (
     DEFAULT_GRID,

@@ -123,14 +123,14 @@ def cmd_dist(args, cfg):
 
 
 def cmd_geodesic(args, cfg):
+    if args.steps < 1:
+        raise CliError("steps must be at least 1", EXIT_USAGE)
     ha = _load_body(args.shape_a, cfg)
     hb = _load_body(args.shape_b, cfg)
     pa, pb = _normalized(ha, "shape_a"), _normalized(hb, "shape_b")
     total = hyper_dist(pa, pb)
     if total == 0.0:
         raise CliError("geodesic endpoints are identical", EXIT_DOMAIN)
-    if args.steps < 1:
-        raise CliError("steps must be at least 1", EXIT_USAGE)
 
     points = [geodesic_point(pa, pb, k / args.steps) for k in range(args.steps + 1)]
     rows = []

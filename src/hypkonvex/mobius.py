@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapes import Ellipse, _check_unit_det, _form_value, _stretch
+from .shapes import Ellipse, _adjugate_product, _check_unit_det, _form_value, _shear, _stretch
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
@@ -153,17 +153,17 @@ def mobius_from_halfplane(z):
     return Mobius(r, z.x / r, 0.0, 1.0 / r)
 
 
-def dist_h2(z1, z2):
-    """Hyperbolic-plane distance acosh(||B^{-1}A||_F^2 / 2) via the sections.
+def _translation_length(a, b, c, d):
+    """d(C i, i) = acosh(||C||_F^2 / 2) = 2 asinh(q/2) for a unit-determinant
+    C = [[a, b], [c, d]], with q = _shear(C): neither squared nor overflowing."""
+    return 2.0 * math.asinh(0.5 * _shear(a, b, c, d))
 
-    Evaluated through ||C||_F^2/2 - 1 = ((a-d)^2 + (b+c)^2)/2, which is exact
-    for det C = 1 and keeps nearby points cancellation-free.
-    """
-    if z1 == z2:
-        return 0.0
-    c = mobius_from_halfplane(z2).inverse() @ mobius_from_halfplane(z1)
-    x = 0.5 * ((c.a - c.d) ** 2 + (c.b + c.c) ** 2)
-    return acosh1p(x)
+
+def dist_h2(z1, z2):
+    """Hyperbolic-plane distance, the translation length of B^{-1}A = adj(B)·A
+    for the sections A and B of z1 and z2."""
+    a, b = (mobius_from_halfplane(z).matrix for z in (z1, z2))
+    return _translation_length(*_adjugate_product(b, a))
 
 
 def iota(z, M=DEFAULT_GRID):
@@ -200,17 +200,28 @@ def _panel_mean(f, edges):
     return float(rad @ (f(mid[:, None] + rad[:, None] * nodes) @ weights) / (e[-1] - e[0]))
 
 
+def _small_shear_dist(q, r):
+    """acosh(1 + q^2 r) = 2 asinh(q sqrt(r/2)), with q^2 never formed."""
+    return 2.0 * math.asinh(q * math.sqrt(0.5 * r))
+
+
 def iota_dist_quadrature(m):
     """Extrinsic distance acosh((1/2pi) int |m^T u|) by graded Gauss-Legendre.
 
-    For singular values s0 >= s1 of m this is the mean of
-    hypot(s0 sin x, s1 cos x) over [0, pi/2], which peaks at 0 with width s1/s0.
+    For singular values s0 >= s1 of m this is acosh C with C the mean of
+    h = hypot(s0 sin x, s1 cos x) over [0, pi/2], which peaks at 0 with
+    width s1/s0.  For q = s0 - s1 <= 1, C - 1 = q^2 r is taken without
+    cancellation: mean(h^2 - 1) = q^2/2 and h^2 - 1 = q (s0 sin^2 - s1 cos^2)
+    give r = 1/4 - mean(((s0 sin^2 - s1 cos^2)/(h + 1))^2)/2.
     """
-    s0 = _stretch(m.a, m.b, m.c, m.d)
+    q, s0 = _shear(m.a, m.b, m.c, m.d), _stretch(m.a, m.b, m.c, m.d)
     s1 = 1.0 / s0  # det m = 1
     edges = _graded_edges(math.log2(s1) - math.log2(s0), 0.5 * math.pi)
-    mean = _panel_mean(lambda x: np.hypot(s0 * np.sin(x), s1 * np.cos(x)), edges)
-    return acosh1p(max(0.0, mean - 1.0))
+    h = lambda x: np.hypot(s0 * np.sin(x), s1 * np.cos(x))  # noqa: E731
+    if q > 1.0:
+        return acosh1p(_panel_mean(h, edges) - 1.0)
+    f = lambda x: ((s0 * np.sin(x) ** 2 - s1 * np.cos(x) ** 2) / (h(x) + 1.0)) ** 2  # noqa: E731
+    return _small_shear_dist(q, 0.25 - 0.5 * _panel_mean(f, edges))
 
 
 _S_MAX = 2.0 * math.log(sys.float_info.max)  # where e^{s/2} overflows
@@ -221,9 +232,16 @@ def iota_dist_closed(s):
 
     acosh C(e^{s/2}), with C the form value of an ellipse of stretch e^{s/2}
     against the disc, (2/pi) e^{s/2} E(k' = e^{-s}); the diagonal case
-    extends to any pair by equivariance of the embedding.  Refuses s outside
-    [0, 2 log(largest double)), where e^{s/2} overflows.
+    extends to any pair by equivariance of the embedding.  For
+    q = 2 sinh(s/2) < 0.1, C - 1 = q^2 r with r from its series in q^2, free
+    of the cancellation in C - 1.  Refuses s outside [0, 2 log(largest
+    double)), where e^{s/2} overflows.
     """
     if not 0.0 <= s < _S_MAX:
         raise ValueError("s must lie in [0, %.6g), got %r" % (_S_MAX, s))
-    return acosh1p(max(0.0, _form_value(math.exp(0.5 * s)) - 1.0))
+    q = 2.0 * math.sinh(0.5 * s)
+    if q >= 0.1:
+        return acosh1p(_form_value(math.exp(0.5 * s)) - 1.0)
+    x = q * q
+    r = 3 / 16 + x * (-15 / 1024 + x * (35 / 16384 + x * (-1575 / 4194304 + x * 4851 / 67108864)))
+    return _small_shear_dist(q, r)

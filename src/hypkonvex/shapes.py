@@ -3,11 +3,12 @@
 Three shape families carry closed forms: ellipses (linear images of the unit
 disc), symmetric segments, and symmetric convex polygons.  A fourth, Sum, is
 a positive Minkowski combination of them, so the closed forms survive every
-nonnegative combination of bodies.  Each knows its support function, support
-derivative, boundary parametrization, perimeter, area, and how to transform
-under a linear map.  Mixed areas between any two shapes are available in
-closed form, which is what keeps segment and polygon computations free of
-grid error.
+nonnegative combination of bodies.  Each defines only its homogeneous
+support, its support point and its image under a linear map; the support
+function, its derivative, the boundary, and the area a(K, K) and perimeter
+2 a(K, disc) as mixed areas derive from these.  Mixed areas between any two
+shapes are available in closed form, which is what keeps segment and polygon
+computations free of grid error.
 """
 
 import functools
@@ -33,14 +34,19 @@ def _check_unit_det(a, b, c, d, tol):
         raise ValueError("determinant must be 1, got %.17g" % (det * s * s))
 
 
-def _stretch(a, b, c, d):
-    """The largest singular value s0 of the unit-determinant [[a, b], [c, d]].
+def _shear(a, b, c, d):
+    """q = hypot(a - d, b + c) = s0 - 1/s0 for the largest singular value s0
+    of the unit-determinant [[a, b], [c, d]].
 
-    s0^2 + s0^-2 = a^2 + b^2 + c^2 + d^2 = q^2 + 2(ad - bc) with
-    q = hypot(a - d, b + c), so s0 - 1/s0 = q: no product of entries is
-    formed, and nothing overflows where the entries do not.
+    s0^2 + s0^-2 = a^2 + b^2 + c^2 + d^2 = q^2 + 2(ad - bc): no product of
+    entries is formed, and nothing overflows where the entries do not.
     """
-    q = math.hypot(a - d, b + c)
+    return math.hypot(a - d, b + c)
+
+
+def _stretch(a, b, c, d):
+    """The largest singular value s0 = q/2 + hypot(q/2, 1), q = _shear."""
+    q = _shear(a, b, c, d)
     return 0.5 * q + math.hypot(0.5 * q, 1.0)
 
 
@@ -82,10 +88,6 @@ def _once(method):
     return cached
 
 
-def _angles(normals):
-    return _freeze(np.arctan2(normals[:, 1], normals[:, 0]))
-
-
 def _next(a):
     """a shifted one step back along axis 0: a[1], ..., a[n-1], a[0]."""
     return np.concatenate((a[1:], a[:1]))
@@ -96,14 +98,51 @@ def _unit_vectors(theta):
     return np.stack([np.cos(theta), np.sin(theta)])
 
 
+class _Body:
+    """A body given by its homogeneous support ``hsupport(w)``, the largest
+    <x, w> over the body, and its support point ``support_point(w)``, the
+    maximizing x (the gradient of hsupport), both at (2, n) vectors w.
+
+    Everything else derives from these two: the support function, its
+    derivative u_perp·x(u), the boundary, the area a(K, K) and the perimeter
+    2 a(K, disc), the last two once per body.
+    """
+
+    def support(self, theta):
+        return self.hsupport(_unit_vectors(theta))
+
+    def support_deriv(self, theta):
+        u = _unit_vectors(theta)
+        x = self.support_point(u)
+        return u[0] * x[1] - u[1] * x[0]
+
+    def boundary(self, theta):
+        return self.support_point(_unit_vectors(theta)).T
+
+    @_once
+    def area(self):
+        return _mixed_area(self, self)
+
+    @_once
+    def perimeter(self):
+        return 2.0 * _mixed_area(self, _DISC)
+
+    @_once
+    def _turned_fan(self):
+        # J e for the edge fan e, J the quarter turn (x, y) -> (y, -x): the
+        # outward edge normals times the edge lengths, as (2, n) vectors
+        e = _edge_fan(self)
+        return _freeze(np.stack([e[:, 1], -e[:, 0]]))
+
+
 @dataclass(frozen=True, eq=False)
-class Ellipse:
+class Ellipse(_Body):
     """The body A·D, the image of the closed unit disc under ``matrix``.
 
     ad - bc must be 1 to ``DET_TOL`` plus the rounding of the entries,
     16 eps (|ad| + |bc|), and the area is pi by that contract.  Every other
     invariant depends only on the largest singular value of the matrix, its
-    stretch; the perimeter is computed once per ellipse.
+    stretch.
     """
 
     matrix: np.ndarray
@@ -115,25 +154,14 @@ class Ellipse:
         _check_unit_det(*m.ravel(), DET_TOL)
         object.__setattr__(self, "matrix", m)
 
-    def support(self, theta):
-        v = self.matrix.T @ _unit_vectors(theta)
+    def hsupport(self, w):
+        v = self.matrix.T @ w
         return np.hypot(v[0], v[1])
 
-    def support_deriv(self, theta):
-        u = _unit_vectors(np.atleast_1d(theta))
-        uperp = np.stack([-u[1], u[0]])
-        w = self.matrix.T @ u
-        out = np.einsum("ij,ij->j", self.matrix.T @ uperp, w) / np.hypot(w[0], w[1])
-        return out if np.ndim(theta) else out[0]
-
-    def boundary(self, theta):
-        # The support point in direction u is A (A^T u / |A^T u|).
-        w = self.matrix.T @ _unit_vectors(theta)
-        return (self.matrix @ (w / np.hypot(w[0], w[1]))).T
-
-    @_once
-    def perimeter(self):
-        return 2.0 * math.pi * _form_value(_stretch(*self.matrix.ravel().tolist()))
+    def support_point(self, w):
+        # A (A^T w / |A^T w|)
+        v = self.matrix.T @ w
+        return self.matrix @ (v / np.hypot(v[0], v[1]))
 
     def area(self):
         return math.pi
@@ -142,8 +170,11 @@ class Ellipse:
         return Ellipse(np.asarray(m, dtype=float) @ self.matrix)
 
 
+_DISC = Ellipse(np.eye(2))
+
+
 @dataclass(frozen=True, eq=False)
-class Segment:
+class Segment(_Body):
     """The degenerate body [-v, v] for a nonzero endpoint v."""
 
     endpoint: np.ndarray
@@ -156,49 +187,28 @@ class Segment:
             raise ValueError("segment endpoint must be nonzero")
         object.__setattr__(self, "endpoint", v)
 
-    def support(self, theta):
-        u = _unit_vectors(theta)
-        return np.abs(self.endpoint @ u)
+    def _dot(self, w):
+        """<v, w>, each product a product of mantissas times a power of two:
+        nothing overflows before the sum, and <v, J v> is exactly 0."""
+        mv, ev = np.frexp(self.endpoint)
+        mw, ew = np.frexp(w)
+        e0, e1 = ev[0] + ew[0], ev[1] + ew[1]
+        top = np.maximum(e0, e1)
+        return np.ldexp(np.ldexp(mv[0] * mw[0], e0 - top) + np.ldexp(mv[1] * mw[1], e1 - top), top)
 
-    def support_deriv(self, theta):
-        u = _unit_vectors(theta)
-        uperp = np.stack([-u[1], u[0]])
-        return np.sign(self.endpoint @ u) * (self.endpoint @ uperp)
+    def hsupport(self, w):
+        return np.abs(self._dot(w))
 
-    def boundary(self, theta):
-        u = _unit_vectors(theta)
-        return np.outer(np.sign(self.endpoint @ u), self.endpoint)
-
-    def perimeter(self):
-        # Degenerate convex body: the boundary runs down and back.
-        return 4.0 * float(np.hypot(*self.endpoint))
-
-    def area(self):
-        return 0.0
-
-    @_once
-    def edges(self):
-        """Surface measure as (lengths, outward unit normals) arrays."""
-        v = self.endpoint
-        length = float(np.hypot(v[0], v[1]))
-        n = np.array([v[1], -v[0]]) / length
-        return _freeze(np.full(2, 2.0 * length)), _freeze(np.stack([n, -n]))
-
-    @_once
-    def _normal_angles(self):
-        return _angles(self.edges()[1])
+    def support_point(self, w):
+        return np.multiply.outer(self.endpoint, np.sign(self._dot(w)))
 
     def transform(self, m):
         return Segment(np.asarray(m, dtype=float) @ self.endpoint)
 
 
 @dataclass(frozen=True, eq=False)
-class Polygon:
-    """A symmetric strictly convex polygon with counterclockwise vertices.
-
-    Edge lengths, unit normals and their angles, area and perimeter are
-    computed once per polygon, on first use.
-    """
+class Polygon(_Body):
+    """A symmetric strictly convex polygon with counterclockwise vertices."""
 
     vertices: np.ndarray
 
@@ -223,55 +233,25 @@ class Polygon:
             raise ValueError("polygon must be strictly convex in counterclockwise order")
         object.__setattr__(self, "vertices", v)
 
-    def support(self, theta):
-        u = _unit_vectors(theta)
-        return np.max(self.vertices @ u, axis=0)
+    def hsupport(self, w):
+        return np.max(self.vertices @ w, axis=0)
 
-    def support_deriv(self, theta):
-        u = _unit_vectors(np.atleast_1d(theta))
-        uperp = np.stack([-u[1], u[0]])
-        idx = np.argmax(self.vertices @ u, axis=0)
-        out = np.einsum("ij,ij->i", uperp.T, self.vertices[idx])
-        return out if np.ndim(theta) else out[0]
-
-    def boundary(self, theta):
-        u = _unit_vectors(theta)
-        return self.vertices[np.argmax(self.vertices @ u, axis=0)]
-
-    @_once
-    def edges(self):
-        """Surface measure as (lengths, outward unit normals) arrays."""
-        e = _next(self.vertices) - self.vertices
-        lengths = np.hypot(e[:, 0], e[:, 1])
-        return _freeze(lengths), _freeze(np.stack([e[:, 1], -e[:, 0]], axis=1) / lengths[:, None])
-
-    @_once
-    def _normal_angles(self):
-        return _angles(self.edges()[1])
-
-    @_once
-    def perimeter(self):
-        return float(self.edges()[0].sum())
-
-    @_once
-    def area(self):
-        return shoelace_area(self.vertices)
+    def support_point(self, w):
+        return self.vertices[np.argmax(self.vertices @ w, axis=0)].T
 
     def transform(self, m):
         return Polygon(self.vertices @ np.asarray(m, dtype=float).T)
 
 
 @dataclass(frozen=True, eq=False)
-class Sum:
+class Sum(_Body):
     """The Minkowski combination sum c_i K_i of shapes, every c_i > 0.
 
     Build it with ``minkowski_combination``, which keeps it canonical: every
     term keeps its coefficient, and the segments and polygons of a
     combination of two or more of them are merged into one polygonal term of
     coefficient 1.  A scaled polygon P is the one-term Sum ((c, P),).
-    Support values, derivatives, boundary points and perimeters add term by
-    term; the area expands by bilinearity of the mixed area.  Perimeter and
-    area are computed once per Sum.
+    Support values and support points add term by term.
     """
 
     terms: tuple
@@ -285,28 +265,11 @@ class Sum:
                 raise ValueError("Sum terms are (c > 0, Ellipse | Segment | Polygon) pairs")
         object.__setattr__(self, "terms", terms)
 
-    def support(self, theta):
-        return sum(c * k.support(theta) for c, k in self.terms)
+    def hsupport(self, w):
+        return sum(c * k.hsupport(w) for c, k in self.terms)
 
-    def support_deriv(self, theta):
-        return sum(c * k.support_deriv(theta) for c, k in self.terms)
-
-    def boundary(self, theta):
-        # The support point of a sum in direction u is the sum of support points.
-        return sum(c * k.boundary(theta) for c, k in self.terms)
-
-    @_once
-    def perimeter(self):
-        return sum(c * k.perimeter() for c, k in self.terms)
-
-    @_once
-    def area(self):
-        total = 0.0
-        for i, (ci, ki) in enumerate(self.terms):
-            total += ci * ci * ki.area()
-            for cj, kj in self.terms[i + 1 :]:
-                total += 2.0 * ci * cj * mixed_area(ki, kj)
-        return total
+    def support_point(self, w):
+        return sum(c * k.support_point(w) for c, k in self.terms)
 
     def transform(self, m):
         return minkowski_combination((c, k.transform(m)) for c, k in self.terms)
@@ -334,13 +297,6 @@ def minkowski_combination(terms):
     if len(flat) == 1 and flat[0][0] == 1.0:
         return flat[0][1]
     return Sum(flat)
-
-
-def shoelace_area(vertices):
-    """Signed shoelace area; positive for counterclockwise order."""
-    v = np.asarray(vertices, dtype=float)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * _next(y) - y * _next(x)))
 
 
 def convex_hull(points):
@@ -407,23 +363,33 @@ def minkowski_sum(terms):
 
 
 def mixed_area(a, b):
-    """Mixed area of two shapes, in closed form.
+    """Mixed area a(K, L) of two shapes, in closed form; a(K, K) is the area.
 
-    Polarizes the planar area: a(K, L) = (area(K+L) - area(K) - area(L)) / 2.
-    A Sum expands by bilinearity, polygonal operands contribute through their
-    surface measure.  Two ellipses A·D and B·D reduce to an ellipse against
-    the disc, a(A·D, B·D) = a(B^{-1}A·D, D) = pi C(s0), with s0 the stretch
-    of adj(B)·A and C the form value; it is NaN or inf when that product
-    overflows.
+    A Sum expands by bilinearity.  Against a polygon or segment L with edge
+    fan e_j it is (1/2) sum_j H_K(J e_j), for H_K the homogeneous support and
+    J the quarter turn (x, y) -> (y, -x), so equal bodies pair by the same
+    float operations as a body with itself.  Two ellipses A·D and B·D reduce
+    to an ellipse against the disc, a(A·D, B·D) = a(B^{-1}A·D, D) = pi C(s0),
+    with s0 the stretch of adj(B)·A and C the form value; it is NaN or inf
+    when that product overflows.  Areas and perimeters (a(K, disc)) are read
+    from each shape's cache.
     """
     if a is b:
         return a.area()
-    if isinstance(a, Sum):
-        return sum(c * mixed_area(k, b) for c, k in a.terms)
-    if isinstance(b, Sum):
-        return sum(c * mixed_area(a, k) for c, k in b.terms)
+    return 0.5 * a.perimeter() if b is _DISC else _mixed_area(a, b)
+
+
+def _terms(k):
+    return k.terms if isinstance(k, Sum) else ((1.0, k),)
+
+
+def _mixed_area(a, b):
+    if isinstance(a, Sum) or isinstance(b, Sum):
+        # term pairs go through mixed_area, so that a term's area is its
+        # cached a(K, K), the same float as its pairing with an equal copy
+        return sum(c * d * mixed_area(k, l) for c, k in _terms(a) for d, l in _terms(b))
     if isinstance(b, (Polygon, Segment)):
-        return 0.5 * float(b.edges()[0] @ a.support(b._normal_angles()))
+        return 0.5 * float(a.hsupport(b._turned_fan()).sum())
     if isinstance(a, (Polygon, Segment)):
-        return mixed_area(b, a)
+        return _mixed_area(b, a)
     return math.pi * _form_value(_stretch(*_adjugate_product(b.matrix, a.matrix)))

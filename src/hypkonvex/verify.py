@@ -21,6 +21,7 @@ from .mobius import (
     Mobius,
     _graded_edges,
     _panel_mean,
+    _translation_length,
     dist_h2,
     halfplane_apply,
     iota,
@@ -28,7 +29,7 @@ from .mobius import (
     iota_dist_quadrature,
     rho_act,
 )
-from .shapes import Ellipse, Polygon, _adjugate_product, _form_value, _stretch, convex_hull
+from .shapes import Ellipse, Polygon, _adjugate_product, _form_value, convex_hull
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
@@ -485,8 +486,8 @@ def _equivariance_suite(seed=0, grid=DEFAULT_GRID):
 
 def _ellipse_h2_dist(e1, e2):
     """Hyperbolic-plane distance between the orbit points of two ellipses:
-    2 asinh(q/2) = 2 log s0 for the stretch s0 of adj(B)·A."""
-    return 2.0 * math.log(_stretch(*_adjugate_product(e2.matrix, e1.matrix)))
+    the translation length of adj(B)·A."""
+    return _translation_length(*_adjugate_product(e2.matrix, e1.matrix))
 
 
 def _gram_rank_suite(seed=0, grid=DEFAULT_GRID):

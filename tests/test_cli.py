@@ -23,6 +23,7 @@ from hypkonvex.shapedoc import parse_shapedoc, to_even_fn
 from hypkonvex.shapes import Polygon, Sum, convex_hull
 from hypkonvex.supportfn import SpectralTailWarning, grid_angles
 from hypkonvex.svgout import render_boundary
+from hypkonvex.verify import random_polygon
 
 DISC = '{"type":"ellipse","matrix":[[1.0,0.0],[0.0,1.0]]}'
 SQUARE = '{"type":"polygon","vertices":[[1,1],[-1,1],[-1,-1],[1,-1]]}'
@@ -114,12 +115,20 @@ def test_geodesic_disc_to_square_closed_form(tmp_path, capsys):
         (["kernels", "--t-min", "400", "--t-max", "400"], {}),
         (["kernels", "--t-min", "31", "--t-max", "31"], {}),
         (["verify", "--suite", "extended", "--seed", "-1"], {}),
+        (["geodesic", "{square}", "{square}", "--steps", "0"], {}),
     ],
-    ids=["grid-env-not-int", "hdim-no-samples", "kernels-overflow", "kernels-capped-grid", "verify-negative-seed"],
+    ids=[
+        "grid-env-not-int",
+        "hdim-no-samples",
+        "kernels-overflow",
+        "kernels-capped-grid",
+        "verify-negative-seed",
+        "geodesic-zero-steps",
+    ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, env):
-    disc = _write(tmp_path, "disc.json", DISC)
-    argv = [arg.format(disc=disc) for arg in argv] + ["--out", str(tmp_path / "out")]
+    disc, square = _write(tmp_path, "disc.json", DISC), _write(tmp_path, "square.json", SQUARE)
+    argv = [arg.format(disc=disc, square=square) for arg in argv] + ["--out", str(tmp_path / "out")]
     src = str(Path(hypkonvex.__file__).resolve().parents[1])
     full_env = dict(os.environ, PYTHONPATH=src, **env)
     proc = subprocess.run(
@@ -201,6 +210,16 @@ def test_geodesic_identical_inputs_exit_3(tmp_path):
     a = _write(tmp_path, "a.json", SQUARE)
     b = _write(tmp_path, "b.json", SQUARE)
     assert main(["geodesic", a, b, "--out", str(tmp_path / "geo")]) == 3
+
+
+def test_geodesic_of_a_random_polygon_with_itself_exits_3(tmp_path, capsys):
+    # The same file read twice gives two equal polygons held apart, at
+    # distance exactly 0: never a tiny geodesic or a failed additivity check.
+    for seed in range(40):
+        vertices = random_polygon(np.random.default_rng(seed)).vertices
+        p = _write(tmp_path, "p.json", json.dumps({"type": "polygon", "vertices": vertices.tolist()}))
+        assert main(["geodesic", p, p, "--grid", "256", "--out", str(tmp_path / "geo")]) == 3
+        assert "identical" in capsys.readouterr().err
 
 
 def _rotation(a):

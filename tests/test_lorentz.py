@@ -23,7 +23,7 @@ from hypkonvex.lorentz import (
     project_disc_to_segment_geodesic,
 )
 from hypkonvex.mobius import Mobius, iota_dist_closed, iota_dist_quadrature, rho_act
-from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, _form_value, _stretch, mixed_area, shoelace_area
+from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, _form_value, _stretch, mixed_area
 from hypkonvex.supportfn import (
     EvenFn,
     combine,
@@ -38,6 +38,8 @@ from hypkonvex.supportfn import (
     unit_disc,
 )
 from hypkonvex.verify import random_body_fn, random_ellipse, random_mobius, random_polygon, random_support_fn
+
+from shoelace import shoelace_area
 
 M = 1024
 THETA = grid_angles(M)
@@ -407,17 +409,46 @@ def test_tagged_samples_are_the_support_of_the_tag(h1, h2, c1, c2, seed):
                 assert k.perimeter() == 2.0 * math.pi * _form_value(s0)
                 continue
             if isinstance(k, Segment):
-                v = k.endpoint
-                n = np.array([v[1], -v[0]]) / np.hypot(v[0], v[1])
-                lengths, normals = np.full(2, 2.0 * np.hypot(v[0], v[1])), np.stack([n, -n])
+                e, copy = 2.0 * np.stack([k.endpoint, -k.endpoint]), Segment(k.endpoint.copy())
+                assert k.area() == 0.0
             else:
-                e = np.roll(k.vertices, -1, axis=0) - k.vertices
-                lengths = np.hypot(e[:, 0], e[:, 1])
-                normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / lengths[:, None]
-                assert k.area() == shoelace_area(k.vertices)
-                assert k.perimeter() == float(lengths.sum())
-            got_lengths, got_normals = k.edges()
-            assert np.array_equal(got_lengths, lengths) and np.array_equal(got_normals, normals)
+                e, copy = np.roll(k.vertices, -1, axis=0) - k.vertices, Polygon(k.vertices.copy())
+                assert k.area() == pytest.approx(shoelace_area(k.vertices), rel=1e-13, abs=0.0)
+            assert k.area() == mixed_area(k, copy)  # the cached area is the uncached pairing
+            assert k.perimeter() == float(np.hypot(e[:, 0], e[:, 1]).sum())
+
+
+def _tagged_body(kind, ellipse, vertices, endpoint):
+    if kind == "ellipse":
+        return from_ellipse(Ellipse(ellipse), PROPERTY_GRID)
+    poly = from_polygon(Polygon(vertices), PROPERTY_GRID)
+    if kind == "polygon":
+        return poly
+    if kind == "segment+polygon":  # merged into one polygon
+        return combine(1.0, from_segment(Segment(endpoint), PROPERTY_GRID), 1.0, poly)
+    return combine(0.7, poly, 1.3, from_ellipse(Ellipse(ellipse), PROPERTY_GRID))  # a Sum
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["ellipse", "polygon", "segment+polygon", "polygon+ellipse"]),
+    st.sampled_from(["bare", "scaled", "rho_act"]),
+    _COEFF,
+    st.integers(0, 2**32 - 1),
+)
+def test_equal_copies_read_distance_zero(kind, image, c, seed):
+    # Two bodies built alike from copied arrays pair by the same float
+    # operations as each body with itself, so x - 1 is exactly 0.
+    rng = np.random.default_rng(seed)
+    arrays = (random_ellipse(rng).matrix, random_polygon(rng).vertices, rng.normal(size=2))
+    m = random_mobius(rng)
+    p, q = (_tagged_body(kind, *(a.copy() for a in arrays)) for _ in range(2))
+    if image == "scaled":
+        p, q = scaled(p, c), scaled(q, c)
+    elif image == "rho_act":
+        p, q = rho_act(m, p), rho_act(m, q)
+    assert p.shape_tag is not q.shape_tag
+    assert hyper_dist(normalize(p), normalize(q)) == 0.0
 
 
 def test_ellipse_invariants_hold_at_every_stretch():

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -279,6 +280,51 @@ def test_iota_dist_envelope_and_band():
 def test_curvature_ratio_small_s():
     r = iota_dist_closed(1e-2) / 1e-2
     assert abs(r - math.sqrt(3.0 / 8.0)) < 1e-4
+
+
+def _iota_dist_mp(q):
+    """acosh C for a shear q = s0 - 1/s0, C = (2/pi) s0 E(m = 1 - s0^-4), with
+    enough digits that C - 1 ~ 3q^2/16 survives the subtraction."""
+    with mpmath.workdps(40 + max(0, int(-2 * mpmath.log10(q)))):
+        s0 = q / 2 + mpmath.sqrt(q * q / 4 + 1)
+        return float(mpmath.acosh(2 / mpmath.pi * s0 * mpmath.ellipe(1 - s0**-4)))
+
+
+def test_iota_dist_at_small_shear_matches_mpmath():
+    # C - 1 = q^2 r with no cancellation: a series in q^2 for the closed form,
+    # an integrand free of 1 - 1 for the quadrature, down to q = 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-300, 1):
+            q = 10.0**k
+            expect = _iota_dist_mp(mpmath.mpf(q))
+            assert iota_dist_quadrature(Mobius(1.0, q, 0.0, 1.0)) == pytest.approx(expect, rel=1e-12, abs=0.0)
+            s = 2.0 * math.asinh(0.5 * q)  # q = 2 sinh(s/2)
+            with mpmath.workdps(700):
+                q_of_s = 2 * mpmath.sinh(mpmath.mpf(s) / 2)
+            assert iota_dist_closed(s) == pytest.approx(_iota_dist_mp(q_of_s), rel=1e-12, abs=0.0)
+    for s in (1e-7, 1e-8, 1e-20):
+        assert iota_dist_closed(s) / s == pytest.approx(math.sqrt(3.0 / 8.0), rel=1e-15)
+
+
+def test_dist_h2_over_the_double_range():
+    # 2 asinh(q/2) with q = hypot(a - d, b + c) of adj(B)·A: no square of an
+    # entry is formed, so points 1e-300 to 1e300 high stay finite and exact
+    def expect(z1, z2):
+        with mpmath.workdps(30):
+            x1, y1, x2, y2 = (mpmath.mpf(v) for v in (z1.x, z1.y, z2.x, z2.y))
+            return float(2 * mpmath.asinh(mpmath.sqrt(((x1 - x2) ** 2 + (y1 - y2) ** 2) / (4 * y1 * y2))))
+
+    far = dist_h2(HalfPlanePoint(0.0, 1e-160), HalfPlanePoint(0.0, 1e160))
+    assert far == pytest.approx(320.0 * math.log(10.0), rel=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in range(-300, 301, 20):
+            for b in range(-300, 301, 50):
+                for x in (0.0, 1.0, -3.5):
+                    z1, z2 = HalfPlanePoint(0.0, 10.0**a), HalfPlanePoint(x, 10.0**b)
+                    d = dist_h2(z1, z2)
+                    assert math.isfinite(d) and d == pytest.approx(expect(z1, z2), rel=1e-14, abs=0.0)
 
 
 def test_rho_act_is_isometry_on_hyperboloid_points():

@@ -16,8 +16,9 @@ from hypkonvex.shapes import (
     minkowski_combination,
     minkowski_sum,
     mixed_area,
-    shoelace_area,
 )
+
+from shoelace import shoelace_area
 
 SQUARE = Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
 
@@ -46,11 +47,20 @@ def test_polygon_validation():
 
 
 def test_polygon_check_is_scale_invariant():
+    # Squares and segments 10^k, k = -300…300, build and pair with no warning:
+    # the perimeter is the sum of the edge lengths, the area the shoelace area
+    # wherever that is a normal double, and a segment's area is exactly 0.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k in range(-300, 301, 25):
             p = Polygon(10.0**k * SQUARE.vertices)
-            assert np.array_equal(p._normal_angles(), SQUARE._normal_angles())
+            e = np.roll(p.vertices, -1, axis=0) - p.vertices
+            assert p.perimeter() == float(np.hypot(e[:, 0], e[:, 1]).sum())
+            if abs(k) <= 150:
+                assert p.area() == pytest.approx(shoelace_area(p.vertices), rel=1e-13, abs=0.0)
+            for v in ([1.0, 0.0], [3.0, -4.0], [-1e-5, 2.0], [0.7, 0.3]):
+                s = Segment(10.0**k * np.array(v))
+                assert s.area() == 0.0 and mixed_area(s, Segment(s.endpoint.copy())) == 0.0
 
 
 def test_shapes_compare_by_identity():

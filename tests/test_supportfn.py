@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypkonvex.mobius import rho_act
-from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, minkowski_sum, shoelace_area
+from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, minkowski_sum
 from hypkonvex.lorentz import form_A, pi0
 from hypkonvex.supportfn import (
     EvenFn,
@@ -36,6 +36,8 @@ from hypkonvex.supportfn import (
     _interp,
 )
 from hypkonvex.verify import random_band_limited, random_mobius, random_polygon
+
+from shoelace import shoelace_area
 
 M = 512
 THETA = grid_angles(M)
