@@ -17,16 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapes import Ellipse, _adjugate_product, _check_unit_det, _form_value, _shear, _stretch
+from .shapes import Ellipse, _adjugate_product, _check_unit_det, _form_value, _shear, _stretch, _unit_vectors
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
     SpectralTailWarning,
     _from_shape,
+    _grid_directions,
     _interp,
     _tail_energy_fraction,
     from_ellipse,
-    grid_angles,
 )
 from .lorentz import acosh1p, normalize
 
@@ -108,9 +108,7 @@ BASEPOINT = HalfPlanePoint(0.0, 1.0)
 def act_circle(m, theta):
     """The projective action on the circle: the angle of M u / |M u|."""
     scalar = np.ndim(theta) == 0
-    theta = np.asarray(theta, dtype=float)
-    u = np.stack([np.cos(theta), np.sin(theta)])
-    w = m.matrix @ u
+    w = m.matrix @ _unit_vectors(theta)
     ang = np.arctan2(w[1], w[0]) % (2.0 * math.pi)
     return float(ang) if scalar else ang
 
@@ -123,6 +121,10 @@ def rho_act(m, h):
     resampled at the sheared angles by trigonometric interpolation (the
     nonuniform FFT of supportfn._interp, O(M log M)); a warning fires when
     the input spectrum is not resolved, since the action shears spectra.
+    Only the first M/2 grid angles are evaluated, and that half is written
+    twice: theta + pi keeps |m^T u| and adds pi to the angle, so the result is
+    exactly pi-periodic; any odd-harmonic residue of the input (at most
+    EVEN_TOL) is dropped.
     """
     if h.shape_tag is not None:
         return _from_shape(h.shape_tag.transform(m.matrix), h.grid)
@@ -133,12 +135,9 @@ def rho_act(m, h):
             "the sheared result will alias" % (100.0 * frac),
             SpectralTailWarning,
         )
-    theta = grid_angles(h.grid)
-    u = np.stack([np.cos(theta), np.sin(theta)])
-    w = m.matrix.T @ u
-    r = np.hypot(w[0], w[1])
-    ang = np.arctan2(w[1], w[0])
-    return EvenFn(r * _interp(h._coeffs, h.grid, ang))
+    w = m.matrix.T @ _grid_directions(h.grid)[:, : h.grid // 2]
+    half = np.hypot(w[0], w[1]) * _interp(h._coeffs, h.grid, np.arctan2(w[1], w[0]))
+    return EvenFn(np.tile(half, 2))
 
 
 def halfplane_apply(m, z):
@@ -200,28 +199,28 @@ def _panel_mean(f, edges):
     return float(rad @ (f(mid[:, None] + rad[:, None] * nodes) @ weights) / (e[-1] - e[0]))
 
 
-def _small_shear_dist(q, r):
-    """acosh(1 + q^2 r) = 2 asinh(q sqrt(r/2)), with q^2 never formed."""
-    return 2.0 * math.asinh(q * math.sqrt(0.5 * r))
+def _iota_dist(q, s0):
+    """acosh C, C the mean of h = hypot(s0 sin x, s1 cos x) over [0, pi/2],
+    for s0 >= s1 = 1/s0 and q = s0 - s1, by graded Gauss-Legendre.
 
-
-def iota_dist_quadrature(m):
-    """Extrinsic distance acosh((1/2pi) int |m^T u|) by graded Gauss-Legendre.
-
-    For singular values s0 >= s1 of m this is acosh C with C the mean of
-    h = hypot(s0 sin x, s1 cos x) over [0, pi/2], which peaks at 0 with
-    width s1/s0.  For q = s0 - s1 <= 1, C - 1 = q^2 r is taken without
-    cancellation: mean(h^2 - 1) = q^2/2 and h^2 - 1 = q (s0 sin^2 - s1 cos^2)
-    give r = 1/4 - mean(((s0 sin^2 - s1 cos^2)/(h + 1))^2)/2.
+    h peaks at 0 with width s1/s0.  For q <= 1, C - 1 = q^2 r is taken
+    without cancellation: mean(h^2 - 1) = q^2/2 and h^2 - 1 =
+    q (s0 sin^2 - s1 cos^2) give r = 1/4 - mean(((s0 sin^2 - s1 cos^2)/(h + 1))^2)/2,
+    and the distance 2 asinh(q sqrt(r/2)) never forms q^2.
     """
-    q, s0 = _shear(m.a, m.b, m.c, m.d), _stretch(m.a, m.b, m.c, m.d)
-    s1 = 1.0 / s0  # det m = 1
+    s1 = 1.0 / s0
     edges = _graded_edges(math.log2(s1) - math.log2(s0), 0.5 * math.pi)
     h = lambda x: np.hypot(s0 * np.sin(x), s1 * np.cos(x))  # noqa: E731
     if q > 1.0:
         return acosh1p(_panel_mean(h, edges) - 1.0)
     f = lambda x: ((s0 * np.sin(x) ** 2 - s1 * np.cos(x) ** 2) / (h(x) + 1.0)) ** 2  # noqa: E731
-    return _small_shear_dist(q, 0.25 - 0.5 * _panel_mean(f, edges))
+    return 2.0 * math.asinh(q * math.sqrt(0.125 - 0.25 * _panel_mean(f, edges)))
+
+
+def iota_dist_quadrature(m):
+    """Extrinsic distance acosh((1/2pi) int |m^T u|) by graded Gauss-Legendre:
+    the mean of |m^T u| depends only on the singular values s0 >= 1/s0 of m."""
+    return _iota_dist(_shear(m.a, m.b, m.c, m.d), _stretch(m.a, m.b, m.c, m.d))
 
 
 _S_MAX = 2.0 * math.log(sys.float_info.max)  # where e^{s/2} overflows
@@ -233,15 +232,14 @@ def iota_dist_closed(s):
     acosh C(e^{s/2}), with C the form value of an ellipse of stretch e^{s/2}
     against the disc, (2/pi) e^{s/2} E(k' = e^{-s}); the diagonal case
     extends to any pair by equivariance of the embedding.  For
-    q = 2 sinh(s/2) < 0.1, C - 1 = q^2 r with r from its series in q^2, free
-    of the cancellation in C - 1.  Refuses s outside [0, 2 log(largest
-    double)), where e^{s/2} overflows.
+    q = 2 sinh(s/2) < 1, where C - 1 would be formed by cancellation, it is
+    the cancellation-free quadrature of iota_dist_quadrature at stretch
+    e^{s/2}.  Refuses s outside [0, 2 log(largest double)), where e^{s/2}
+    overflows.
     """
     if not 0.0 <= s < _S_MAX:
         raise ValueError("s must lie in [0, %.6g), got %r" % (_S_MAX, s))
     q = 2.0 * math.sinh(0.5 * s)
-    if q >= 0.1:
+    if q >= 1.0:
         return acosh1p(_form_value(math.exp(0.5 * s)) - 1.0)
-    x = q * q
-    r = 3 / 16 + x * (-15 / 1024 + x * (35 / 16384 + x * (-1575 / 4194304 + x * 4851 / 67108864)))
-    return _small_shear_dist(q, r)
+    return _iota_dist(q, math.exp(0.5 * s))

@@ -348,16 +348,17 @@ def test_acosh1p_past_the_square_root_of_the_largest_double():
 
 def test_tagged_bodies_never_sample_the_grid(monkeypatch):
     # Tagged operations read vertices and matrices only: at M = 65536 no
-    # shape's support is evaluated at the M grid angles, until samples are read.
+    # shape's homogeneous support, which every support read goes through, is
+    # evaluated at the M grid directions, until samples are read.
     big = 65536
     sizes = []
     for cls in (Ellipse, Segment, Polygon, Sum):
 
-        def spy(self, theta, original=cls.support):
-            sizes.append(np.size(theta))
-            return original(self, theta)
+        def spy(self, w, original=cls.hsupport):
+            sizes.append(np.shape(w)[-1])
+            return original(self, w)
 
-        monkeypatch.setattr(cls, "support", spy)
+        monkeypatch.setattr(cls, "hsupport", spy)
     rng = np.random.default_rng(6)
     ell = from_ellipse(random_ellipse(rng), big)
     poly = from_polygon(random_polygon(rng), big)

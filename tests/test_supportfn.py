@@ -1,6 +1,7 @@
 """Grid functions: constructors, Fourier machinery, convexity, boundaries."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -33,9 +34,10 @@ from hypkonvex.supportfn import (
     support_split,
     synthesize,
     unit_disc,
+    _grid_directions,
     _interp,
 )
-from hypkonvex.verify import random_band_limited, random_mobius, random_polygon
+from hypkonvex.verify import random_band_limited, random_ellipse, random_mobius, random_polygon
 
 from shoelace import shoelace_area
 
@@ -388,18 +390,24 @@ def _dense_interp(coeffs, M, theta):
     return out.reshape(theta.shape) if theta.ndim else float(out[0])
 
 
+def _raw_body(kind, M, rng):
+    """An untagged function: band-limited, polygon samples, or the sheared
+    image of a band-limited one."""
+    if kind == "band-limited":
+        return random_band_limited(rng, M, min(16, M // 2 - 1), mean=1.5)
+    if kind == "polygon-samples":
+        return from_samples(from_polygon(random_polygon(rng), M).samples)
+    h = random_band_limited(rng, M, min(16, M // 2 - 1), mean=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTailWarning)
+        return rho_act(random_mobius(rng), h)
+
+
 def _offgrid_input(kind, M, seed):
     rng = np.random.default_rng(seed)
-    if kind == "band-limited":
-        return random_band_limited(rng, M, min(16, M // 2 - 1), mean=1.5)._coeffs
-    if kind == "polygon-samples":
-        return from_samples(from_polygon(random_polygon(rng), M).samples)._coeffs
-    if kind == "sheared":
-        h = random_band_limited(rng, M, min(16, M // 2 - 1), mean=1.5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", SpectralTailWarning)
-            return rho_act(random_mobius(rng), h)._coeffs
-    return np.fft.rfft(rng.normal(size=M)) / M  # raw: odd harmonics and a full Nyquist mode
+    if kind == "raw":
+        return np.fft.rfft(rng.normal(size=M)) / M  # odd harmonics and a full Nyquist mode
+    return _raw_body(kind, M, rng)._coeffs
 
 
 _ANGLE = st.one_of(
@@ -454,3 +462,58 @@ def test_eval_deriv_of_band_limited_body_off_grid():
     theta = rng.uniform(0.0, 2.0 * np.pi, grid)
     expect = n * np.cos(np.outer(theta, n)) @ b - n * np.sin(np.outer(theta, n)) @ a
     assert np.abs(eval_deriv(h, theta) - expect).max() < 1e-10
+
+
+@pytest.mark.parametrize("grid", [8, 12, 16, 64, 256, 2048])
+@pytest.mark.parametrize("kind", ["band-limited", "polygon-samples", "twice-sheared"])
+def test_rho_act_of_raw_input_is_the_sheared_interpolant(grid, kind):
+    # r h(angle(m^T u)) at every grid angle, from half of them: the two
+    # halves of the result are the same floats
+    rng = np.random.default_rng(grid)
+    h = _raw_body("sheared" if kind == "twice-sheared" else kind, grid, rng)
+    m = random_mobius(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTailWarning)
+        if kind == "twice-sheared":
+            h = rho_act(random_mobius(rng), h)
+        got = rho_act(m, h).samples
+    t = grid_angles(grid)
+    w = m.matrix.T @ np.stack([np.cos(t), np.sin(t)])
+    r = np.hypot(w[0], w[1])
+    want = r * _dense_interp(h._coeffs, grid, np.arctan2(w[1], w[0]))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(h._coeffs).sum() * r)
+    assert got[: grid // 2].tobytes() == got[grid // 2 :].tobytes()
+
+
+def test_tagged_samples_are_the_support_at_the_grid_angles():
+    rng = np.random.default_rng(17)
+    for grid in (8, 64, 2048):
+        ell = from_ellipse(random_ellipse(rng), grid)
+        poly = from_polygon(random_polygon(rng), grid)
+        seg = from_segment(Segment(rng.normal(size=2)), grid)
+        bodies = [ell, poly, seg, combine(0.5, ell, 1.5, poly), combine(1.0, seg, 1.0, poly), scaled(seg, 2.5)]
+        bodies.append(rho_act(random_mobius(rng), bodies[3]))
+        assert {type(h.shape_tag) for h in bodies} == {Ellipse, Polygon, Segment, Sum}
+        for h in bodies:
+            assert h.samples.tobytes() == h.shape_tag.support(grid_angles(grid)).tobytes()
+        u = _grid_directions(grid)
+        assert u is _grid_directions(grid) and not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[0, 0] = 0.0
+
+
+def test_interp_working_memory_is_linear_in_the_targets():
+    # 2*_SPREAD passes over length-n arrays: no (targets x stencil) array, so
+    # the traced peak stays a few arrays per target on a smooth and a kinked body
+    grid = 65536
+    rng = np.random.default_rng(29)
+    theta = grid_angles(grid) + 0.37 * (2.0 * np.pi / grid)
+    for h in (random_band_limited(rng, grid, 16, mean=1.5), from_samples(from_polygon(random_polygon(rng), grid).samples)):
+        c = h._coeffs
+        tracemalloc.start()
+        try:
+            _interp(c, grid, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * theta.size
