@@ -17,15 +17,7 @@ import warnings
 import numpy as np
 
 from .shapes import Ellipse, Polygon, Segment
-from .supportfn import (
-    EvenFn,
-    SpectralTailWarning,
-    _interp,
-    from_ellipse,
-    from_polygon,
-    from_segment,
-    grid_angles,
-)
+from .supportfn import EvenFn, SpectralTailWarning, _from_shape, _resample
 
 
 class ShapeDocError(ValueError):
@@ -70,16 +62,11 @@ def to_even_fn(doc, M):
     """Realize a parsed document on an M-point grid.
 
     Raw samples on a different grid are transferred by trigonometric
-    interpolation (the nonuniform FFT of supportfn._interp, accurate to
-    1e-12 of the coefficients' absolute sum), with a warning (kinked bodies
-    should ship as shapes).
+    interpolation (one irfft, supportfn._resample, exact up to rounding),
+    with a warning (kinked bodies should ship as shapes).
     """
-    if isinstance(doc, Ellipse):
-        return from_ellipse(doc, M)
-    if isinstance(doc, Segment):
-        return from_segment(doc, M)
-    if isinstance(doc, Polygon):
-        return from_polygon(doc, M)
+    if isinstance(doc, (Ellipse, Segment, Polygon)):
+        return _from_shape(doc, M)
     if isinstance(doc, EvenFn):
         if doc.grid == M:
             return doc
@@ -87,7 +74,7 @@ def to_even_fn(doc, M):
             "resampling raw samples from grid %d to %d" % (doc.grid, M),
             SpectralTailWarning,
         )
-        return EvenFn(_interp(doc._coeffs, doc.grid, grid_angles(M)))
+        return EvenFn(_resample(doc._coeffs, doc.grid, M))
     raise ShapeDocError("cannot realize %r" % (doc,))
 
 

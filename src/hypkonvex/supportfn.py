@@ -9,9 +9,9 @@ grid point; their samples are computed on first read.  Fourier coefficients
 are derived on demand and cached.  Scaling and nonnegative combination keep
 the tag (as a Sum whose terms keep their coefficients), so only functions built
 from raw samples or signed differences go through the spectral machinery:
-trigonometric interpolation for off-grid values, evaluated by a nonuniform
-FFT in O(M log M) to 1e-12 of the coefficients' absolute sum, and rfft-based
-differentiation.
+trigonometric interpolation (one irfft onto another uniform grid; a nonuniform
+FFT in O(M log M), to 1e-12 of the coefficients' absolute sum, at scattered
+angles) and rfft-based differentiation.
 """
 
 import math
@@ -202,9 +202,24 @@ def signed_diff(h1, h2):
     return EvenFn(h1.samples - h2.samples)
 
 
+def _resample(coeffs, M, N):
+    """The trigonometric interpolant with rfft/M coefficients ``coeffs``
+    (harmonics 0.. up to M/2, the Nyquist mode M/2 a cosine) at the N grid
+    angles 2*pi*j/N, by one irfft: harmonic n lands in bin n mod N, so a
+    finer grid is zero-padded and a coarser one folded, exactly.
+    """
+    c = np.array(coeffs, dtype=complex)
+    if c.size > M // 2:
+        c[M // 2] = 0.5 * c[M // 2].real  # split between +-M/2
+    n = np.arange(c.size)
+    bins, both = np.r_[n, -n[1:]] % N, np.r_[c, np.conj(c[1:])]
+    folded = np.bincount(bins, both.real, N) + 1j * np.bincount(bins, both.imag, N)
+    return np.fft.irfft(folded[: N // 2 + 1] * N, n=N)
+
+
 def _interp(coeffs, M, theta):
     """Evaluate the trigonometric interpolant with rfft/M coefficients
-    ``coeffs`` at arbitrary angles.
+    ``coeffs`` at arbitrary angles (uniform grids take _resample).
 
     A type-2 nonuniform FFT by fast Gaussian gridding (Dutt & Rokhlin 1993,
     Greengard & Lee 2004): the coefficients are deconvolved by the Gaussian's
@@ -230,11 +245,7 @@ def _interp(coeffs, M, theta):
     fine, msp = 2 * N, _SPREAD
     tau = math.pi * msp / (N * N * 2 * 1.5)
     k = np.arange(nmax + 1)
-    spec = np.zeros(N + 1, dtype=complex)
-    spec[: nmax + 1] = coeffs[: nmax + 1] * (math.sqrt(math.pi / tau) * np.exp(k * k * tau))
-    if nmax == M // 2:
-        spec[nmax] = 0.5 * spec[nmax].real  # an ordinary mode on the fine grid
-    f = np.fft.irfft(spec, n=fine)
+    f = _resample(coeffs[: nmax + 1] * (math.sqrt(math.pi / tau) * np.exp(k * k * tau)) / fine, M, fine)
     f = f[np.arange(-msp, fine + msp) % fine]  # padded: the gather needs no modulo
     h = 2.0 * math.pi / fine
     u = np.mod(flat, 2.0 * math.pi) / h
@@ -398,13 +409,13 @@ def boundary_curve(h, n_points=DEFAULT_GRID):
     convexity gate.
     """
     _check_grid(n_points)
-    theta = grid_angles(n_points)
     if h.shape_tag is not None:
-        return h.shape_tag.boundary(theta)
+        return h.shape_tag.boundary(grid_angles(n_points))
     tol = CONVEXITY_TOL * (1.0 + float(np.abs(h.samples).max()))
     if chord_convexity_defect(h) < -tol:
         raise NotSupportFunctionError("input is not a support function (h''+h < 0 somewhere)")
-    vals = _interp(h._coeffs, h.grid, theta)
-    dvals = eval_deriv(h, theta)
+    vals = _resample(h._coeffs, h.grid, n_points)
+    # _resample keeps the real part of the Nyquist term; i*(M/2)*c has none, as eval_deriv drops it
+    dvals = _resample(1j * np.arange(h.grid // 2 + 1) * h._coeffs, h.grid, n_points)
     c, s = _grid_directions(n_points)
     return np.stack([vals * c - dvals * s, vals * s + dvals * c], axis=1)

@@ -23,10 +23,13 @@ def _to_px(xy):
 def render_boundary(points, title=None):
     """Closed-path SVG of a boundary polyline with the origin marked.
 
+    ``points`` must be a finite (n, 2) array with n >= 3, else ValueError.
     Returns the XML element tree root.
     """
     pts = np.asarray(points, dtype=float)
-    top = float(np.abs(pts).max()) if pts.size else 0.0
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3 or not np.all(np.isfinite(pts)):
+        raise ValueError("a boundary must be a finite (n, 2) array with n >= 3, got shape %s" % (pts.shape,))
+    top = float(np.abs(pts).max())
     scale_note = None
     if top > VIEW_HALF:
         factor = 0.95 * VIEW_HALF / top
@@ -43,13 +46,12 @@ def render_boundary(points, title=None):
     if title:
         ET.SubElement(root, "title").text = title
 
-    path = ["M%.3f %.3f" % _to_px(pts[0])]
-    path.extend("L%.3f %.3f" % _to_px(p) for p in pts[1:])
-    path.append("z")
+    xy = np.stack(_to_px(pts.T), axis=1)
+    path = ("L%.3f %.3f" * len(xy)) % tuple(xy.ravel().tolist())
     ET.SubElement(
         root,
         "path",
-        d="".join(path),
+        d="M" + path[1:] + "z",
         fill="#c8d8f0",
         stroke="#203050",
         attrib={"stroke-width": "1.5", "fill-opacity": "0.7"},

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypkonvex.mobius import rho_act
 from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, minkowski_sum
 from hypkonvex.lorentz import form_A, pi0
+from hypkonvex.shapedoc import to_even_fn
 from hypkonvex.supportfn import (
     EvenFn,
     GridMismatchError,
@@ -36,8 +37,9 @@ from hypkonvex.supportfn import (
     unit_disc,
     _grid_directions,
     _interp,
+    _resample,
 )
-from hypkonvex.verify import random_band_limited, random_ellipse, random_mobius, random_polygon
+from hypkonvex.verify import random_band_limited, random_ellipse, random_mobius, random_polygon, random_support_fn
 
 from shoelace import shoelace_area
 
@@ -432,6 +434,55 @@ def test_interp_matches_dense_sum(grid, kind, deriv, seed, theta):
     got, want = _interp(c, grid, theta), _dense_interp(c, grid, theta)
     assert np.shape(got) == np.shape(want) and type(got) is type(want)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(c).sum()
+
+
+def _dense_on_grid(coeffs, M, N):
+    """The direct sum of the interpolant with rfft/M coefficients at the N
+    grid angles, with no coefficient cut: _resample's oracle.  Each phase
+    n*j is reduced mod N in integers before the exponential; the float phase
+    n*theta of _dense_interp carries n*theta*eps of rounding, about 5e-14 of
+    sum |c_n| on noise at M = 2048, above the bound checked here."""
+    half = M // 2
+    c = np.array(coeffs, dtype=complex)
+    c[half] = c[half].real  # the Nyquist mode is a cosine
+    w = np.r_[1.0, np.full(half - 1, 2.0), 1.0]
+    phase = np.exp(2j * np.pi * (np.outer(np.arange(N), np.arange(half + 1)) % N) / N)
+    return (phase @ (w * c)).real
+
+
+_RESAMPLE_GRIDS = [8, 12, 16, 64, 2048]
+
+
+@pytest.mark.parametrize("grid", _RESAMPLE_GRIDS)
+@pytest.mark.parametrize("target", _RESAMPLE_GRIDS)
+@pytest.mark.parametrize("kind", ["band-limited", "polygon-samples", "raw"])
+def test_resample_matches_dense_sum(grid, target, kind):
+    # finer, coarser (folded, also onto a grid that does not divide) and equal
+    for seed in range(3):
+        c = _offgrid_input(kind, grid, seed)
+        got = _resample(c, grid, target)
+        assert got.shape == (target,)
+        assert np.abs(got - _dense_on_grid(c, grid, target)).max() <= 1e-14 * np.abs(c).sum()
+
+
+@pytest.mark.parametrize("grid, target", [(256, 2048), (2048, 2048), (2048, 512), (64, 12)])
+@pytest.mark.parametrize("kind", ["band-limited", "polygon-samples"])
+def test_boundary_and_regrid_of_raw_samples_are_the_dense_interpolant(grid, target, kind):
+    rng = np.random.default_rng(grid + target)
+    h = random_support_fn(rng, grid) if kind == "band-limited" else _raw_body(kind, grid, rng)
+    c = h._coeffs
+    d = 1j * np.arange(grid // 2 + 1) * c
+    d[-1] = 0.0
+    vals, dvals = _dense_on_grid(c, grid, target), _dense_on_grid(d, grid, target)
+    t = grid_angles(target)
+    want = np.stack([vals * np.cos(t) - dvals * np.sin(t), vals * np.sin(t) + dvals * np.cos(t)], axis=1)
+    got = boundary_curve(h, target)
+    assert np.abs(got - want).max() <= 1e-14 * (np.abs(c).sum() + np.abs(d).sum())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTailWarning)
+        regrid = to_even_fn(h, target)
+    assert regrid.grid == target and regrid.shape_tag is None
+    assert np.abs(regrid.samples - vals).max() <= 1e-14 * np.abs(c).sum()
 
 
 def test_interp_refuses_nonfinite_angles():

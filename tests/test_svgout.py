@@ -1,0 +1,103 @@
+"""SVG frames: the path text against the per-point oracle, and bad input."""
+
+import json
+import xml.etree.ElementTree as ET
+
+import numpy as np
+import pytest
+
+from hypkonvex.cli import main
+from hypkonvex.lorentz import geodesic_point, normalize
+from hypkonvex.shapedoc import load_shapedoc, to_even_fn
+from hypkonvex.supportfn import boundary_curve
+from hypkonvex.svgout import render_boundary, write_svg
+
+from svg_oracle import path_d
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def _d(points):
+    return render_boundary(points).find("path").get("d")
+
+
+@pytest.mark.parametrize("n", [3, 4, 17, 256, 2048])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_path_matches_the_per_point_oracle_on_random_clouds(n, seed):
+    rng = np.random.default_rng([seed, n])
+    for spread in (0.3, 1.0, 3.9):
+        pts = rng.uniform(-spread, spread, size=(n, 2))
+        assert _d(pts) == path_d(pts)
+        assert _d(pts.tolist()) == path_d(pts)
+
+
+def test_scaled_frame_matches_the_oracle_and_carries_the_note():
+    rng = np.random.default_rng(5)
+    for top in (4.0 + 1e-12, 7.5, 1e6):
+        pts = rng.normal(size=(300, 2))
+        pts *= top / np.abs(pts).max()
+        root = render_boundary(pts)
+        assert root.find("path").get("d") == path_d(pts)
+        assert root.find("text").text.startswith("scaled by ")
+    # a body that reaches the viewport edge exactly is drawn unscaled
+    edge = np.array([[4.0, 0.0], [0.0, 4.0], [-4.0, 0.0], [0.0, -4.0]])
+    root = render_boundary(edge)
+    assert root.find("text") is None
+    assert root.find("path").get("d") == "M512.000 256.000L256.000 0.000L0.000 256.000L256.000 512.000z"
+
+
+def test_signed_zeros_and_ties_print_as_the_oracle_does():
+    # Negative zeros and tiny negatives in the body map to the centre pixel;
+    # a pixel itself cannot go below 0.000, since any point left of or above
+    # the viewport triggers the scale-to-fit.  So the '-0.000' case is checked
+    # on the format itself: one format over a flattened list prints each value
+    # as its own '%.3f' does, numpy float64 and Python float alike.
+    pts = np.array([[-0.0, -0.0], [-1e-300, 1e-300], [-4e-4, 4e-4], [-4.0, 4.0], [0.0005, -0.0005]])
+    assert _d(pts) == path_d(pts)
+    assert "-0.000" not in _d(pts)
+    vals = np.array([-0.0, -4e-4, -0.0004999, 0.0005, 0.0015, 2.0005, -2.0005, 255.9995])
+    flat = ("%.3f" * vals.size) % tuple(vals.tolist())
+    assert flat == "".join("%.3f" % v for v in vals) == "".join("%.3f" % float(v) for v in vals)
+    assert flat.startswith("-0.000-0.000-0.000")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.empty((0, 2)),
+        np.zeros((2, 2)),
+        np.zeros(6),
+        np.zeros((5, 3)),
+        np.zeros((2, 5, 2)),
+        np.array([[0.0, 0.0], [1.0, np.nan], [1.0, 1.0]]),
+        np.array([[0.0, 0.0], [1.0, 0.0], [np.inf, 1.0]]),
+        [],
+    ],
+    ids=["empty", "two-points", "flat", "three-columns", "3-d", "nan", "inf", "empty-list"],
+)
+def test_render_boundary_refuses_bad_input(tmp_path, bad):
+    with pytest.raises(ValueError):
+        render_boundary(bad)
+    with pytest.raises(ValueError):
+        write_svg(bad, tmp_path / "bad.svg")
+    assert not (tmp_path / "bad.svg").exists()
+
+
+def test_every_geodesic_frame_matches_the_oracle(tmp_path, capsys):
+    # polygon to a long ellipse: the late frames poke out of the viewport
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"type": "polygon", "vertices": [[1.2, 0.4], [-0.3, 1.1], [-1.2, -0.4], [0.3, -1.1]]}))
+    b.write_text(json.dumps({"type": "ellipse", "matrix": [[6.0, 0.0], [0.0, 1.0 / 6.0]]}))
+    out, steps = tmp_path / "geo", 6
+    assert main(["geodesic", str(a), str(b), "--steps", str(steps), "--grid", "2048", "--out", str(out)]) == 0
+    capsys.readouterr()
+    pa, pb = (normalize(to_even_fn(load_shapedoc(p), 2048)) for p in (a, b))
+    scaled = 0
+    for k in range(steps + 1):
+        root = ET.parse(out / ("frame_%03d.svg" % k)).getroot()
+        frame = boundary_curve(geodesic_point(pa, pb, k / steps).fn, 2048)
+        d = root.find(SVG + "path").get("d")
+        assert d == path_d(frame)
+        assert d.startswith("M") and d.count("L") == 2047
+        scaled += root.find(SVG + "text") is not None
+    assert 0 < scaled < steps + 1
