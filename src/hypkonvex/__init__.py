@@ -11,11 +11,9 @@ verification harness binding the identities and inequalities into suites.
 """
 
 from .shapes import Ellipse, Polygon, Segment, Sum, minkowski_combination, minkowski_sum, mixed_area
-from .specfun import agm_KE, ellip_I
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
-    FourierTable,
     GridMismatchError,
     NotSupportFunctionError,
     SpectralTailWarning,
@@ -35,7 +33,6 @@ from .supportfn import (
     scaled,
     signed_diff,
     support_split,
-    synthesize,
     unit_disc,
 )
 from .lorentz import (
@@ -55,7 +52,6 @@ from .mobius import (
     BASEPOINT,
     HalfPlanePoint,
     Mobius,
-    act_circle,
     dist_h2,
     halfplane_apply,
     iota,
@@ -67,7 +63,6 @@ from .mobius import (
 from .limits import (
     BoundaryDir,
     boundary_approach,
-    boundary_rep,
     class_angle,
     covering_number,
     empirical_dim_estimate,
@@ -85,9 +80,8 @@ from .verify import (
     jacobian_circle,
     kernels_compare,
     minkowski_extended_test,
-    quasi_iso_suite,
     run_suite,
 )
-from .shapedoc import ShapeDocError, dump_shapedoc, load_shapedoc, parse_shapedoc, to_even_fn
+from .shapedoc import ShapeDocError, load_shapedoc, parse_shapedoc, to_even_fn
 
 __version__ = "0.1.0"

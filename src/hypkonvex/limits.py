@@ -17,8 +17,7 @@ import numpy as np
 
 from .lorentz import _direction_angle, hyper_dist, normalize
 from .mobius import BASEPOINT, Mobius, _panel_mean, halfplane_apply, iota
-from .supportfn import DEFAULT_GRID, from_segment, unit_disc
-from .shapes import Segment
+from .supportfn import DEFAULT_GRID, unit_disc
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -33,25 +32,11 @@ class BoundaryDir:
         if not math.isfinite(self.theta) or not 0.0 <= self.theta < math.pi:
             raise ValueError("direction angle must lie in [0, pi), got %r" % (self.theta,))
 
-    @classmethod
-    def from_angle(cls, angle):
-        return cls(float(angle) % math.pi)
-
 
 def class_angle(d1, d2):
     """Angle between direction classes, folded into [0, pi/2]."""
     delta = abs(_direction_angle(d1) - _direction_angle(d2)) % math.pi
     return min(delta, math.pi - delta)
-
-
-def boundary_rep(d, M=DEFAULT_GRID):
-    """The normalized isotropic representative of a direction class.
-
-    A segment of length pi pointed along the class, so that pi0 = 1; its
-    support function is (pi/2)|<u, v>| and its form value is 0.
-    """
-    t = _direction_angle(d)
-    return from_segment(Segment(0.5 * math.pi * np.array([math.cos(t), math.sin(t)])), M)
 
 
 def visual_dist(d1, d2):

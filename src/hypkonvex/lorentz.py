@@ -6,7 +6,7 @@ hyperboloid {A(h) = 1, pi0(h) > 0} and acosh of the form is their distance.
 The form has signature (1, -, -, ...) on pi-periodic functions, which makes
 the reversed Cauchy-Schwarz inequality (the Minkowski inequality for bodies)
 hold exactly -- also for the discretized form, provided all operands are
-evaluated through the same route.  One rule, in _route, picks that route for
+evaluated through the same route.  One rule, in _exact, picks that route for
 a set of operands: closed-form mixed areas when every operand carries a
 shape tag, and the Parseval sum on coefficients for all of them otherwise.
 """
@@ -79,31 +79,29 @@ def _form_exact(h1, h2=None):
     return mixed_area(h1.shape_tag, other.shape_tag) / math.pi
 
 
-def _route(method, *fns):
-    """The route ("exact" or "spectral") of every form value over ``fns``.
-
-    "auto" is exact only when every operand carries a shape tag; "spectral"
-    always applies.
-    """
-    if method not in ("auto", "spectral"):
-        raise ValueError("unknown method %r" % (method,))
-    tagged = all(h.shape_tag is not None for h in fns if h is not None)
-    return "exact" if method == "auto" and tagged else "spectral"
+def _exact(*fns):
+    """Whether every form value over ``fns`` takes the exact route: only
+    when every operand carries a shape tag, else all take the spectral one."""
+    return all(h.shape_tag is not None for h in fns if h is not None)
 
 
-def form_A(h1, h2=None, method="auto"):
+def form_A(h1, h2=None):
     """The Lorentzian area form A(h1, h2); A(h) when h2 is omitted.
 
-    method: "auto" uses exact mixed areas when every operand carries a shape
-    tag and the spectral sum otherwise; "spectral" forces the spectral sum.
+    Exact mixed areas when every operand carries a shape tag, the spectral
+    sum (form_A_spectral) otherwise.
     """
-    form = _form_exact if _route(method, h1, h2) == "exact" else form_A_spectral
+    form = _form_exact if _exact(h1, h2) else form_A_spectral
     return form(h1, h2)
 
 
-def pi0(h, method="auto"):
-    """Mean of h over the circle: A(h, 1), perimeter/(2 pi) for bodies."""
-    if _route(method, h) == "exact":
+def pi0(h):
+    """Mean of h over the circle: A(h, 1), perimeter/(2 pi) for bodies.
+
+    The exact perimeter when h carries a shape tag, the mean of the samples
+    otherwise.
+    """
+    if _exact(h):
         return h.shape_tag.perimeter() / (2.0 * math.pi)
     return float(h.samples.mean())
 
@@ -158,7 +156,7 @@ def normalize(h):
 
 def _cosh_between(h1, h2):
     """A(h1, h2) / sqrt(A(h1) A(h2)), all three values from one route."""
-    form = _form_exact if _route("auto", h1, h2) == "exact" else form_A_spectral
+    form = _form_exact if _exact(h1, h2) else form_A_spectral
     return form(h1, h2) / math.sqrt(form(h1) * form(h2))
 
 
@@ -174,8 +172,11 @@ def hyper_dist(p, q, method="auto"):
     are taken for round-off and give distance 0; anything below
     -INVARIANT_TOL (1e-9) is a real invariant violation and raises, and so
     does a NaN or infinite x, the trace of a mixed area that overflowed.
+    method="spectral" takes the spectral route for tagged operands too.
     """
-    if _route(method, p.fn, q.fn) == "exact":
+    if method not in ("auto", "spectral"):
+        raise ValueError("unknown method %r" % (method,))
+    if method == "auto" and _exact(p.fn, q.fn):
         xm1 = _cosh_between(p.fn, q.fn) - 1.0
     else:
         if p.fn.grid != q.fn.grid:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapes import Ellipse, _adjugate_product, _check_unit_det, _form_value, _shear, _stretch, _unit_vectors
+from .shapes import Ellipse, _adjugate_product, _check_unit_det, _form_value, _shear, _stretch
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
@@ -83,9 +83,6 @@ class Mobius:
         """diag(e^{s/2}, e^{-s/2}): translation length s along the imaginary axis."""
         return cls(math.exp(0.5 * s), 0.0, 0.0, math.exp(-0.5 * s))
 
-    def inverse(self):
-        return Mobius(self.d, -self.b, -self.c, self.a)
-
     def __matmul__(self, other):
         return Mobius.from_matrix(self.matrix @ other.matrix)
 
@@ -103,14 +100,6 @@ class HalfPlanePoint:
 
 
 BASEPOINT = HalfPlanePoint(0.0, 1.0)
-
-
-def act_circle(m, theta):
-    """The projective action on the circle: the angle of M u / |M u|."""
-    scalar = np.ndim(theta) == 0
-    w = m.matrix @ _unit_vectors(theta)
-    ang = np.arctan2(w[1], w[0]) % (2.0 * math.pi)
-    return float(ang) if scalar else ang
 
 
 def rho_act(m, h):

@@ -77,15 +77,3 @@ def to_even_fn(doc, M):
         return EvenFn(_resample(doc._coeffs, doc.grid, M))
     raise ShapeDocError("cannot realize %r" % (doc,))
 
-
-def dump_shapedoc(obj):
-    """Serialize a shape or EvenFn back into a ShapeDoc dictionary."""
-    if isinstance(obj, Ellipse):
-        return {"type": "ellipse", "matrix": obj.matrix.tolist()}
-    if isinstance(obj, Segment):
-        return {"type": "segment", "endpoint": obj.endpoint.tolist()}
-    if isinstance(obj, Polygon):
-        return {"type": "polygon", "vertices": obj.vertices.tolist()}
-    if isinstance(obj, EvenFn):
-        return {"type": "samples", "grid": obj.grid, "values": obj.samples.tolist()}
-    raise ShapeDocError("cannot serialize %r" % (obj,))

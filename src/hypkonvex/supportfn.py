@@ -15,8 +15,8 @@ angles) and rfft-based differentiation.
 """
 
 import math
+import sys
 import warnings
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -26,6 +26,9 @@ from .shapes import Ellipse, Polygon, Segment, Sum, _freeze, _unit_vectors, mink
 DEFAULT_GRID = 2048
 EVEN_TOL = 1e-12
 CONVEXITY_TOL = 1e-8
+# Rounding of the chord numerator of computed support samples, in units of
+# eps * max|h| (derived in boundary_curve).
+_CHORD_ROUNDING = 4.0 * (math.pi + math.sqrt(2.0) + 1.0) + 3.0
 
 _SPREAD = 16  # half-width of the Gaussian gathering stencil, in fine-grid points
 
@@ -289,20 +292,10 @@ def eval_deriv(h, theta):
     return _interp(d, h.grid, theta)
 
 
-@dataclass(frozen=True)
-class FourierTable:
-    """Real trigonometric coefficients, indexed by harmonic; a[0] is the mean."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def a0(self):
-        return float(self.a[0])
-
-
 def fourier(h):
-    """Coefficient table of h; odd harmonics must vanish (pi-periodicity)."""
+    """Real trigonometric coefficients (a, b) of h, indexed by harmonic; a[0]
+    is the mean.  Odd harmonics are at most EVEN_TOL (1 + max|h|), the
+    pi-periodicity every EvenFn is checked to."""
     c = h._coeffs
     half = h.grid // 2
     a = np.empty(half + 1)
@@ -311,25 +304,9 @@ def fourier(h):
     a[1:half] = 2.0 * c[1:half].real
     b[1:half] = -2.0 * c[1:half].imag
     a[half] = c[half].real
-    odd = np.hypot(a[1::2], b[1::2]).max() if half >= 1 else 0.0
-    top = float(np.abs(h.samples).max())
-    if odd > 1e-10 * max(1.0, top):
-        raise ValueError("odd harmonics present: the function is not pi-periodic")
     a.setflags(write=False)
     b.setflags(write=False)
-    return FourierTable(a=a, b=b)
-
-
-def synthesize(table, M):
-    """Inverse of fourier(): rebuild grid samples from a coefficient table."""
-    half = M // 2
-    if table.a.size != half + 1:
-        raise GridMismatchError("table has %d harmonics, grid wants %d" % (table.a.size - 1, half))
-    c = np.empty(half + 1, dtype=complex)
-    c[0] = table.a[0]
-    c[1:half] = 0.5 * (table.a[1:half] - 1j * table.b[1:half])
-    c[half] = table.a[half]
-    return EvenFn(np.fft.irfft(c * M, n=M))
+    return a, b
 
 
 def _curvature_density(h):
@@ -361,7 +338,9 @@ def chord_convexity_defect(h):
 
     Every support function satisfies the chord inequality exactly at any
     grid spacing (sublinearity of the homogeneous extension), so this is a
-    kink-proof convexity gate; for smooth h it approximates min(h''+h).
+    kink-proof convexity gate; for smooth h it approximates min(h''+h).  The
+    division by 2 - 2cos(d), about d^2, magnifies the numerator's rounding
+    by M^2/(4 pi^2).
     """
     s = h.samples
     d = 2.0 * np.pi / h.grid
@@ -381,20 +360,18 @@ def _tail_energy_fraction(h):
     return float(p[cut:].sum() / total)
 
 
-def support_split(h, strict=False):
+def support_split(h):
     """Write h as a difference of support functions, h = s1 - s2.
 
     Takes c = max(0, -min(h''+h)) so that s1 = h + c and s2 = c are both
-    convex.  Warns (or raises under strict) when the top quarter of the
+    convex.  Warns with a SpectralTailWarning when the top quarter of the
     spectrum carries more than 1% of the energy, because the spectral h''
-    is then untrustworthy.
+    is then untrustworthy; a warnings filter (the CLI's --strict) turns it
+    into an error.
     """
     frac = _tail_energy_fraction(h)
     if frac > 0.01:
-        msg = "top-quarter spectrum carries %.2f%% of the energy" % (100.0 * frac)
-        if strict:
-            raise NotSupportFunctionError(msg)
-        warnings.warn(msg, SpectralTailWarning)
+        warnings.warn("top-quarter spectrum carries %.2f%% of the energy" % (100.0 * frac), SpectralTailWarning)
     c = max(0.0, -float(_curvature_density(h).min()))
     s1 = EvenFn(h.samples + c)
     s2 = constant(c, h.grid)
@@ -406,13 +383,25 @@ def boundary_curve(h, n_points=DEFAULT_GRID):
 
     Points are c(t) = h(t) u(t) + h'(t) u_perp(t); tagged shapes use their
     closed-form boundary.  Raises NotSupportFunctionError when h fails the
-    convexity gate.
+    convexity gate: a chord convexity defect below
+    -(CONVEXITY_TOL (1 + max|h|) + c eps max|h| / (2 - 2cos d)), d = 2 pi/M.
+
+    The second term is the rounding floor of the defect's numerator, with
+    c = 4 (pi + sqrt 2 + 1) + 3, about 25.2.  A sample computed in double
+    precision as a polygon's support max_v <u, v> at a grid direction u is
+    off by at most (pi + sqrt 2 + 1) eps max|h|: the angle 2 pi j/M carries
+    pi eps, its cosine and sine sqrt 2 eps together, and the dot product
+    eps, each times the support's Lipschitz constant max|v| = max|h|
+    (ellipses and sums are alike).  The numerator weighs three samples by
+    1, 1 and 2cos d, at most 4 in all, and its own evaluation adds
+    3 eps max|h|.
     """
     _check_grid(n_points)
     if h.shape_tag is not None:
         return h.shape_tag.boundary(grid_angles(n_points))
-    tol = CONVEXITY_TOL * (1.0 + float(np.abs(h.samples).max()))
-    if chord_convexity_defect(h) < -tol:
+    top = float(np.abs(h.samples).max())
+    floor = _CHORD_ROUNDING * sys.float_info.epsilon * top / (2.0 - 2.0 * math.cos(2.0 * math.pi / h.grid))
+    if chord_convexity_defect(h) < -(CONVEXITY_TOL * (1.0 + top) + floor):
         raise NotSupportFunctionError("input is not a support function (h''+h < 0 somewhere)")
     vals = _resample(h._coeffs, h.grid, n_points)
     # _resample keeps the real part of the Nyquist term; i*(M/2)*c has none, as eval_deriv drops it

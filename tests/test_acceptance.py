@@ -19,7 +19,7 @@ from hypkonvex.limits import (
     visual_dist_generic,
     visual_dist_isotropic,
 )
-from hypkonvex.lorentz import form_A, normalize, pi0, project_disc_to_segment_geodesic
+from hypkonvex.lorentz import form_A, form_A_spectral, normalize, pi0, project_disc_to_segment_geodesic
 from hypkonvex.shapes import Segment
 from hypkonvex.supportfn import combine, from_ellipse, from_polygon, from_segment, scaled
 from hypkonvex.verify import (
@@ -28,7 +28,6 @@ from hypkonvex.verify import (
     curvature_scale_estimate,
     kernels_compare,
     minkowski_extended_test,
-    quasi_iso_suite,
     random_ellipse,
     random_polygon,
     random_tagged_body,
@@ -53,7 +52,7 @@ def test_criterion_01_area_identity():
     errs = {}
     for M in (4096, 8192):
         errs[M] = [
-            abs(math.pi * form_A(from_polygon(p, M), method="spectral") - p.area()) / p.area()
+            abs(math.pi * form_A_spectral(from_polygon(p, M)) - p.area()) / p.area()
             for p in polys
         ]
     worst = max(errs[4096])
@@ -61,7 +60,7 @@ def test_criterion_01_area_identity():
 
     rng = np.random.default_rng(4)
     worst_e = max(
-        abs(form_A(from_ellipse(random_ellipse(rng), 4096), method="spectral") - 1.0)
+        abs(form_A_spectral(from_ellipse(random_ellipse(rng), 4096)) - 1.0)
         for _ in range(100)
     )
     elapsed = time.perf_counter() - t0
@@ -101,7 +100,7 @@ def test_criterion_03_curvature_scale():
 
 
 def test_criterion_04_quasi_isometry():
-    report = quasi_iso_suite(40.0, 400)
+    report = run_suite("quasiiso")
     _criterion(
         4,
         "quasi-isometry sandwich and |d - s/2| <= 1/2 on [0, 40]",

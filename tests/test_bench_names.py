@@ -1,0 +1,85 @@
+"""The names the benchmark reaches in the package resolve, with the signatures it calls.
+
+``bench/tracer.py`` wraps functions by module and name, ``bench/sweep.py``
+times public functions by name, and ``bench/worker.py`` calls the package
+directly.  Deleting or renaming any of these fails here, without running the
+benchmark.  ``worker.py`` pins threads when imported, so its calls are read
+from its source instead.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def bench_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+
+
+def test_tracer_modules_renamed_functions_and_shape_classes_resolve(bench_path):
+    tracer = importlib.import_module("tracer")
+    for short in tracer.MODULES:
+        importlib.import_module("hypkonvex." + short)
+    for full in tracer.RENAMED:
+        short, attr = full.split(".")
+        assert inspect.isfunction(getattr(importlib.import_module("hypkonvex." + short), attr)), full
+    shapes = importlib.import_module("hypkonvex.shapes")
+    for name in tracer.SHAPE_CLASSES:
+        assert callable(getattr(shapes, name).support), name
+
+
+def test_sweep_cases_bind_to_their_functions(bench_path, tmp_path):
+    sweep = importlib.import_module("sweep")
+    from hypkonvex.supportfn import EvenFn
+
+    M = 64
+    for name, (prepare, call) in sweep._cases(tmp_path).items():
+        module, attr = name.split(".")
+        assert call is getattr(importlib.import_module("hypkonvex." + module), attr), name
+        args = prepare(EvenFn(sweep.body_samples("smooth", M)), M)
+        inspect.signature(call).bind(*args)
+
+
+def _attribute_chain(node):
+    """['lorentz', 'hyper_dist'] for ``lorentz.hyper_dist``; None for other nodes."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id] + parts[::-1] if isinstance(node, ast.Name) and parts else None
+
+
+def test_worker_calls_resolve_with_their_keywords():
+    tree = ast.parse((BENCH / "worker.py").read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name: importlib.import_module("hypkonvex." + alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "hypkonvex"
+        for alias in node.names
+    }
+    assert {"cli", "lorentz", "mobius", "shapedoc", "supportfn"} <= set(modules)
+
+    def resolve(chain):
+        obj = modules[chain[0]]
+        for attr in chain[1:]:
+            obj = getattr(obj, attr)
+        return obj
+
+    called = set()
+    for node in ast.walk(tree):
+        chain = _attribute_chain(node)
+        if chain and chain[0] in modules:
+            resolve(chain)  # every name read, called or not (isinstance(doc, supportfn.EvenFn))
+        chain = _attribute_chain(node.func) if isinstance(node, ast.Call) else None
+        if chain and chain[0] in modules:
+            keywords = {k.arg: None for k in node.keywords if k.arg is not None}
+            inspect.signature(resolve(chain)).bind(*[None] * len(node.args), **keywords)
+            called.add(".".join(chain))
+    assert {"lorentz.hyper_dist", "supportfn.from_samples", "cli.main", "mobius.Mobius.axial"} <= called
+

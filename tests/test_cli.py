@@ -222,6 +222,19 @@ def test_geodesic_of_a_random_polygon_with_itself_exits_3(tmp_path, capsys):
         assert "identical" in capsys.readouterr().err
 
 
+def test_geodesic_of_polygon_samples_at_a_large_grid(tmp_path, capsys):
+    # the exact samples of a polygon pass the chord convexity gate at any grid
+    M = 32768
+    poly = random_polygon(np.random.default_rng(0))
+    values = poly.support(grid_angles(M))
+    a = _write(tmp_path, "a.json", json.dumps({"type": "samples", "grid": M, "values": values.tolist()}))
+    b = _write(tmp_path, "b.json", _ellipse_doc(0.8))
+    out = tmp_path / "geo"
+    assert main(["geodesic", a, b, "--grid", str(M), "--steps", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(list(out.glob("frame_*.svg"))) == 3
+
+
 def _rotation(a):
     return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
 
@@ -445,7 +458,8 @@ def test_strict_mode_escalates_spectral_warning(tmp_path):
     doc = json.dumps({"type": "samples", "grid": 64, "values": samples.tolist()})
     a = _write(tmp_path, "a.json", doc)
     b = _write(tmp_path, "b.json", DISC)
-    assert main(["dist", a, b, "--grid", "256", "--out", str(tmp_path / "o")]) == 0
+    with pytest.warns(SpectralTailWarning, match="resampling raw samples from grid 64 to 256"):
+        assert main(["dist", a, b, "--grid", "256", "--out", str(tmp_path / "o")]) == 0
     assert main(["dist", a, b, "--grid", "256", "--strict", "--out", str(tmp_path / "o")]) == 3
 
 

@@ -8,7 +8,6 @@ import pytest
 from hypkonvex.limits import (
     BoundaryDir,
     boundary_approach,
-    boundary_rep,
     class_angle,
     covering_number,
     empirical_dim_estimate,
@@ -20,7 +19,8 @@ from hypkonvex.limits import (
     visual_dist_isotropic,
 )
 from hypkonvex.lorentz import form_A, pi0
-from hypkonvex.supportfn import grid_angles
+from hypkonvex.shapes import Segment
+from hypkonvex.supportfn import from_segment, grid_angles
 
 M = 512
 
@@ -28,11 +28,14 @@ M = 512
 def test_boundary_dir_validation():
     with pytest.raises(ValueError):
         BoundaryDir(math.pi)
-    assert BoundaryDir.from_angle(4.0).theta == pytest.approx(4.0 - math.pi, rel=1e-15)
+    with pytest.raises(ValueError):
+        BoundaryDir(-0.1)
 
 
 def test_boundary_rep_examples():
-    v = boundary_rep(BoundaryDir(0.0), M)
+    # the normalized isotropic representative of a direction class: a
+    # segment of length pi along it, with pi0 = 1 and form value 0
+    v = from_segment(Segment(np.array([0.5 * math.pi, 0.0])), M)
     expect = 0.5 * math.pi * np.abs(np.cos(grid_angles(M)))
     assert np.abs(v.samples - expect).max() < 1e-14
     assert abs(form_A(v)) < 1e-10
@@ -62,7 +65,7 @@ def test_visual_dist_rotation_invariance():
         t1, t2, phi = rng.uniform(0.0, math.pi, 3)
         a = visual_dist(BoundaryDir(float(t1)), BoundaryDir(float(t2)))
         b = visual_dist(
-            BoundaryDir.from_angle(t1 + phi), BoundaryDir.from_angle(t2 + phi)
+            BoundaryDir(float((t1 + phi) % math.pi)), BoundaryDir(float((t2 + phi) % math.pi))
         )
         assert a == pytest.approx(b, abs=4e-15)  # exact up to angle-reduction ulps
 

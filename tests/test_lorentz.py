@@ -60,7 +60,7 @@ def test_form_of_one_is_one():
 
 def test_form_square_is_area_over_pi():
     h = from_polygon(SQUARE, 4096)
-    assert abs(form_A(h, method="spectral") - 4.0 / math.pi) < 1e-2
+    assert abs(form_A_spectral(h) - 4.0 / math.pi) < 1e-2
     assert form_A(h) == pytest.approx(4.0 / math.pi, rel=1e-15)
 
 
@@ -135,7 +135,7 @@ def test_reversed_cauchy_schwarz_pairs():
     for _ in range(50):
         p = normalize(_random_ellipse_fn(rng))
         q = normalize(_random_ellipse_fn(rng))
-        assert form_A(p.fn, q.fn, method="spectral") >= 1.0 - 1e-10
+        assert form_A_spectral(p.fn, q.fn) >= 1.0 - 1e-10
 
 
 def test_minkowski_inequality_random_bodies():

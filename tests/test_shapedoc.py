@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hypkonvex.shapedoc import ShapeDocError, dump_shapedoc, parse_shapedoc, to_even_fn
+from hypkonvex.shapedoc import ShapeDocError, parse_shapedoc, to_even_fn
 from hypkonvex.shapes import Ellipse, Polygon, Segment
 from hypkonvex.supportfn import EvenFn, SpectralTailWarning, grid_angles
 
@@ -65,14 +65,16 @@ def test_parse_garbage():
 
 
 def test_round_trip():
-    shapes = [
-        Ellipse(np.array([[2.0, 0.0], [0.0, 0.5]])),
-        Segment(np.array([0.3, -0.4])),
-        Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])),
+    # every document type written with json.dumps reads back to the same numbers
+    docs = [
+        (Ellipse, "matrix", "ellipse", [[2.0, 0.0], [0.0, 0.5]]),
+        (Segment, "endpoint", "segment", [0.3, -0.4]),
+        (Polygon, "vertices", "polygon", [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]),
     ]
-    for s in shapes:
-        again = parse_shapedoc(json.dumps(dump_shapedoc(s)))
-        assert type(again) is type(s)
+    for cls, field, kind, value in docs:
+        again = parse_shapedoc(json.dumps({"type": kind, field: value}))
+        assert type(again) is cls
+        assert np.array_equal(getattr(again, field), np.array(value))
     h = EvenFn(1.0 + 0.1 * np.cos(2 * grid_angles(64)))
-    again = parse_shapedoc(json.dumps(dump_shapedoc(h)))
+    again = parse_shapedoc(json.dumps({"type": "samples", "grid": h.grid, "values": h.samples.tolist()}))
     assert np.array_equal(again.samples, h.samples)

@@ -6,8 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipe
 
-from hypkonvex.specfun import EllipticDomainError, agm_KE, ellip_I
+from hypkonvex.specfun import EllipticDomainError, agm_KE_from_complement
 
 # Frozen from adaptive quadrature of the defining integrals (scipy.quad,
 # epsabs=epsrel=1e-15).
@@ -24,6 +25,16 @@ def quad_K(k):
 def quad_E(k):
     return quad(lambda u: math.sqrt(1.0 - k * k * math.sin(u) ** 2), 0.0, math.pi / 2,
                 epsabs=1e-13, epsrel=1e-13)[0]
+
+
+def quad_I(k):
+    return quad(lambda u: (1.0 - k * k * math.sin(u) ** 2) ** -1.5, 0.0, math.pi / 2,
+                epsabs=1e-13, epsrel=1e-13)[0]
+
+
+def agm_KE(k):
+    """(K(k), E(k)) through the complementary modulus k' = sqrt((1-k)(1+k))."""
+    return agm_KE_from_complement(math.sqrt((1.0 - k) * (1.0 + k)))
 
 
 def test_zero_modulus_exact():
@@ -62,31 +73,44 @@ def test_monotonicity_and_ordering():
     assert all(K >= E for K, E in zip(Ks, Es))
 
 
+def test_E_against_scipy():
+    # scipy's ellipe takes the parameter m = k^2
+    for k in np.arange(0.0, 0.995, 0.05):
+        k = float(k)
+        _, E = agm_KE(k)
+        assert abs(E - ellipe(k * k)) < 1e-14 * E
+
+
 def test_I_at_zero():
-    assert ellip_I(0.0) == pytest.approx(math.pi / 2, abs=0.0)
+    # I(0) = E(0)/(1 - 0) = pi/2, which is also the integral at k = 0
+    _, E = agm_KE(0.0)
+    assert E == pytest.approx(math.pi / 2, abs=0.0)
+    assert quad_I(0.0) == pytest.approx(E, abs=1e-15)
 
 
 def test_I_against_quadrature():
-    val = ellip_I(0.9)
-    oracle = quad(lambda u: (1.0 - 0.81 * math.sin(u) ** 2) ** -1.5, 0.0, math.pi / 2,
-                  epsabs=1e-13, epsrel=1e-13)[0]
+    # the weighted integral I(k) = E(k)/(1-k^2) of the distance kernels
+    _, E = agm_KE(0.9)
+    val = E / ((1.0 - 0.9) * (1.0 + 0.9))
     assert abs(val - I_09) < 1e-10 * I_09
-    assert abs(val - oracle) < 1e-10 * oracle
+    assert abs(val - quad_I(0.9)) < 1e-10 * val
 
 
 def test_identity_residual_on_grid():
     for k in np.arange(0.1, 0.995, 0.05):
         k = float(k)
         _, E = agm_KE(k)
-        assert abs(ellip_I(k) * (1.0 - k * k) - E) < 1e-13
+        assert abs(quad_I(k) * (1.0 - k * k) - E) < 1e-12
 
 
-@pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, 1.0 - 1e-13])
+@pytest.mark.parametrize("bad", [-0.1, 1.5, 1.0 + 2.3e-16, math.nan])
 def test_domain_errors(bad):
     with pytest.raises(EllipticDomainError):
-        agm_KE(bad)
-    with pytest.raises(EllipticDomainError):
-        ellip_I(bad)
+        agm_KE_from_complement(bad)
+
+
+def test_zero_complement_is_the_limit_k_to_1():
+    assert agm_KE_from_complement(0.0) == (math.inf, 1.0)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from hypkonvex.mobius import rho_act
 from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, minkowski_sum
-from hypkonvex.lorentz import form_A, pi0
+from hypkonvex.lorentz import form_A, form_A_spectral, pi0
 from hypkonvex.shapedoc import to_even_fn
 from hypkonvex.supportfn import (
+    EVEN_TOL,
     EvenFn,
     GridMismatchError,
     NotSupportFunctionError,
@@ -33,7 +34,6 @@ from hypkonvex.supportfn import (
     scaled,
     signed_diff,
     support_split,
-    synthesize,
     unit_disc,
     _grid_directions,
     _interp,
@@ -83,7 +83,7 @@ def test_from_ellipse_area_one():
         e = Ellipse(r(a1) @ np.diag([np.exp(s / 2), np.exp(-s / 2)]) @ r(a2))
         h = from_ellipse(e, 2048)
         assert abs(form_A(h) - 1.0) < 1e-12
-        assert abs(form_A(h, method="spectral") - 1.0) < 1e-12
+        assert abs(form_A_spectral(h) - 1.0) < 1e-12
 
 
 def test_from_segment_examples():
@@ -100,10 +100,10 @@ def test_from_polygon_square():
     expect = np.abs(np.cos(grid_angles(4096))) + np.abs(np.sin(grid_angles(4096)))
     assert np.abs(h.samples - expect).max() < 1e-14
     # spectral area converges at first order; exact tag value is exact
-    assert abs(math.pi * form_A(h, method="spectral") - 4.0) < 1e-2 * 4.0
+    assert abs(math.pi * form_A_spectral(h) - 4.0) < 1e-2 * 4.0
     assert math.pi * form_A(h) == pytest.approx(4.0, abs=0.0)
     assert abs(pi0(h) - 4.0 / math.pi) < 1e-12
-    assert abs(pi0(h, method="spectral") - 4.0 / math.pi) < 1e-6
+    assert abs(h.samples.mean() - 4.0 / math.pi) < 1e-6
 
 
 def test_combine_identity_and_sum_of_segments():
@@ -122,7 +122,7 @@ def test_combine_identity_and_sum_of_segments():
 def test_combine_disc_bilinearity():
     d = unit_disc(M)
     total = combine(1.0, d, 1.0, d)
-    assert form_A(total, method="spectral") == pytest.approx(4.0, abs=1e-12)
+    assert form_A_spectral(total) == pytest.approx(4.0, abs=1e-12)
     assert form_A(total) == pytest.approx(4.0, abs=1e-12)
 
 
@@ -169,23 +169,39 @@ def test_eval_at_matches_grid_exactly_for_tags():
 
 
 def test_fourier_examples_and_roundtrip():
-    t = fourier(constant(1.0, M))
-    assert t.a0 == 1.0
-    assert np.abs(t.a[1:]).max() == 0.0 and np.abs(t.b).max() == 0.0
+    a, b = fourier(constant(1.0, M))
+    assert a[0] == 1.0
+    assert np.abs(a[1:]).max() == 0.0 and np.abs(b).max() == 0.0
 
-    t = fourier(EvenFn(np.cos(2 * THETA)))
-    assert t.a[2] == pytest.approx(1.0, abs=1e-14)
+    a, b = fourier(EvenFn(np.cos(2 * THETA)))
+    assert a[2] == pytest.approx(1.0, abs=1e-14)
     mask = np.ones(M // 2 + 1, bool)
     mask[2] = False
-    assert np.abs(t.a[mask]).max() < 1e-14 and np.abs(t.b).max() < 1e-14
+    assert np.abs(a[mask]).max() < 1e-14 and np.abs(b).max() < 1e-14
 
     h = from_ellipse(DIAG_2_HALF, M)
-    assert fourier(h).a0 == pytest.approx(A0_DIAG_2_HALF, abs=1e-12)
+    assert fourier(h)[0][0] == pytest.approx(A0_DIAG_2_HALF, abs=1e-12)
 
+    # the trigonometric series with these coefficients, summed directly,
+    # gives back the samples (the Nyquist term a[M/2] cos(M/2 t) has no sine)
     rng = np.random.default_rng(5)
     raw = EvenFn(1.0 + 0.1 * np.cos(2 * THETA) + rng.normal(0, 0.02) * np.cos(8 * THETA))
-    back = synthesize(fourier(raw), M)
-    assert np.abs(back.samples - raw.samples).max() < 1e-12 * (1 + np.abs(raw.samples).max())
+    a, b = fourier(raw)
+    n = np.arange(M // 2 + 1)[:, None]
+    back = a @ np.cos(n * THETA) + b @ np.sin(n * THETA)
+    assert np.abs(back - raw.samples).max() < 1e-12 * (1 + np.abs(raw.samples).max())
+
+
+def test_fourier_odd_harmonics_stay_within_the_periodicity_tolerance():
+    # EvenFn accepts halves that differ by up to EVEN_TOL (1 + max|h|);
+    # no odd harmonic can then exceed that bound
+    rng = np.random.default_rng(6)
+    base = 1.0 + 0.1 * np.cos(2 * THETA)
+    top = 1.0 + np.abs(base).max()
+    odd = 0.9 * EVEN_TOL * top * rng.uniform(-1.0, 1.0, M // 2)
+    h = EvenFn(base + np.r_[0.5 * odd, -0.5 * odd])
+    a, b = fourier(h)
+    assert 0.0 < np.hypot(a[1::2], b[1::2]).max() <= EVEN_TOL * (1.0 + np.abs(h.samples).max())
 
 
 def test_is_support_function_examples():
@@ -229,8 +245,10 @@ def test_support_split_tail_warning():
     spike += np.cos((M // 2 - 2) * THETA)
     with pytest.warns(SpectralTailWarning):
         support_split(EvenFn(1.0 + 0.01 * spike))
-    with pytest.raises(NotSupportFunctionError):
-        support_split(EvenFn(1.0 + 0.01 * spike), strict=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SpectralTailWarning)
+        with pytest.raises(SpectralTailWarning):
+            support_split(EvenFn(1.0 + 0.01 * spike))
 
 
 def test_boundary_curve_disc_and_ellipse():
@@ -264,6 +282,37 @@ def test_boundary_curve_rejects_nonconvex():
         boundary_curve(EvenFn(np.cos(2 * THETA) + 1.0), 256)
 
 
+CHORD_GRIDS = [2048, 8192, 32768, 65536]
+
+
+@pytest.mark.parametrize("grid", CHORD_GRIDS)
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3), pick=st.integers(0, 2**31))
+def test_chord_gate_passes_polygon_samples_and_catches_a_dip(grid, seed, scale, pick):
+    # The chord defect divides its numerator by 2 - 2cos(2 pi/M) ~ M^-2, and
+    # the gate's rounding floor grows alike: the exact samples of a polygon
+    # pass at every grid, and a dip of 1e-9 max|h| on a flat stretch fails.
+    s = from_polygon(Polygon(scale * random_polygon(np.random.default_rng(seed)).vertices), grid).samples
+    boundary_curve(EvenFn(s), 64)
+    top = float(np.abs(s).max())
+    num = np.roll(s, 1) + np.roll(s, -1) - 2.0 * math.cos(2.0 * math.pi / grid) * s
+    flat = np.abs(num) < 1e3 * np.finfo(float).eps * top
+    # lowering s[j] lowers the numerator at j - 1 and j + 1: both must be flat there
+    stretch = np.nonzero(np.roll(flat, 1) & np.roll(flat, -1))[0]
+    j = int(stretch[pick % stretch.size]) % (grid // 2)
+    dipped = s.copy()
+    dipped[[j, j + grid // 2]] -= 1e-9 * top  # one value of the pi-periodic function
+    with pytest.raises(NotSupportFunctionError):
+        boundary_curve(EvenFn(dipped), 64)
+
+
+@pytest.mark.parametrize("grid", CHORD_GRIDS)
+def test_chord_gate_refuses_a_nonconvex_function_at_every_grid(grid):
+    # h'' + h = 2.9 - 3 cos 2t dips to -0.1
+    with pytest.raises(NotSupportFunctionError):
+        boundary_curve(EvenFn(np.cos(2 * grid_angles(grid)) + 2.9), 64)
+
+
 def polygon_mixed_area_oracle(p, q):
     """Mixed area of two polygons by polarizing shoelace areas.
 
@@ -288,7 +337,7 @@ def test_polygon_oracle_examples():
     h1 = from_polygon(SQUARE, 4096)
     rect = Polygon(np.array([[2.0, 0.2], [-2.0, 0.2], [-2.0, -0.2], [2.0, -0.2]]))
     h2 = from_polygon(rect, 4096)
-    spectral = math.pi * form_A(h1, h2, method="spectral")
+    spectral = math.pi * form_A_spectral(h1, h2)
     assert abs(spectral - polygon_mixed_area_oracle(SQUARE, rect)) < 1e-2 * abs(spectral)
 
 

@@ -20,7 +20,6 @@ from hypkonvex.verify import (
     jacobian_circle,
     kernels_compare,
     minkowski_extended_test,
-    quasi_iso_suite,
     random_band_limited,
     random_mobius,
     run_suite,
@@ -112,12 +111,10 @@ def test_curvature_scale_estimate():
 
 
 def test_quasi_iso_suite():
-    report = quasi_iso_suite(40.0, 100)
+    report = run_suite("quasiiso")
     assert report.passed
     smax_dev = max(abs(r["value"]) for r in report.records if r["check"] == "additive-band")
     assert smax_dev < 0.46
-    with pytest.raises(ValueError):
-        quasi_iso_suite(50.0)
 
 
 def test_suite_registry_runs_and_is_deterministic():
