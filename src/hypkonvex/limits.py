@@ -4,7 +4,9 @@ Segments have zero area, so their support functions are isotropic for the
 area form and sit on the boundary at infinity of the hyperboloid of bodies.
 The boundary point of a direction class is reached by ellipses elongating
 along it, and the visual distance based at the disc has the closed form
-(sqrt(pi)/2) sqrt(sin of the angle between the classes).  Scaling ranges of
+(sqrt(pi)/2) sqrt(sin of the angle between the classes).  The geodesic
+joining two classes is a family of parallelograms, and its point nearest the
+disc is the rhombus (project_disc_to_segment_geodesic).  Scaling ranges of
 covering numbers in that metric exhibit Hausdorff dimension 2 (a square-root
 metric on a circle), which this module measures both analytically and by
 greedy covering of sampled directions.
@@ -15,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lorentz import _direction_angle, hyper_dist, normalize
+from .lorentz import hyper_dist, normalize
 from .mobius import BASEPOINT, Mobius, _panel_mean, halfplane_apply, iota
-from .supportfn import DEFAULT_GRID, unit_disc
+from .shapes import Segment
+from .supportfn import DEFAULT_GRID, combine, from_segment, unit_disc
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -33,10 +36,33 @@ class BoundaryDir:
             raise ValueError("direction angle must lie in [0, pi), got %r" % (self.theta,))
 
 
+def _direction_angle(d):
+    """The angle of a direction class (anything with ``theta``) or a bare angle."""
+    return float(getattr(d, "theta", d))
+
+
 def class_angle(d1, d2):
     """Angle between direction classes, folded into [0, pi/2]."""
     delta = abs(_direction_angle(d1) - _direction_angle(d2)) % math.pi
     return min(delta, math.pi - delta)
+
+
+def project_disc_to_segment_geodesic(nu, omega, M=DEFAULT_GRID):
+    """Nearest point of the geodesic joining two boundary directions to the disc.
+
+    The geodesic through two segment classes consists of area-pi
+    parallelograms a*v + b*w; the perimeter 2(a+b) with ab pinned by the area
+    is minimal exactly at a = b, so the projection is the rhombus homothetic
+    to v + w, returned area-normalized.
+    """
+    t1, t2 = _direction_angle(nu), _direction_angle(omega)
+    delta = class_angle(t1, t2)
+    if delta < 1e-12:
+        raise ValueError("equal directions span no geodesic")
+    a = 0.5 * math.sqrt(math.pi / math.sin(delta))
+    s1 = from_segment(Segment(a * np.array([math.cos(t1), math.sin(t1)])), M)
+    s2 = from_segment(Segment(a * np.array([math.cos(t2), math.sin(t2)])), M)
+    return normalize(combine(1.0, s1, 1.0, s2))
 
 
 def visual_dist(d1, d2):

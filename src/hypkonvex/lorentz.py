@@ -18,15 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapes import Segment, mixed_area
-from .supportfn import (
-    DEFAULT_GRID,
-    EvenFn,
-    GridMismatchError,
-    combine,
-    from_segment,
-    scaled,
-)
+from .shapes import _freeze, mixed_area
+from .supportfn import EvenFn, GridMismatchError, _parseval_counts, combine, scaled
 
 FORM_UNIT_TOL = 1e-10
 INVARIANT_TOL = 1e-9
@@ -53,11 +46,7 @@ def acosh1p(x):
 def _spectral_weights(M):
     # once per grid, read-only: every spectral form value on that grid reads it
     n = np.arange(M // 2 + 1, dtype=float)
-    w = 2.0 * (1.0 - n**2)
-    w[0] = 1.0
-    w[-1] = 1.0 - n[-1] ** 2
-    w.setflags(write=False)
-    return w
+    return _freeze(_parseval_counts(M) * (1.0 - n**2))
 
 
 def _parseval(c1, c2, M):
@@ -113,9 +102,7 @@ def h1_seminorms(h):
     """
     c = h._coeffs
     n = np.arange(h.grid // 2 + 1, dtype=float)
-    p = 2.0 * (c * np.conj(c)).real
-    p[0] *= 0.5
-    p[-1] *= 0.5
+    p = _parseval_counts(h.grid) * (c * np.conj(c)).real
     l2 = 2.0 * math.pi * float(p.sum())
     dl2 = 2.0 * math.pi * float(np.dot(n**2, p))
     return l2, dl2
@@ -203,27 +190,3 @@ def geodesic_point(p, q, t):
     if t == 1.0:
         return q
     return normalize(combine(1.0 - t, p.fn, t, q.fn))
-
-
-def _direction_angle(d):
-    """The angle of a direction class (anything with ``theta``) or a bare angle."""
-    return float(getattr(d, "theta", d))
-
-
-def project_disc_to_segment_geodesic(nu, omega, M=DEFAULT_GRID):
-    """Nearest point of the geodesic joining two boundary directions to the disc.
-
-    The geodesic through two segment classes consists of area-pi
-    parallelograms a*v + b*w; the perimeter 2(a+b) with ab pinned by the area
-    is minimal exactly at a = b, so the projection is the rhombus homothetic
-    to v + w, returned area-normalized.
-    """
-    t1, t2 = _direction_angle(nu), _direction_angle(omega)
-    delta = abs(t1 - t2) % math.pi
-    delta = min(delta, math.pi - delta)
-    if delta < 1e-12:
-        raise ValueError("equal directions span no geodesic")
-    a = 0.5 * math.sqrt(math.pi / math.sin(delta))
-    s1 = from_segment(Segment(a * np.array([math.cos(t1), math.sin(t1)])), M)
-    s2 = from_segment(Segment(a * np.array([math.cos(t2), math.sin(t2)])), M)
-    return normalize(combine(1.0, s1, 1.0, s2))

@@ -12,7 +12,6 @@ elliptic integrals.
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +20,10 @@ from .shapes import Ellipse, _adjugate_product, _check_unit_det, _form_value, _s
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
-    SpectralTailWarning,
     _from_shape,
     _grid_directions,
     _interp,
-    _tail_energy_fraction,
+    _warn_spectral_tail,
     from_ellipse,
 )
 from .lorentz import acosh1p, normalize
@@ -117,13 +115,9 @@ def rho_act(m, h):
     """
     if h.shape_tag is not None:
         return _from_shape(h.shape_tag.transform(m.matrix), h.grid)
-    frac = _tail_energy_fraction(h)
-    if frac > 0.01:
-        warnings.warn(
-            "input spectrum unresolved (top quarter holds %.2f%% energy); "
-            "the sheared result will alias" % (100.0 * frac),
-            SpectralTailWarning,
-        )
+    _warn_spectral_tail(
+        h, "input spectrum unresolved (top quarter holds %.2f%% energy); the sheared result will alias"
+    )
     w = m.matrix.T @ _grid_directions(h.grid)[:, : h.grid // 2]
     half = np.hypot(w[0], w[1]) * _interp(h._coeffs, h.grid, np.arctan2(w[1], w[0]))
     return EvenFn(np.tile(half, 2))

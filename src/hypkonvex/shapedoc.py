@@ -7,8 +7,8 @@ Four document types:
     {"type": "polygon", "vertices": [[x1, y1], ...]}
     {"type": "samples", "grid": M, "values": [...]}
 
-Parsers reject ellipse matrices with determinant away from 1 and asymmetric
-or non-convex polygons.
+Parsers reject ellipse matrices with determinant away from 1, asymmetric
+or non-convex polygons, and a samples grid that is not an integer.
 """
 
 import json
@@ -28,7 +28,7 @@ def parse_shapedoc(text):
     """Parse a ShapeDoc JSON string into a shape or raw-sample description."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ShapeDocError("invalid JSON: %s" % exc) from exc
     if not isinstance(doc, dict) or "type" not in doc:
         raise ShapeDocError("a shape document is an object with a 'type' field")
@@ -41,14 +41,16 @@ def parse_shapedoc(text):
         if kind == "polygon":
             return Polygon(np.asarray(doc["vertices"], dtype=float))
         if kind == "samples":
-            grid = int(doc["grid"])
+            grid = doc["grid"]
+            if int(grid) != grid:
+                raise ShapeDocError("grid %r is not an integer" % (grid,))
             values = np.asarray(doc["values"], dtype=float)
             if values.size != grid:
                 raise ShapeDocError("grid %d does not match %d values" % (grid, values.size))
             return EvenFn(values)
     except ShapeDocError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeDocError("invalid %s document: %s" % (kind, exc)) from exc
     raise ShapeDocError("unknown shape type %r" % (kind,))
 

@@ -56,6 +56,15 @@ def grid_angles(M):
 
 
 @cache
+def _parseval_counts(M):
+    # once per grid, read-only: the times each rfft bin counts in the
+    # two-sided spectrum -- DC and Nyquist once, every other harmonic twice
+    counts = np.full(M // 2 + 1, 2.0)
+    counts[[0, -1]] = 1.0
+    return _freeze(counts)
+
+
+@cache
 def _grid_directions(M):
     # once per grid, read-only: (cos, sin) at the grid angles, as (2, M) vectors
     return _freeze(_unit_vectors(grid_angles(M)))
@@ -348,16 +357,16 @@ def chord_convexity_defect(h):
     return float(defect.min() / (2.0 - 2.0 * math.cos(d)))
 
 
-def _tail_energy_fraction(h):
+def _warn_spectral_tail(h, message):
+    """Warn with a SpectralTailWarning, ``message % percent``, when the top
+    quarter of h's spectrum carries more than 1% of its non-constant energy."""
     c = h._coeffs
-    p = 2.0 * np.abs(c) ** 2
+    p = _parseval_counts(h.grid) * np.abs(c) ** 2
     p[0] = 0.0
-    p[-1] = np.abs(c[-1]) ** 2
     total = p.sum()
-    if total == 0.0:
-        return 0.0
-    cut = int(round(0.75 * (h.grid // 2)))
-    return float(p[cut:].sum() / total)
+    frac = float(p[int(round(0.75 * (h.grid // 2))) :].sum() / total) if total else 0.0
+    if frac > 0.01:
+        warnings.warn(message % (100.0 * frac), SpectralTailWarning)
 
 
 def support_split(h):
@@ -369,9 +378,7 @@ def support_split(h):
     is then untrustworthy; a warnings filter (the CLI's --strict) turns it
     into an error.
     """
-    frac = _tail_energy_fraction(h)
-    if frac > 0.01:
-        warnings.warn("top-quarter spectrum carries %.2f%% of the energy" % (100.0 * frac), SpectralTailWarning)
+    _warn_spectral_tail(h, "top-quarter spectrum carries %.2f%% of the energy")
     c = max(0.0, -float(_curvature_density(h).min()))
     s1 = EvenFn(h.samples + c)
     s2 = constant(c, h.grid)

@@ -33,6 +33,7 @@ from .shapes import Ellipse, Polygon, _adjugate_product, _form_value, convex_hul
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
+    _parseval_counts,
     from_ellipse,
     from_polygon,
     scaled,
@@ -299,9 +300,7 @@ def ellipse_sum_test(e1, e2, c1=1.0, c2=1.0, grid=DEFAULT_GRID):
     """
     h = c1 * from_ellipse(e1, grid).samples + c2 * from_ellipse(e2, grid).samples
     c = np.fft.rfft(h * h) / grid
-    power = 2.0 * np.abs(c) ** 2
-    power[0] *= 0.5
-    power[-1] *= 0.5
+    power = _parseval_counts(grid) * np.abs(c) ** 2
     return float(power[4:].sum() / power.sum())
 
 

@@ -15,11 +15,12 @@ from hypkonvex.limits import (
     boundary_approach,
     empirical_dim_estimate,
     hausdorff_dim_estimate,
+    project_disc_to_segment_geodesic,
     visual_dist,
     visual_dist_generic,
     visual_dist_isotropic,
 )
-from hypkonvex.lorentz import form_A, form_A_spectral, normalize, pi0, project_disc_to_segment_geodesic
+from hypkonvex.lorentz import form_A, form_A_spectral, normalize, pi0
 from hypkonvex.shapes import Segment
 from hypkonvex.supportfn import combine, from_ellipse, from_polygon, from_segment, scaled
 from hypkonvex.verify import (

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ellipe
 
 import hypkonvex
@@ -28,6 +28,14 @@ from hypkonvex.verify import random_polygon
 DISC = '{"type":"ellipse","matrix":[[1.0,0.0],[0.0,1.0]]}'
 SQUARE = '{"type":"polygon","vertices":[[1,1],[-1,1],[-1,-1],[1,-1]]}'
 SEGMENT = '{"type":"segment","endpoint":[1.0,0.0]}'
+# ShapeDocs with a grid no integer equals, or nested past the JSON parser's depth
+_SAMPLES_AT = '{"type":"samples","grid":%s,"values":[1,1,1,1,1,1,1,1]}'
+MALFORMED = {
+    "infinite_grid": _SAMPLES_AT % "Infinity",
+    "overflowing_grid": _SAMPLES_AT % "1e400",
+    "fractional_grid": _SAMPLES_AT % "8.9",
+    "deep_nesting": "[" * 200000,
+}
 # Frozen: acosh((2/pi) e^{1/2} E(sqrt(1 - e^{-2}))), scipy oracle
 DIST_DISC_ELLIPSE_S1 = 0.6050230853476971
 
@@ -116,6 +124,10 @@ def test_geodesic_disc_to_square_closed_form(tmp_path, capsys):
         (["kernels", "--t-min", "31", "--t-max", "31"], {}),
         (["verify", "--suite", "extended", "--seed", "-1"], {}),
         (["geodesic", "{square}", "{square}", "--steps", "0"], {}),
+        (["dist", "{infinite_grid}", "{disc}"], {}),
+        (["dist", "{disc}", "{overflowing_grid}"], {}),
+        (["geodesic", "{fractional_grid}", "{disc}"], {}),
+        (["dist", "{deep_nesting}", "{disc}"], {}),
     ],
     ids=[
         "grid-env-not-int",
@@ -124,11 +136,16 @@ def test_geodesic_disc_to_square_closed_form(tmp_path, capsys):
         "kernels-capped-grid",
         "verify-negative-seed",
         "geodesic-zero-steps",
+        "shapedoc-infinite-grid",
+        "shapedoc-overflowing-grid",
+        "shapedoc-fractional-grid",
+        "shapedoc-deep-nesting",
     ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, env):
-    disc, square = _write(tmp_path, "disc.json", DISC), _write(tmp_path, "square.json", SQUARE)
-    argv = [arg.format(disc=disc, square=square) for arg in argv] + ["--out", str(tmp_path / "out")]
+    docs = {"disc": DISC, "square": SQUARE, **MALFORMED}
+    paths = {name: _write(tmp_path, name + ".json", text) for name, text in docs.items()}
+    argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
     src = str(Path(hypkonvex.__file__).resolve().parents[1])
     full_env = dict(os.environ, PYTHONPATH=src, **env)
     proc = subprocess.run(
@@ -275,13 +292,18 @@ def _shapedoc_json(draw):
         return json.dumps({"type": "polygon", "vertices": (scale * v).tolist()})
     grid = draw(st.sampled_from([64, 64, 32, 60]))  # 32 is resampled, 60 is no grid
     values = scale * Polygon(v).support(2.0 * np.pi * np.arange(grid) / grid)
-    if flawed:  # a NaN, one value too few, or 10^300 everywhere
-        values = [np.where(np.arange(grid) == 3, math.nan, values), values[1:], np.full(grid, 1e300)][rng.integers(3)]
+    if flawed:  # a NaN, one value too few, 10^300 everywhere, or an infinite or fractional grid
+        flaw = rng.integers(5)
+        if flaw < 3:
+            values = [np.where(np.arange(grid) == 3, math.nan, values), values[1:], np.full(grid, 1e300)][flaw]
+        else:
+            grid = (math.inf, grid + 0.9)[flaw - 3]
     return json.dumps({"type": "samples", "grid": grid, "values": values.tolist()})
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_shapedoc_json(), _shapedoc_json())
+@example(DISC, MALFORMED["infinite_grid"])  # the derandomized draws reach no infinite grid
 def test_dist_and_geodesic_end_in_a_documented_exit_code(tmp_path_factory, doc_a, doc_b):
     tmp = tmp_path_factory.mktemp("docs")
     a, b = _write(tmp, "a.json", doc_a), _write(tmp, "b.json", doc_b)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ellipe
 
+from hypkonvex.limits import project_disc_to_segment_geodesic
 from hypkonvex.lorentz import (
     HPoint,
     HyperbolicInvariantError,
@@ -20,7 +21,6 @@ from hypkonvex.lorentz import (
     hyper_dist,
     normalize,
     pi0,
-    project_disc_to_segment_geodesic,
 )
 from hypkonvex.mobius import Mobius, iota_dist_closed, iota_dist_quadrature, rho_act
 from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, _form_value, _stretch, mixed_area
