@@ -39,6 +39,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_SUITE = 4
+# --steps caps, checked before any work: geodesic writes a 33 kB SVG file per step and kernels one row of
+# quadratures, so a larger count would only exhaust disk, memory or time before it ends.
+MAX_GEODESIC_STEPS = 10_000
+MAX_KERNELS_STEPS = 100_000
 
 
 class CliError(Exception):
@@ -68,6 +72,11 @@ def _grid(flag):
         return int(text)
     except ValueError:
         raise CliError("HYPKONVEX_GRID must be an integer, got %r" % (text,), EXIT_USAGE) from None
+
+
+def _check_steps(steps, most):
+    if not 1 <= steps <= most:
+        raise CliError("steps must be at least 1" if steps < 1 else "steps must be at most %d" % most, EXIT_USAGE)
 
 
 def _fmt(x):
@@ -123,8 +132,7 @@ def cmd_dist(args, cfg):
 
 
 def cmd_geodesic(args, cfg):
-    if args.steps < 1:
-        raise CliError("steps must be at least 1", EXIT_USAGE)
+    _check_steps(args.steps, MAX_GEODESIC_STEPS)
     ha = _load_body(args.shape_a, cfg)
     hb = _load_body(args.shape_b, cfg)
     pa, pb = _normalized(ha, "shape_a"), _normalized(hb, "shape_b")
@@ -132,11 +140,11 @@ def cmd_geodesic(args, cfg):
     if total == 0.0:
         raise CliError("geodesic endpoints are identical", EXIT_DOMAIN)
 
-    points = [geodesic_point(pa, pb, k / args.steps) for k in range(args.steps + 1)]
     rows = []
     cfg.out.mkdir(parents=True, exist_ok=True)
-    for k, p in enumerate(points):
+    for k in range(args.steps + 1):
         t = k / args.steps
+        p = geodesic_point(pa, pb, t)
         da = hyper_dist(pa, p)
         db = hyper_dist(p, pb)
         if abs(da + db - total) > 1e-9 * (1.0 + total):
@@ -145,7 +153,7 @@ def cmd_geodesic(args, cfg):
         frame = boundary_curve(p.fn, min(cfg.grid, 2048))
         write_svg(frame, cfg.out / ("frame_%03d.svg" % k), title="t=%.4f" % t)
     _write_csv(cfg.out / "geodesic.csv", ["t", "d_from_a", "d_from_b", "perimeter"], rows)
-    print("wrote %d frames and geodesic.csv to %s" % (len(points), cfg.out))
+    print("wrote %d frames and geodesic.csv to %s" % (len(rows), cfg.out))
     return EXIT_OK
 
 
@@ -167,8 +175,7 @@ def cmd_verify(args, cfg):
 
 
 def cmd_kernels(args, cfg):
-    if args.steps < 1:
-        raise CliError("steps must be at least 1", EXIT_USAGE)
+    _check_steps(args.steps, MAX_KERNELS_STEPS)
     if not 0.0 < args.t_min <= args.t_max <= KERNEL_T_MAX:
         raise CliError("need 0 < t_min <= t_max <= %.4g" % KERNEL_T_MAX, EXIT_USAGE)
     tvals = [args.t_min] if args.t_min == args.t_max else list(np.linspace(args.t_min, args.t_max, args.steps))

@@ -2,9 +2,11 @@
 
 A fixed viewport [-4, 4]^2 maps to a 512x512 canvas so frames along a
 geodesic stay visually comparable; bodies poking outside are scaled down
-with a visible annotation.
+with a visible annotation.  Pixel coordinates therefore lie in [0, 512],
+and each prints exactly as '%.3f' would print it.
 """
 
+import functools
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -18,6 +20,36 @@ def _to_px(xy):
     px = (x + VIEW_HALF) / (2.0 * VIEW_HALF) * CANVAS
     py = (VIEW_HALF - y) / (2.0 * VIEW_HALF) * CANVAS
     return px, py
+
+
+@functools.cache
+def _digit_words():  # on first use, so that importing the CLI builds no table
+    """Words INT[q] (bytes 1-3: q right-aligned, NUL-padded) and FRAC[r] (bytes 4-7: '.ddd'), q, r < 1000."""
+    k = np.arange(1000, dtype=np.uint64)
+    digits = np.stack([k // 100, k // 10 % 10, k % 10]) + np.uint64(ord("0"))
+    shifts = np.arange(8, 64, 8, dtype=np.uint64)[:, None]
+    int_words = (np.where(k >= np.array([[100], [10], [0]]), digits, 0) << shifts[:3]).sum(axis=0)
+    return int_words, (digits << shifts[4:]).sum(axis=0) | np.uint64(ord(".")) << shifts[3]
+
+
+def _path_d(px):
+    """'Mx0 y0Lx1 y1...z' of pixels px = (x0, y0, x1, ...) below 999.9995, each as '%.3f' prints it.
+
+    rint(1000 px) rounds the exact product correctly unless 1000 px is a half-integer, and then the
+    exact product may lie on either side.
+    """
+    t = px * 1000.0
+    if np.signbit(t).any() or t.max() >= 999999.5:
+        raise ValueError("pixel coordinates must lie in [0, 999.9995), got %g to %g" % (px.min(), px.max()))
+    n = np.rint(t)
+    ties = np.flatnonzero(t - np.floor(t) == 0.5)
+    n[ties] = [int(("%.3f" % v).replace(".", "")) for v in px[ties].tolist()]
+    q, r = np.divmod(n.astype(np.int64), 1000)
+    lead = np.tile(np.array([ord("L"), ord(" ")], dtype=np.uint64), n.size // 2)
+    lead[0] = ord("M")
+    int_words, frac_words = _digit_words()
+    words = (int_words[q] | frac_words[r] | lead).astype("<u8", copy=False)
+    return words.tobytes().replace(b"\0", b"").decode("ascii") + "z"
 
 
 def render_boundary(points, title=None):
@@ -36,42 +68,19 @@ def render_boundary(points, title=None):
         pts = pts * factor
         scale_note = "scaled by %.3g to fit viewport" % factor
 
-    root = ET.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        width="%dpx" % int(CANVAS),
-        height="%dpx" % int(CANVAS),
-        viewBox="0 0 %d %d" % (int(CANVAS), int(CANVAS)),
-    )
+    side = int(CANVAS)
+    root = ET.Element("svg", xmlns="http://www.w3.org/2000/svg", width="%dpx" % side, height="%dpx" % side,
+                      viewBox="0 0 %d %d" % (side, side))
     if title:
         ET.SubElement(root, "title").text = title
-
-    xy = np.stack(_to_px(pts.T), axis=1)
-    path = ("L%.3f %.3f" * len(xy)) % tuple(xy.ravel().tolist())
-    ET.SubElement(
-        root,
-        "path",
-        d="M" + path[1:] + "z",
-        fill="#c8d8f0",
-        stroke="#203050",
-        attrib={"stroke-width": "1.5", "fill-opacity": "0.7"},
-    )
-
+    path = {"stroke-width": "1.5", "fill-opacity": "0.7", "d": _path_d(np.stack(_to_px(pts.T), axis=1).ravel())}
+    ET.SubElement(root, "path", path, fill="#c8d8f0", stroke="#203050")
     ox, oy = _to_px((0.0, 0.0))
     for dx, dy in ((6.0, 0.0), (0.0, 6.0)):
-        ET.SubElement(
-            root,
-            "line",
-            x1="%.1f" % (ox - dx),
-            y1="%.1f" % (oy - dy),
-            x2="%.1f" % (ox + dx),
-            y2="%.1f" % (oy + dy),
-            stroke="#a03030",
-            attrib={"stroke-width": "1"},
-        )
+        x1, y1, x2, y2 = ("%.1f" % v for v in (ox - dx, oy - dy, ox + dx, oy + dy))
+        ET.SubElement(root, "line", {"stroke-width": "1"}, x1=x1, y1=y1, x2=x2, y2=y2, stroke="#a03030")
     if scale_note:
-        note = ET.SubElement(root, "text", x="8", y="20", attrib={"font-size": "12"})
-        note.text = scale_note
+        ET.SubElement(root, "text", {"font-size": "12"}, x="8", y="20").text = scale_note
     return root
 
 

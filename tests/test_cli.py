@@ -28,12 +28,15 @@ from hypkonvex.verify import random_polygon
 DISC = '{"type":"ellipse","matrix":[[1.0,0.0],[0.0,1.0]]}'
 SQUARE = '{"type":"polygon","vertices":[[1,1],[-1,1],[-1,-1],[1,-1]]}'
 SEGMENT = '{"type":"segment","endpoint":[1.0,0.0]}'
-# ShapeDocs with a grid no integer equals, or nested past the JSON parser's depth
+# ShapeDocs with a grid no integer equals, a NaN value, one value too few, or
+# nested past the JSON parser's depth
 _SAMPLES_AT = '{"type":"samples","grid":%s,"values":[1,1,1,1,1,1,1,1]}'
 MALFORMED = {
     "infinite_grid": _SAMPLES_AT % "Infinity",
     "overflowing_grid": _SAMPLES_AT % "1e400",
     "fractional_grid": _SAMPLES_AT % "8.9",
+    "nan_value": '{"type":"samples","grid":8,"values":[1,1,1,NaN,1,1,1,1]}',
+    "value_too_few": '{"type":"samples","grid":8,"values":[1,1,1,1,1,1,1]}',
     "deep_nesting": "[" * 200000,
 }
 # Frozen: acosh((2/pi) e^{1/2} E(sqrt(1 - e^{-2}))), scipy oracle
@@ -127,6 +130,8 @@ def test_geodesic_disc_to_square_closed_form(tmp_path, capsys):
         (["dist", "{infinite_grid}", "{disc}"], {}),
         (["dist", "{disc}", "{overflowing_grid}"], {}),
         (["geodesic", "{fractional_grid}", "{disc}"], {}),
+        (["dist", "{nan_value}", "{disc}"], {}),
+        (["geodesic", "{disc}", "{value_too_few}"], {}),
         (["dist", "{deep_nesting}", "{disc}"], {}),
     ],
     ids=[
@@ -139,6 +144,8 @@ def test_geodesic_disc_to_square_closed_form(tmp_path, capsys):
         "shapedoc-infinite-grid",
         "shapedoc-overflowing-grid",
         "shapedoc-fractional-grid",
+        "shapedoc-nan-value",
+        "shapedoc-value-too-few",
         "shapedoc-deep-nesting",
     ],
 )
@@ -153,6 +160,16 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, env):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("cmd, most", [("geodesic", 10_000), ("kernels", 100_000)])
+def test_steps_past_the_cap_exit_2_before_any_work(tmp_path, capsys, cmd, most):
+    a = _write(tmp_path, "a.json", DISC)
+    argv = [cmd, a, a] if cmd == "geodesic" else [cmd, "--t-min", "0.1", "--t-max", "1"]
+    with mock.patch("hypkonvex.cli.load_shapedoc") as load, mock.patch("hypkonvex.cli.kernels_compare") as kernels:
+        assert main(argv + ["--steps", str(most + 1), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: steps must be at most %d\n" % most
+    assert not load.called and not kernels.called and not (tmp_path / "out").exists()
 
 
 def test_dist_zero_area_exits_3(tmp_path, capsys):
@@ -303,7 +320,10 @@ def _shapedoc_json(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_shapedoc_json(), _shapedoc_json())
-@example(DISC, MALFORMED["infinite_grid"])  # the derandomized draws reach no infinite grid
+# the derandomized draws reach no infinite grid, NaN value or short value list
+@example(DISC, MALFORMED["infinite_grid"])
+@example(MALFORMED["nan_value"], SQUARE)
+@example(DISC, MALFORMED["value_too_few"])
 def test_dist_and_geodesic_end_in_a_documented_exit_code(tmp_path_factory, doc_a, doc_b):
     tmp = tmp_path_factory.mktemp("docs")
     a, b = _write(tmp, "a.json", doc_a), _write(tmp, "b.json", doc_b)

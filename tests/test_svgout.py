@@ -1,6 +1,7 @@
 """SVG frames: the path text against the per-point oracle, and bad input."""
 
 import json
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypkonvex.cli import main
 from hypkonvex.lorentz import geodesic_point, normalize
 from hypkonvex.shapedoc import load_shapedoc, to_even_fn
 from hypkonvex.supportfn import boundary_curve
-from hypkonvex.svgout import render_boundary, write_svg
+from hypkonvex.svgout import _path_d, render_boundary, write_svg
 
 from svg_oracle import path_d
 
@@ -59,6 +60,39 @@ def test_signed_zeros_and_ties_print_as_the_oracle_does():
     flat = ("%.3f" * vals.size) % tuple(vals.tolist())
     assert flat == "".join("%.3f" % v for v in vals) == "".join("%.3f" % float(v) for v in vals)
     assert flat.startswith("-0.000-0.000-0.000")
+
+
+def _pixels_in_canvas(d):
+    values = [float(v) for v in re.findall(r"[0-9.]+", d)]
+    return "-" not in d and all(0.0 <= v <= 512.0 for v in values)
+
+
+def test_pixels_lie_in_the_canvas_the_encoder_relies_on():
+    rng = np.random.default_rng(9)
+    corners = np.array([[4.0, -4.0], [-4.0, 4.0], [4.0, 4.0], [-4.0, -4.0]])
+    for top in (4.0, 4.0 + 1e-12, 7.5, 1e6, 1e300):  # clouds that touch +-top on both axes
+        pts = np.concatenate([corners * (top / 4.0), rng.uniform(-top, top, size=(200, 2))])
+        d = _d(pts)
+        assert _pixels_in_canvas(d) and d == path_d(pts)
+    for pts in (1e-300 * rng.normal(size=(50, 2)), np.full((3, 2), -1e-300)):
+        d = _d(pts)
+        assert _pixels_in_canvas(d) and d == path_d(pts)
+
+
+@pytest.mark.parametrize("px", [[1000.0, 0.0], [0.0, 999.9996], [-0.0, 1.0], [1.0, -1e-300], [1e6, 1.0]])
+def test_encoder_refuses_pixels_outside_its_range(px):
+    with pytest.raises(ValueError):
+        _path_d(np.array(px))
+
+
+def test_encoder_prints_every_thousandth_tie_and_its_neighbours_as_the_format_does():
+    # every k/2000 in [0, 512], odd k a decimal tie, and both float neighbours
+    # (none below 0); ties take the exact route, all else rint
+    k = np.arange(1_024_001) / 2000.0
+    vals = np.concatenate([k, np.nextafter(k[1:], -np.inf), np.nextafter(k, np.inf), [999.9994, 999.9994999]])
+    for chunk in (vals[i : i + 65536] for i in range(0, vals.size, 65536)):
+        expect = "M" + "L".join("%.3f %.3f" % (x, y) for x, y in chunk.reshape(-1, 2).tolist()) + "z"
+        assert _path_d(chunk) == expect
 
 
 @pytest.mark.parametrize(
