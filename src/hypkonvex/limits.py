@@ -196,7 +196,7 @@ def greedy_cover_count(points, halfwidth):
     return count
 
 
-def empirical_dim_estimate(j_min, j_max, n_samples=100_000, metric="visual", lam=1.0):
+def empirical_dim_estimate(j_min, j_max, n_samples=100_000, metric="visual"):
     """Greedy-cover slope on sampled directions, over scales the sample resolves.
 
     Scales with analytic covering number above n_samples/5 would saturate at
@@ -204,13 +204,9 @@ def empirical_dim_estimate(j_min, j_max, n_samples=100_000, metric="visual", lam
     (slope, used_js, counts).
     """
     pts = sample_directions(n_samples)
-    js = [
-        j
-        for j in range(j_min, j_max + 1)
-        if covering_number(2.0**-j, metric, lam) <= n_samples / 5
-    ]
+    js = [j for j in range(j_min, j_max + 1) if covering_number(2.0**-j, metric) <= n_samples / 5]
     if len(js) < 2:
         raise ValueError("sample too small to resolve at least two scales")
-    counts = [greedy_cover_count(pts, _ball_halfwidth(2.0**-j, metric, lam)) for j in js]
+    counts = [greedy_cover_count(pts, _ball_halfwidth(2.0**-j, metric)) for j in js]
     slope, _ = np.polyfit(np.asarray(js, dtype=float) * math.log(2.0), np.log(counts), 1)
     return float(slope), js, counts

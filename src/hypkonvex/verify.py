@@ -1,15 +1,17 @@
 """Verification suites: inequalities, kernel identities, and asymptotics.
 
-Each suite draws seeded random cases, evaluates one family of checks, and
-returns a SuiteReport.  Violations are normalized per case by the check's own
-absolute tolerance or window, so a suite passes iff its max normalized
+A suite is a function of ``(report, rng, grid)`` listed in ``SUITES``: it
+draws its cases from ``rng`` (or from nothing) and adds one record per check
+to ``report``.  ``run_suite`` seeds the rng from ``--seed`` and names the
+report by the suite's key.  Violations are normalized per case by the check's
+own absolute tolerance or window, so a suite passes iff its max normalized
 violation is at most 1; reports are byte-stable for a fixed (seed, grid).
 """
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,37 +49,50 @@ HALF_CURVATURE_RATIO = math.sqrt(3.0 / 8.0)
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
 class SuiteReport:
-    """Outcome of one suite; passes iff max_violation <= tolerance.
+    """The records of one suite run; passes iff max_violation <= 1.
 
-    Violations are normalized by per-case absolute tolerances (stored in the
-    records), so ``tolerance`` is 1.0 throughout.
+    Each record stores its own absolute tolerance, threshold or window, and
+    its violation is normalized by it, so a case at its bound scores 1.
     """
 
-    suite: str
-    seed: int
-    grid: int
-    cases: int
-    max_violation: float
-    tolerance: float
-    passed: bool
-    records: list = field(default_factory=list)
+    def __init__(self, suite, seed, grid):
+        self.suite, self.seed, self.grid = suite, seed, grid
+        self.records = []
+        self.max_violation = 0.0
 
-    def to_dict(self):
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "grid": self.grid,
-            "cases": self.cases,
-            "max_violation": self.max_violation,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "records": self.records,
-        }
+    @property
+    def cases(self):
+        return len(self.records)
+
+    @property
+    def passed(self):
+        return self.max_violation <= 1.0
+
+    def _push(self, ratio, rec, extra):
+        rec.update(extra)
+        self.records.append(rec)
+        self.max_violation = max(self.max_violation, ratio)
+
+    def add(self, check, digest, value, tol, **extra):
+        """A bound check: |value| must stay within tol."""
+        self._push(abs(value) / tol, {"check": check, "digest": digest, "value": value, "tol": tol}, extra)
+
+    def add_lower(self, check, digest, value, threshold, **extra):
+        """value must exceed threshold; normalized so value == threshold -> 1."""
+        rec = {"check": check, "digest": digest, "value": value, "threshold": threshold}
+        self._push(2.0 - value / threshold, rec, extra)
+
+    def add_window(self, check, digest, value, lo, hi, **extra):
+        """value must lie in [lo, hi]; normalized so either end -> 1."""
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        rec = {"check": check, "digest": digest, "value": value, "window": [lo, hi]}
+        self._push(abs(value - mid) / half, rec, extra)
 
     def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        doc = {"suite": self.suite, "seed": self.seed, "grid": self.grid, "cases": self.cases,
+               "max_violation": self.max_violation, "tolerance": 1.0, "pass": self.passed, "records": self.records}
+        return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def _digest(*parts):
@@ -85,46 +100,6 @@ def _digest(*parts):
     for p in parts:
         h.update(np.ascontiguousarray(np.asarray(p, dtype=float)).tobytes())
     return h.hexdigest()[:12]
-
-
-class _Collector:
-    def __init__(self):
-        self.records = []
-        self.worst = 0.0
-
-    def _push(self, rec, ratio):
-        self.worst = max(self.worst, ratio)
-        self.records.append(rec)
-
-    def add(self, check, digest, value, tol, **extra):
-        """A bound check: |value| must stay within tol."""
-        rec = {"check": check, "digest": digest, "value": value, "tol": tol}
-        rec.update(extra)
-        self._push(rec, abs(value) / tol)
-
-    def add_lower(self, check, digest, value, threshold, **extra):
-        """value must exceed threshold; normalized so value == threshold -> 1."""
-        rec = {"check": check, "digest": digest, "value": value, "threshold": threshold}
-        rec.update(extra)
-        self._push(rec, 2.0 - value / threshold)
-
-    def add_window(self, check, digest, value, lo, hi, **extra):
-        rec = {"check": check, "digest": digest, "value": value, "window": [lo, hi]}
-        rec.update(extra)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        self._push(rec, abs(value - mid) / half)
-
-    def report(self, suite, seed, grid):
-        return SuiteReport(
-            suite=suite,
-            seed=seed,
-            grid=grid,
-            cases=len(self.records),
-            max_violation=self.worst,
-            tolerance=1.0,
-            passed=self.worst <= 1.0,
-            records=self.records,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -311,24 +286,19 @@ def curvature_scale_estimate(s_values):
     term from the two smallest s gives the reported extrapolation.
     """
     s = sorted(float(v) for v in s_values)
-    if not s or s[0] <= 0.0:
-        raise ValueError("s values must be positive")
+    if len(s) < 2 or s[0] <= 0.0 or s[1] == s[0]:
+        raise ValueError("need at least two distinct positive s values")
     ratios = [iota_dist_closed(v) / v for v in s]
-    if len(s) >= 2:
-        (sb, rb), (sa, ra) = (s[0], ratios[0]), (s[1], ratios[1])
-        extrapolated = (rb * sa**2 - ra * sb**2) / (sa**2 - sb**2)
-    else:
-        extrapolated = ratios[0]
-    return ratios, extrapolated
+    (sb, rb), (sa, ra) = (s[0], ratios[0]), (s[1], ratios[1])
+    return ratios, (rb * sa**2 - ra * sb**2) / (sa**2 - sb**2)
 
 
 # ---------------------------------------------------------------------------
 # suites
 
-def _quasiiso_suite(seed=0, grid=DEFAULT_GRID):
+def _quasiiso_suite(col, rng, grid):
     """Sandwich acosh(2e^{s/2}/pi) <= d(s) <= acosh(e^{s/2}) and |d - s/2| <= 1/2
     at 400 points of [0, 40]."""
-    col = _Collector()
     prev = -1.0
     for s in np.linspace(0.0, 40.0, 400):
         s = float(s)
@@ -342,11 +312,9 @@ def _quasiiso_suite(seed=0, grid=DEFAULT_GRID):
         col.add("additive-band", dig, d - 0.5 * s, 0.5, s=s)
         col.add("monotone", dig, max(0.0, prev - d), 1e-12)
         prev = d
-    return col.report("quasiiso", seed, grid)
 
 
-def _kernels_suite(seed=0, grid=DEFAULT_GRID):
-    col = _Collector()
+def _kernels_suite(col, rng, grid):
     for k in range(1, 51):
         t = 0.1 * k
         kv = kernels_compare(t)
@@ -370,23 +338,18 @@ def _kernels_suite(seed=0, grid=DEFAULT_GRID):
         )
     for t in (0.25, 0.5, 1.0, 2.0, 5.0):
         col.add("jacobian-unit-mass", _digest([t]), _jacobian_mean(t, 1.0) - 1.0, 1e-12, t=t)
-    return col.report("kernels", seed, grid)
 
 
-def _curvature_suite(seed=0, grid=DEFAULT_GRID):
-    col = _Collector()
+def _curvature_suite(col, rng, grid):
     ratios, extrapolated = curvature_scale_estimate([5e-4, 1e-3, 1e-2])
     col.add("ratio-at-1e-2", _digest([1e-2]), ratios[2] - HALF_CURVATURE_RATIO, 1e-4)
     col.add("richardson", _digest([5e-4, 1e-3]), extrapolated - HALF_CURVATURE_RATIO, 1e-8)
     s = 1e-3
     cosh_val = math.cosh(iota_dist_quadrature(Mobius.axial(s)))
     col.add("small-s-expansion", _digest([s]), cosh_val - (1.0 + 3.0 * s * s / 16.0), 1e-13)
-    return col.report("curvature", seed, grid)
 
 
-def _minkowski_suite(seed=0, grid=DEFAULT_GRID):
-    rng = np.random.default_rng(seed)
-    col = _Collector()
+def _minkowski_suite(col, rng, grid):
     for _ in range(1000):
         h1 = random_body_fn(rng, grid)
         h2 = random_body_fn(rng, grid)
@@ -399,12 +362,9 @@ def _minkowski_suite(seed=0, grid=DEFAULT_GRID):
         x = _cosh_between(h, scaled(h, lam))
         defect = (x * x - 1.0) / max(x * x, 1.0)
         col.add("homothetic-equality", _digest(h.samples, [lam]), defect, 1e-12)
-    return col.report("minkowski", seed, grid)
 
 
-def _extended_suite(seed=0, grid=DEFAULT_GRID):
-    rng = np.random.default_rng(seed)
-    col = _Collector()
+def _extended_suite(col, rng, grid):
     for _ in range(500):
         n = int(rng.integers(1, 6))
         bodies = [random_tagged_body(rng, grid) for _ in range(n + 1)]
@@ -412,23 +372,17 @@ def _extended_suite(seed=0, grid=DEFAULT_GRID):
         resid = minkowski_extended_test(bodies, coeffs)
         dig = _digest(coeffs, *[b.samples for b in bodies])
         col.add("signed-minkowski", dig, min(0.0, resid), 1e-9, n=n)
-    return col.report("extended", seed, grid)
 
 
-def _wirtinger_suite(seed=0, grid=DEFAULT_GRID):
-    rng = np.random.default_rng(seed)
-    col = _Collector()
+def _wirtinger_suite(col, rng, grid):
     for _ in range(1000):
         h = random_band_limited(rng, grid, max_harmonic=24, mean=0.0)
         l2, dl2 = h1_seminorms(h)
         viol = max(0.0, l2 - 0.25 * dl2) / (0.25 * dl2)
         col.add("poincare-wirtinger", _digest(h.samples), viol, 1e-12)
-    return col.report("wirtinger", seed, grid)
 
 
-def _encadrement_suite(seed=0, grid=DEFAULT_GRID):
-    rng = np.random.default_rng(seed)
-    col = _Collector()
+def _encadrement_suite(col, rng, grid):
     for _ in range(1000):
         h = random_band_limited(rng, grid, max_harmonic=24, mean=0.0)
         l2, dl2 = h1_seminorms(h)
@@ -438,12 +392,9 @@ def _encadrement_suite(seed=0, grid=DEFAULT_GRID):
         dig = _digest(h.samples)
         col.add("lower-bracket", dig, max(0.0, 3.0 / (16.0 * math.pi) * h1sq - neg_a) / scale, 1e-12)
         col.add("upper-bracket", dig, max(0.0, neg_a - h1sq / (2.0 * math.pi)) / scale, 1e-12)
-    return col.report("encadrement", seed, grid)
 
 
-def _equivariance_suite(seed=0, grid=DEFAULT_GRID):
-    rng = np.random.default_rng(seed)
-    col = _Collector()
+def _equivariance_suite(col, rng, grid):
     for _ in range(200):
         m = random_mobius(rng)
         h1 = random_band_limited(rng, grid, mean=1.5)
@@ -479,7 +430,6 @@ def _equivariance_suite(seed=0, grid=DEFAULT_GRID):
         move = float(np.abs(rho_act(rot, p.fn).samples - p.fn.samples).max())
         col.add_lower("nonconstant-moves", _digest(p.fn.samples), move, 1e-6)
         done += 1
-    return col.report("equivariance", seed, grid)
 
 
 def _ellipse_h2_dist(e1, e2):
@@ -488,9 +438,7 @@ def _ellipse_h2_dist(e1, e2):
     return _translation_length(*_adjugate_product(e2.matrix, e1.matrix))
 
 
-def _gram_rank_suite(seed=0, grid=DEFAULT_GRID):
-    rng = np.random.default_rng(seed)
-    col = _Collector()
+def _gram_rank_suite(col, rng, grid):
     for n in range(2, 7):
         for _ in range(50):
             mats = []
@@ -503,15 +451,12 @@ def _gram_rank_suite(seed=0, grid=DEFAULT_GRID):
             gn = g / np.abs(g).max(axis=1, keepdims=True)
             det = abs(float(np.linalg.det(gn)))
             col.add_lower("gram-nonsingular", _digest(*[e.matrix for e in mats]), det, 1e-10, n=n)
-    return col.report("gram-rank", seed, grid)
 
 
-def _ellipse_sum_suite(seed=0, grid=DEFAULT_GRID):
+def _ellipse_sum_suite(col, rng, grid):
     # Moderate elongations and a separation floor: near-aligned slivers are
     # genuinely non-homothetic yet their relative fourth-harmonic energy is
     # suppressed like aspect^-4, below any fixed detection threshold.
-    rng = np.random.default_rng(seed)
-    col = _Collector()
     for _ in range(20):
         e1 = random_ellipse(rng, 1.2)
         rot = Mobius.rotation(rng.uniform(0.0, 2.0 * math.pi)).matrix
@@ -531,11 +476,9 @@ def _ellipse_sum_suite(seed=0, grid=DEFAULT_GRID):
         moved = ellipse_sum_test(e1.transform(m.matrix), e2.transform(m.matrix), 1.0, 1.0, grid)
         col.add_lower("verdict-invariance", dig, moved, 1e-6)
         done += 1
-    return col.report("ellipse-sum", seed, grid)
 
 
-def _dimension_suite(seed=0, grid=DEFAULT_GRID):
-    col = _Collector()
+def _dimension_suite(col, rng, grid):
     slope, resid = hausdorff_dim_estimate(4, 12)
     col.add_window("analytic-slope", _digest([4, 12]), slope, 1.98, 2.02, residual=resid)
     emp_slope, js, counts = empirical_dim_estimate(4, 12, 100_000)
@@ -545,7 +488,6 @@ def _dimension_suite(seed=0, grid=DEFAULT_GRID):
     for lam in (0.5, 3.0):
         scaled_slope, _ = hausdorff_dim_estimate(4, 12, metric="visual", lam=lam)
         col.add("scale-invariance", _digest([lam]), scaled_slope - slope, 0.02, lam=lam)
-    return col.report("dimension", seed, grid)
 
 
 SUITES = {
@@ -564,6 +506,9 @@ SUITES = {
 
 
 def run_suite(name, seed=0, grid=DEFAULT_GRID):
+    """Run ``SUITES[name]`` on an rng seeded by ``seed``; the report is named ``name``."""
     if name not in SUITES:
         raise KeyError("unknown suite %r (have: %s)" % (name, ", ".join(sorted(SUITES))))
-    return SUITES[name](seed=seed, grid=grid)
+    report = SuiteReport(name, seed, grid)
+    SUITES[name](report, np.random.default_rng(seed), grid)
+    return report

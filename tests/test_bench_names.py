@@ -12,6 +12,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -32,6 +33,32 @@ def test_tracer_modules_renamed_functions_and_shape_classes_resolve(bench_path):
     shapes = importlib.import_module("hypkonvex.shapes")
     for name in tracer.SHAPE_CLASSES:
         assert callable(getattr(shapes, name).support), name
+
+
+# What each tracer hook reads of its call: (parameter, position, probe value),
+# or None for a hook that reads only the result.
+HOOK_READS = {
+    "verify.run_suite": ("name", 0, "minkowski"),
+    "supportfn.offgrid": ("theta", 2, np.zeros(3)),
+    "svgout.write_svg": ("path", 1, __file__),
+    "supportfn.combine": None,
+}
+
+
+def test_tracer_hooks_read_the_parameters_they_name(bench_path):
+    tracer = importlib.import_module("tracer")
+    hooks = {name: lambda a, k, h=h: h(a, k) for name, h in tracer.SPAN_NAMES.items()}
+    hooks.update({name: lambda a, k, h=h: h(a, k, None) for name, h in tracer.COUNTERS.items()})
+    assert set(HOOK_READS) == set(hooks)
+    functions = {traced: full for full, traced in tracer.RENAMED.items()}
+    for traced, reads in HOOK_READS.items():
+        if reads is None:
+            continue
+        param, pos, probe = reads
+        short, attr = functions.get(traced, traced).split(".")
+        fn = getattr(importlib.import_module("hypkonvex." + short), attr)
+        assert list(inspect.signature(fn).parameters)[pos] == param, traced
+        assert hooks[traced]((None,) * pos + (probe,), {}) == hooks[traced]((), {param: probe}), traced
 
 
 def test_sweep_cases_bind_to_their_functions(bench_path, tmp_path):

@@ -506,14 +506,10 @@ def test_strict_mode_escalates_spectral_warning(tmp_path):
 
 
 def test_verify_failure_exits_4(tmp_path, monkeypatch, capsys):
-    from hypkonvex.verify import SUITES, SuiteReport
+    from hypkonvex.verify import SUITES
 
-    def failing(seed=0, grid=2048):
-        return SuiteReport(
-            suite="rigged", seed=seed, grid=grid, cases=1,
-            max_violation=2.0, tolerance=1.0, passed=False,
-            records=[{"check": "rigged", "digest": "0", "value": 2.0, "tol": 1.0}],
-        )
+    def failing(col, rng, grid):
+        col.add("rigged", "0", 2.0, 1.0)
 
     monkeypatch.setitem(SUITES, "rigged", failing)
     assert main(["verify", "--suite", "rigged", "--out", str(tmp_path)]) == 4

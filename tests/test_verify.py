@@ -1,5 +1,6 @@
 """Verification operations and suite harness."""
 
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypkonvex.verify import (
     HALF_CURVATURE_RATIO,
     KERNEL_T_MAX,
     SUITES,
+    SuiteReport,
     _jacobian_mean,
     curvature_scale_estimate,
     ellipse_sum_test,
@@ -106,8 +108,9 @@ def test_curvature_scale_estimate():
     ratios, extrapolated = curvature_scale_estimate([5e-4, 1e-3, 1e-2])
     assert abs(ratios[-1] - HALF_CURVATURE_RATIO) < 1e-4
     assert abs(extrapolated - HALF_CURVATURE_RATIO) < 1e-8
-    with pytest.raises(ValueError):
-        curvature_scale_estimate([0.0, 1.0])
+    for bad in ([0.0, 1.0], [1e-3], [1e-3, 1e-3]):
+        with pytest.raises(ValueError):
+            curvature_scale_estimate(bad)
 
 
 def test_quasi_iso_suite():
@@ -126,11 +129,42 @@ def test_suite_registry_runs_and_is_deterministic():
         run_suite("nope")
 
 
+REPORT_KEYS = {"suite", "seed", "grid", "cases", "max_violation", "tolerance", "pass", "records"}
+
+
 def test_report_invariant():
     report = run_suite("curvature", seed=0, grid=M)
-    assert report.passed == (report.max_violation <= report.tolerance)
-    payload = report.to_dict()
-    assert set(payload) == {"suite", "seed", "grid", "cases", "max_violation", "tolerance", "pass", "records"}
+    payload = json.loads(report.to_json())
+    assert payload["pass"] == report.passed == (report.max_violation <= payload["tolerance"])
+    assert set(payload) == REPORT_KEYS
+
+
+def test_report_harness(monkeypatch):
+    empty = SuiteReport("probe", 5, M)
+    assert (empty.cases, empty.max_violation, empty.passed) == (0, 0.0, True)
+    # each check scores exactly 1 at its bound and fails just past it
+    checks = [
+        lambda r, step: r.add("bound", "0", -0.25 * step, 0.25),
+        lambda r, step: r.add_lower("lower", "0", 0.25 / step, 0.25),
+        lambda r, step: r.add_window("window", "0", 2.5 * step, 1.5, 2.5),
+    ]
+    for check in checks:
+        at, past = SuiteReport("probe", 5, M), SuiteReport("probe", 5, M)
+        check(at, 1.0)
+        check(past, 1.0 + 1e-12)
+        assert (at.cases, at.max_violation, at.passed) == (1, 1.0, True)
+        assert past.max_violation > 1.0 and not past.passed
+        payload = json.loads(at.to_json())
+        assert set(payload) == REPORT_KEYS and payload["tolerance"] == 1.0
+
+    def probe(col, rng, grid):
+        col.add("draws", "0", 0.0, 1.0, draws=rng.uniform(size=3).tolist(), grid=grid)
+
+    monkeypatch.setitem(SUITES, "probe", probe)
+    report = run_suite("probe", seed=5, grid=M)
+    assert (report.suite, report.seed, report.grid, report.cases) == ("probe", 5, M, 1)
+    assert report.records[0]["draws"] == np.random.default_rng(5).uniform(size=3).tolist()
+    assert report.records[0]["grid"] == M
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
