@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,27 +50,16 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunConfig:
-    grid: int = 2048
-    seed: int = 0
-    out: Path = Path("out")
-    strict: bool = False
-
-    def __post_init__(self):
-        if self.grid < 64 or self.grid % 4 != 0:
-            raise CliError("grid must be a multiple of 4 and at least 64", EXIT_USAGE)
-        if self.seed < 0:
-            raise CliError("seed must be nonnegative, got %d" % self.seed, EXIT_USAGE)
-
-
-def _grid(flag):
-    """The --grid value, else HYPKONVEX_GRID, else 2048."""
-    text = os.environ.get("HYPKONVEX_GRID", "2048") if flag is None else flag
+def _grid(args):
+    """The --grid value, else HYPKONVEX_GRID, else 2048: a multiple of 4, at least 64."""
+    text = os.environ.get("HYPKONVEX_GRID", "2048") if args.grid is None else args.grid
     try:
-        return int(text)
+        grid = int(text)
     except ValueError:
         raise CliError("HYPKONVEX_GRID must be an integer, got %r" % (text,), EXIT_USAGE) from None
+    if grid < 64 or grid % 4 != 0:
+        raise CliError("grid must be a multiple of 4 and at least 64", EXIT_USAGE)
+    return grid
 
 
 def _check_steps(steps, most):
@@ -96,10 +84,10 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _load_body(path, cfg):
+def _load_body(path, grid):
     try:
         doc = load_shapedoc(path)
-        return to_even_fn(doc, cfg.grid)
+        return to_even_fn(doc, grid)
     except (OSError, ShapeDocError, ValueError) as exc:
         raise CliError("cannot read body from %s: %s" % (path, exc), EXIT_USAGE)
 
@@ -111,10 +99,15 @@ def _normalized(h, label):
         raise CliError("%s: %s" % (label, exc), EXIT_DOMAIN)
 
 
-def cmd_dist(args, cfg):
-    ha = _load_body(args.shape_a, cfg)
-    hb = _load_body(args.shape_b, cfg)
-    pa, pb = _normalized(ha, "shape_a"), _normalized(hb, "shape_b")
+def _load_pair(args, grid):
+    """The bodies shape_a and shape_b on the grid, then their hyperboloid points."""
+    ha, hb = _load_body(args.shape_a, grid), _load_body(args.shape_b, grid)
+    return ha, hb, _normalized(ha, "shape_a"), _normalized(hb, "shape_b")
+
+
+def cmd_dist(args):
+    grid = _grid(args)
+    ha, hb, pa, pb = _load_pair(args, grid)
     d = hyper_dist(pa, pb)
     record = {
         "distance": d,
@@ -123,25 +116,24 @@ def cmd_dist(args, cfg):
         "area_b": math.pi * form_A(hb),
         "perimeter_a": 2.0 * math.pi * pi0(ha),
         "perimeter_b": 2.0 * math.pi * pi0(hb),
-        "grid": cfg.grid,
+        "grid": grid,
     }
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.out / "dist.json", record)
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_json(args.out / "dist.json", record)
     print(_fmt(d))
     return EXIT_OK
 
 
-def cmd_geodesic(args, cfg):
+def cmd_geodesic(args):
+    grid = _grid(args)
     _check_steps(args.steps, MAX_GEODESIC_STEPS)
-    ha = _load_body(args.shape_a, cfg)
-    hb = _load_body(args.shape_b, cfg)
-    pa, pb = _normalized(ha, "shape_a"), _normalized(hb, "shape_b")
+    _, _, pa, pb = _load_pair(args, grid)
     total = hyper_dist(pa, pb)
     if total == 0.0:
         raise CliError("geodesic endpoints are identical", EXIT_DOMAIN)
 
     rows = []
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     for k in range(args.steps + 1):
         t = k / args.steps
         p = geodesic_point(pa, pb, t)
@@ -150,23 +142,26 @@ def cmd_geodesic(args, cfg):
         if abs(da + db - total) > 1e-9 * (1.0 + total):
             raise CliError("geodesic additivity violated at t=%.3f: %.3g" % (t, abs(da + db - total)), EXIT_DOMAIN)
         rows.append((t, da, db, 2.0 * math.pi * pi0(p.fn)))
-        frame = boundary_curve(p.fn, min(cfg.grid, 2048))
-        write_svg(frame, cfg.out / ("frame_%03d.svg" % k), title="t=%.4f" % t)
-    _write_csv(cfg.out / "geodesic.csv", ["t", "d_from_a", "d_from_b", "perimeter"], rows)
-    print("wrote %d frames and geodesic.csv to %s" % (len(rows), cfg.out))
+        frame = boundary_curve(p.fn, min(grid, 2048))
+        write_svg(frame, args.out / ("frame_%03d.svg" % k), title="t=%.4f" % t)
+    _write_csv(args.out / "geodesic.csv", ["t", "d_from_a", "d_from_b", "perimeter"], rows)
+    print("wrote %d frames and geodesic.csv to %s" % (len(rows), args.out))
     return EXIT_OK
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args):
+    grid = _grid(args)
+    if args.seed < 0:
+        raise CliError("seed must be nonnegative, got %d" % args.seed, EXIT_USAGE)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in SUITES:
             raise CliError("unknown suite %r" % (name,), EXIT_USAGE)
-    cfg.out.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     all_pass = True
     for name in names:
-        report = run_suite(name, seed=cfg.seed, grid=cfg.grid)
-        with open(cfg.out / ("%s.json" % name), "w", encoding="utf-8") as fh:
+        report = run_suite(name, seed=args.seed, grid=grid)
+        with open(args.out / ("%s.json" % name), "w", encoding="utf-8") as fh:
             fh.write(report.to_json() + "\n")
         status = "PASS" if report.passed else "FAIL"
         print("%-12s %s  cases=%d  max_violation=%.3g" % (name, status, report.cases, report.max_violation))
@@ -174,7 +169,7 @@ def cmd_verify(args, cfg):
     return EXIT_OK if all_pass else EXIT_SUITE
 
 
-def cmd_kernels(args, cfg):
+def cmd_kernels(args):
     _check_steps(args.steps, MAX_KERNELS_STEPS)
     if not 0.0 < args.t_min <= args.t_max <= KERNEL_T_MAX:
         raise CliError("need 0 < t_min <= t_max <= %.4g" % KERNEL_T_MAX, EXIT_USAGE)
@@ -183,13 +178,13 @@ def cmd_kernels(args, cfg):
     for t in tvals:
         kv = kernels_compare(float(t))
         rows.append((float(t), kv.i1, kv.i2, kv.closed, kv.kern2, kv.gap))
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.out / "kernels.csv", ["t", "I1", "I2", "closed", "kern2", "gap"], rows)
-    print("wrote %d rows to %s" % (len(rows), cfg.out / "kernels.csv"))
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_csv(args.out / "kernels.csv", ["t", "I1", "I2", "closed", "kern2", "gap"], rows)
+    print("wrote %d rows to %s" % (len(rows), args.out / "kernels.csv"))
     return EXIT_OK
 
 
-def cmd_hdim(args, cfg):
+def cmd_hdim(args):
     if not (2 <= args.j_min < args.j_max <= 16):
         raise CliError("need 2 <= j_min < j_max <= 16", EXIT_USAGE)
     metric = "round" if args.control else "visual"
@@ -212,8 +207,8 @@ def cmd_hdim(args, cfg):
         else:
             rows.append((j, eps, n))
     header = ["j", "eps", "N_analytic"] + (["N_empirical"] if args.empirical else [])
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_csv(cfg.out / "hdim.csv", header, rows)
+    args.out.mkdir(parents=True, exist_ok=True)
+    _write_csv(args.out / "hdim.csv", header, rows)
     summary = "slope=%s residual=%s" % (_fmt(slope), _fmt(resid))
     if args.empirical:
         summary += " empirical_slope=%s" % _fmt(emp_slope)
@@ -226,36 +221,38 @@ def build_parser():
         prog="hypkonvex",
         description="Hyperbolic geometry of plane symmetric convex bodies",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=int, default=None, help="grid size M (multiple of 4, >= 64)")
-    common.add_argument("--seed", type=int, default=0, help="random seed for suites")
-    common.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    common.add_argument("--strict", action="store_true", help="escalate spectral warnings to errors")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+    # the commands that compute on a grid, where spectral warnings can fire
+    spectral = argparse.ArgumentParser(add_help=False, parents=[out])
+    spectral.add_argument("--grid", type=int, default=None, help="grid size M (multiple of 4, >= 64)")
+    spectral.add_argument("--strict", action="store_true", help="escalate spectral warnings to errors")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dist", parents=[common], help="hyperbolic distance between two bodies")
+    p = sub.add_parser("dist", parents=[spectral], help="hyperbolic distance between two bodies")
     p.add_argument("shape_a")
     p.add_argument("shape_b")
     p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("geodesic", parents=[common], help="render the geodesic between two bodies")
+    p = sub.add_parser("geodesic", parents=[spectral], help="render the geodesic between two bodies")
     p.add_argument("shape_a")
     p.add_argument("shape_b")
     p.add_argument("--steps", type=int, default=8)
     p.set_defaults(func=cmd_geodesic)
 
-    p = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p = sub.add_parser("verify", parents=[spectral], help="run verification suites")
     p.add_argument("--suite", default="all", help="suite name or 'all'")
+    p.add_argument("--seed", type=int, default=0, help="random seed for suites")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("kernels", parents=[common], help="kernel comparison table")
+    p = sub.add_parser("kernels", parents=[out], help="kernel comparison table")
     p.add_argument("--t-min", type=float, default=0.1)
     p.add_argument("--t-max", type=float, default=5.0)
     p.add_argument("--steps", type=int, default=50)
     p.set_defaults(func=cmd_kernels)
 
-    p = sub.add_parser("hdim", parents=[common], help="limit-set dimension estimate")
+    p = sub.add_parser("hdim", parents=[out], help="limit-set dimension estimate")
     p.add_argument("--j-min", type=int, default=4)
     p.add_argument("--j-max", type=int, default=12)
     p.add_argument("--empirical", action="store_true")
@@ -270,11 +267,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig(grid=_grid(args.grid), seed=args.seed, out=args.out, strict=args.strict)
         with warnings.catch_warnings():
-            if cfg.strict:
+            if getattr(args, "strict", False):  # kernels and hdim take no --strict
                 warnings.simplefilter("error", SpectralTailWarning)
-            return args.func(args, cfg)
+            return args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

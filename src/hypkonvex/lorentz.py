@@ -9,6 +9,7 @@ hold exactly -- also for the discretized form, provided all operands are
 evaluated through the same route.  One rule, in _exact, picks that route for
 a set of operands: closed-form mixed areas when every operand carries a
 shape tag, and the Parseval sum on coefficients for all of them otherwise.
+Both routes refuse operands on different grids (supportfn._same_grid).
 """
 
 import functools
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shapes import _freeze, mixed_area
-from .supportfn import EvenFn, GridMismatchError, _parseval_counts, combine, scaled
+from .supportfn import EvenFn, _parseval_counts, _same_grid, combine, scaled
 
 FORM_UNIT_TOL = 1e-10
 INVARIANT_TOL = 1e-9
@@ -56,16 +57,13 @@ def _parseval(c1, c2, M):
 def form_A_spectral(h1, h2=None):
     """The Parseval form of the samples: a0 a0' + (1/2) sum (1-n^2)(an an' + bn bn')."""
     h2 = h1 if h2 is None else h2
-    if h1.grid != h2.grid:
-        raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, h2.grid))
-    return _parseval(h1._coeffs, h2._coeffs, h1.grid)
+    return _parseval(h1._coeffs, h2._coeffs, _same_grid(h1, h2))
 
 
 def _form_exact(h1, h2=None):
-    other = h1 if h2 is None else h2
-    if h1.grid != other.grid:
-        raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, other.grid))
-    return mixed_area(h1.shape_tag, other.shape_tag) / math.pi
+    h2 = h1 if h2 is None else h2
+    _same_grid(h1, h2)
+    return mixed_area(h1.shape_tag, h2.shape_tag) / math.pi
 
 
 def _exact(*fns):
@@ -91,7 +89,7 @@ def pi0(h):
     otherwise.
     """
     if _exact(h):
-        return h.shape_tag.perimeter() / (2.0 * math.pi)
+        return h.shape_tag.perimeter / (2.0 * math.pi)
     return float(h.samples.mean())
 
 
@@ -166,11 +164,10 @@ def hyper_dist(p, q, method="auto"):
     if method == "auto" and _exact(p.fn, q.fn):
         xm1 = _cosh_between(p.fn, q.fn) - 1.0
     else:
-        if p.fn.grid != q.fn.grid:
-            raise GridMismatchError("grids differ: %d vs %d" % (p.fn.grid, q.fn.grid))
+        M = _same_grid(p.fn, q.fn)
         u = p.fn._coeffs / math.sqrt(form_A_spectral(p.fn))
         v = q.fn._coeffs / math.sqrt(form_A_spectral(q.fn))
-        xm1 = -0.5 * _parseval(u - v, u - v, p.fn.grid)
+        xm1 = -0.5 * _parseval(u - v, u - v, M)
     if not -INVARIANT_TOL <= xm1 < math.inf:
         why = "< 1: reversed Cauchy-Schwarz violated" if xm1 < 0.0 else "is not finite: a mixed area overflowed"
         raise HyperbolicInvariantError("A(p, q) = %.17g %s" % (1.0 + xm1, why))

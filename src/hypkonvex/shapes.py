@@ -11,10 +11,10 @@ shapes are available in closed form, which is what keeps segment and polygon
 computations free of grid error.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,23 +74,22 @@ def _freeze(arr):
     return out
 
 
-def _once(method):
-    """A method of no arguments whose value is computed on first call and kept
-    on the (immutable) instance."""
-    key = "_once_" + method.__name__
-
-    @functools.wraps(method)
-    def cached(self):
-        if key not in self.__dict__:
-            self.__dict__[key] = method(self)
-        return self.__dict__[key]
-
-    return cached
-
-
 def _next(a):
     """a shifted one step back along axis 0: a[1], ..., a[n-1], a[0]."""
     return np.concatenate((a[1:], a[:1]))
+
+
+def _turns(e):
+    """The cross products e_i x e_(i+1) of consecutive (n, 2) edges, and the
+    thresholds SYM_TOL |e_i| |e_(i+1)| at or below which a turn is flat."""
+    f = _next(e)
+    length = np.hypot(e[:, 0], e[:, 1])
+    return e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0], SYM_TOL * length * _next(length)
+
+
+def _check_turns(cross, flat):
+    if not np.all(cross > flat):
+        raise ValueError("polygon must be strictly convex in counterclockwise order")
 
 
 def _unit_vectors(theta):
@@ -119,15 +118,15 @@ class _Body:
     def boundary(self, theta):
         return self.support_point(_unit_vectors(theta)).T
 
-    @_once
+    @cached_property
     def area(self):
         return _mixed_area(self, self)
 
-    @_once
+    @cached_property
     def perimeter(self):
         return 2.0 * _mixed_area(self, _DISC)
 
-    @_once
+    @cached_property
     def _turned_fan(self):
         # J e for the edge fan e, J the quarter turn (x, y) -> (y, -x): the
         # outward edge normals times the edge lengths, as (2, n) vectors
@@ -163,8 +162,7 @@ class Ellipse(_Body):
         v = self.matrix.T @ w
         return self.matrix @ (v / np.hypot(v[0], v[1]))
 
-    def area(self):
-        return math.pi
+    area = math.pi
 
     def transform(self, m):
         return Ellipse(np.asarray(m, dtype=float) @ self.matrix)
@@ -226,11 +224,7 @@ class Polygon(_Body):
         u = v / (np.abs(v).max() or 1.0)
         if np.abs(u[: n // 2] + u[n // 2 :]).max() > SYM_TOL:
             raise ValueError("polygon vertex set is not symmetric about the origin")
-        e = _next(u) - u
-        cross = e[:, 0] * _next(e[:, 1]) - e[:, 1] * _next(e[:, 0])
-        length = np.hypot(e[:, 0], e[:, 1])
-        if np.any(cross <= SYM_TOL * length * _next(length)):
-            raise ValueError("polygon must be strictly convex in counterclockwise order")
+        _check_turns(*_turns(_next(u) - u))
         object.__setattr__(self, "vertices", v)
 
     def hsupport(self, w):
@@ -240,7 +234,20 @@ class Polygon(_Body):
         return self.vertices[np.argmax(self.vertices @ w, axis=0)].T
 
     def transform(self, m):
-        return Polygon(self.vertices @ np.asarray(m, dtype=float).T)
+        # A unit-determinant m keeps the cross product of two edges, while a
+        # shear stretches their lengths and so shrinks the turn angles that
+        # the constructor tests: the image's cross products are held to this
+        # polygon's thresholds instead, and the image is not validated again.
+        m = np.asarray(m, dtype=float)
+        w = self.vertices @ m.T
+        if not np.isfinite(w).all():
+            raise ValueError("polygon vertices must be a finite (n, 2) array")
+        u = self.vertices / np.abs(self.vertices).max()
+        e = _next(u) - u
+        _check_turns(_turns(e @ m.T)[0], _turns(e)[1])
+        image = Polygon.__new__(Polygon)
+        object.__setattr__(image, "vertices", _freeze(w))
+        return image
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,11 +347,8 @@ def minkowski_sum(terms):
     # + 0.0 clears -0.0, whose angle sorts as -pi
     e = np.concatenate([c * _edge_fan(k) for c, k in terms]) + 0.0
     e = e[np.argsort(np.arctan2(e[:, 1], e[:, 0]), kind="stable")]
-    f = _next(e)
-    length = np.hypot(e[:, 0], e[:, 1])
-    same = (np.abs(e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]) <= SYM_TOL * length * _next(length)) & (
-        np.einsum("ij,ij->i", e, f) > 0.0
-    )
+    cross, flat = _turns(e)
+    same = (np.abs(cross) <= flat) & (np.einsum("ij,ij->i", e, _next(e)) > 0.0)
     # a run starts after every edge that does not continue into the next,
     # and may wrap from the end of the sorted fan to its start
     starts = np.sort((np.flatnonzero(~same) + 1) % len(e))
@@ -375,8 +379,8 @@ def mixed_area(a, b):
     from each shape's cache.
     """
     if a is b:
-        return a.area()
-    return 0.5 * a.perimeter() if b is _DISC else _mixed_area(a, b)
+        return a.area
+    return 0.5 * a.perimeter if b is _DISC else _mixed_area(a, b)
 
 
 def _terms(k):
@@ -389,7 +393,7 @@ def _mixed_area(a, b):
         # cached a(K, K), the same float as its pairing with an equal copy
         return sum(c * d * mixed_area(k, l) for c, k in _terms(a) for d, l in _terms(b))
     if isinstance(b, (Polygon, Segment)):
-        return 0.5 * float(a.hsupport(b._turned_fan()).sum())
+        return 0.5 * float(a.hsupport(b._turned_fan).sum())
     if isinstance(a, (Polygon, Segment)):
         return _mixed_area(b, a)
     return math.pi * _form_value(_stretch(*_adjugate_product(b.matrix, a.matrix)))

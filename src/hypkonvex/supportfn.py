@@ -11,7 +11,9 @@ the tag (as a Sum whose terms keep their coefficients), so only functions built
 from raw samples or signed differences go through the spectral machinery:
 trigonometric interpolation (one irfft onto another uniform grid; a nonuniform
 FFT in O(M log M), to 1e-12 of the coefficients' absolute sum, at scattered
-angles) and rfft-based differentiation.
+angles) and rfft-based differentiation (_deriv_coeffs, the one place the
+Nyquist bin of a derivative is dropped).  Every operation on two functions
+takes them on one grid, checked by _same_grid.
 """
 
 import math
@@ -48,6 +50,13 @@ class SpectralTailWarning(UserWarning):
 def _check_grid(M):
     if M < 8 or M % 4 != 0:
         raise ValueError("grid size must be a multiple of 4 and at least 8, got %r" % (M,))
+
+
+def _same_grid(h1, h2):
+    """The grid size of h1 and h2, once they agree (else GridMismatchError)."""
+    if h1.grid != h2.grid:
+        raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, h2.grid))
+    return h1.grid
 
 
 def grid_angles(M):
@@ -194,8 +203,7 @@ def combine(c1, h1, c2, h2):
     tag, built from the two tags alone with no grid arithmetic; otherwise it
     is returned untagged, as the sum of the samples.
     """
-    if h1.grid != h2.grid:
-        raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, h2.grid))
+    _same_grid(h1, h2)
     if c1 < 0.0 or c2 < 0.0:
         raise ValueError("combination coefficients must be nonnegative")
     if c2 == 0.0:
@@ -209,8 +217,7 @@ def combine(c1, h1, c2, h2):
 
 def signed_diff(h1, h2):
     """h1 - h2, a general even function (support-function tags cannot survive)."""
-    if h1.grid != h2.grid:
-        raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, h2.grid))
+    _same_grid(h1, h2)
     return EvenFn(h1.samples - h2.samples)
 
 
@@ -296,9 +303,15 @@ def eval_deriv(h, theta):
     if h.shape_tag is not None:
         v = h.shape_tag.support_deriv(theta)
         return float(v) if np.ndim(theta) == 0 else v
+    return _interp(_deriv_coeffs(h), h.grid, theta)
+
+
+def _deriv_coeffs(h):
+    """The rfft/M coefficients i n c_n of h', with the Nyquist bin zeroed: the
+    sawtooth mode has no consistent odd derivative."""
     d = 1j * np.arange(h.grid // 2 + 1) * h._coeffs
-    d[-1] = 0.0  # the sawtooth mode has no consistent odd derivative
-    return _interp(d, h.grid, theta)
+    d[-1] = 0.0
+    return d
 
 
 def fourier(h):
@@ -411,7 +424,6 @@ def boundary_curve(h, n_points=DEFAULT_GRID):
     if chord_convexity_defect(h) < -(CONVEXITY_TOL * (1.0 + top) + floor):
         raise NotSupportFunctionError("input is not a support function (h''+h < 0 somewhere)")
     vals = _resample(h._coeffs, h.grid, n_points)
-    # _resample keeps the real part of the Nyquist term; i*(M/2)*c has none, as eval_deriv drops it
-    dvals = _resample(1j * np.arange(h.grid // 2 + 1) * h._coeffs, h.grid, n_points)
+    dvals = _resample(_deriv_coeffs(h), h.grid, n_points)
     c, s = _grid_directions(n_points)
     return np.stack([vals * c - dvals * s, vals * s + dvals * c], axis=1)

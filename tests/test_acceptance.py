@@ -18,7 +18,6 @@ from hypkonvex.limits import (
     project_disc_to_segment_geodesic,
     visual_dist,
     visual_dist_generic,
-    visual_dist_isotropic,
 )
 from hypkonvex.lorentz import form_A, form_A_spectral, normalize, pi0
 from hypkonvex.shapes import Segment
@@ -34,6 +33,8 @@ from hypkonvex.verify import (
     random_tagged_body,
     run_suite,
 )
+
+from visual_oracle import visual_dist_isotropic
 
 GRID = 2048
 
@@ -53,7 +54,7 @@ def test_criterion_01_area_identity():
     errs = {}
     for M in (4096, 8192):
         errs[M] = [
-            abs(math.pi * form_A_spectral(from_polygon(p, M)) - p.area()) / p.area()
+            abs(math.pi * form_A_spectral(from_polygon(p, M)) - p.area) / p.area
             for p in polys
         ]
     worst = max(errs[4096])

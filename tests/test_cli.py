@@ -219,6 +219,38 @@ def test_grid_flag_and_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, table",
+    [
+        (["kernels", "--t-min", "1", "--t-max", "2", "--steps", "3"], "kernels.csv"),
+        (["hdim", "--j-max", "6"], "hdim.csv"),
+    ],
+)
+def test_commands_off_the_grid_ignore_the_grid_variable(tmp_path, capsys, monkeypatch, argv, table):
+    monkeypatch.delenv("HYPKONVEX_GRID", raising=False)
+    assert main(argv + ["--out", str(tmp_path / "unset")]) == 0
+    monkeypatch.setenv("HYPKONVEX_GRID", "abc")
+    assert main(argv + ["--out", str(tmp_path / "abc")]) == 0
+    assert (tmp_path / "abc" / table).read_bytes() == (tmp_path / "unset" / table).read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv", [["hdim", "--seed", "1"], ["kernels", "--grid", "256"], ["dist", "a", "b", "--seed", "1"]]
+)
+def test_flags_a_command_does_not_read_are_refused(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "error: unrecognized arguments: " + " ".join(argv[-2:]) in err
+    assert "Traceback" not in err and not any(tmp_path.iterdir())
+
+
+def test_verify_refuses_a_negative_seed(tmp_path, capsys):
+    assert main(["verify", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+
+
 def test_geodesic_outputs(tmp_path, capsys):
     a = _write(tmp_path, "a.json", SQUARE)
     rect = json.dumps({"type": "polygon", "vertices": [[2.5, 0.3], [-2.5, 0.3], [-2.5, -0.3], [2.5, -0.3]]})
@@ -364,9 +396,11 @@ def _argv(draw, cmd):
         argv += ["--j-min=%d" % j_min, "--j-max=%d" % (j_min + draw(st.integers(-2, 8)))]
         argv += ["--samples=%d" % draw(st.one_of(st.integers(200, 2000), st.integers(-5, 200)))]
         argv += [flag for flag in ("--empirical", "--control") if draw(st.booleans())]
-    if draw(st.booleans()):
-        argv.append("--grid=" + draw(_valid_or_not(["64", "128", "256"], ["-4", "0", "63", "abc", "1e3"])))
-    if cmd == "verify" or draw(st.booleans()):  # the suites seed their generators
+    if cmd in ("dist", "geodesic", "verify"):  # the commands that compute on a grid
+        if draw(st.booleans()):
+            argv.append("--grid=" + draw(_valid_or_not(["64", "128", "256"], ["-4", "0", "63", "abc", "1e3"])))
+        argv += ["--strict"] if draw(st.booleans()) else []
+    if cmd == "verify":  # the suites seed their generators
         argv.append("--seed=%d" % draw(st.one_of(st.integers(0, 2**64), st.integers(-(2**64), -1))))
     env = draw(_valid_or_not([None, "64", " 128 ", "256"], ["abc", "", "-64", "65", "1e3", "128.0"]))
     return argv, env

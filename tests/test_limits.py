@@ -16,11 +16,12 @@ from hypkonvex.limits import (
     sample_directions,
     visual_dist,
     visual_dist_generic,
-    visual_dist_isotropic,
 )
 from hypkonvex.lorentz import form_A, pi0
 from hypkonvex.shapes import Segment
 from hypkonvex.supportfn import from_segment, grid_angles
+
+from visual_oracle import visual_dist_isotropic
 
 M = 512
 

@@ -372,7 +372,7 @@ def test_tagged_bodies_never_sample_the_grid(monkeypatch):
         assert pi0(h) > 0.0
         for g in fns:
             form_A(h, g)
-    points = [normalize(h) for h in fns if h.shape_tag.area() > 0]  # a segment has no area
+    points = [normalize(h) for h in fns if h.shape_tag.area > 0]  # a segment has no area
     for p in points:
         for q in points:
             assert hyper_dist(p, q) >= 0.0
@@ -406,17 +406,17 @@ def test_tagged_samples_are_the_support_of_the_tag(h1, h2, c1, c2, seed):
             if isinstance(k, Ellipse):
                 s0 = _stretch(*k.matrix.ravel().tolist())
                 assert s0 == pytest.approx(np.linalg.svd(k.matrix, compute_uv=False)[0], rel=1e-13)
-                assert k.area() == math.pi
-                assert k.perimeter() == 2.0 * math.pi * _form_value(s0)
+                assert k.area == math.pi
+                assert k.perimeter == 2.0 * math.pi * _form_value(s0)
                 continue
             if isinstance(k, Segment):
                 e, copy = 2.0 * np.stack([k.endpoint, -k.endpoint]), Segment(k.endpoint.copy())
-                assert k.area() == 0.0
+                assert k.area == 0.0
             else:
                 e, copy = np.roll(k.vertices, -1, axis=0) - k.vertices, Polygon(k.vertices.copy())
-                assert k.area() == pytest.approx(shoelace_area(k.vertices), rel=1e-13, abs=0.0)
-            assert k.area() == mixed_area(k, copy)  # the cached area is the uncached pairing
-            assert k.perimeter() == float(np.hypot(e[:, 0], e[:, 1]).sum())
+                assert k.area == pytest.approx(shoelace_area(k.vertices), rel=1e-13, abs=0.0)
+            assert k.area == mixed_area(k, copy)  # the cached area is the uncached pairing
+            assert k.perimeter == float(np.hypot(e[:, 0], e[:, 1]).sum())
 
 
 def _tagged_body(kind, ellipse, vertices, endpoint):
@@ -464,7 +464,7 @@ def test_ellipse_invariants_hold_at_every_stretch():
             m = Mobius.rotation(rng.uniform(0.0, math.pi)).matrix @ np.diag([s, 1.0 / s])
             m = m @ Mobius.rotation(rng.uniform(0.0, math.pi)).matrix
             e = Ellipse(m)
-            assert e.area() == math.pi
+            assert e.area == math.pi
             p = normalize(from_ellipse(e, 64))
             assert hyper_dist(p, normalize(from_ellipse(Ellipse(m.copy()), 64))) == 0.0
             closed = iota_dist_closed(2.0 * math.log(s))

@@ -20,16 +20,18 @@ from hypkonvex.mobius import (
     mobius_from_halfplane,
     rho_act,
 )
-from hypkonvex.shapes import Ellipse, Polygon, Segment
+from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum
 from hypkonvex.supportfn import (
     EvenFn,
     SpectralTailWarning,
+    combine,
     from_ellipse,
     from_polygon,
     from_segment,
     grid_angles,
     unit_disc,
 )
+from hypkonvex.verify import random_polygon
 
 M = 1024
 THETA = grid_angles(M)
@@ -105,6 +107,30 @@ def test_rho_act_transports_tags_exactly():
     sq = from_polygon(Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])), M)
     out = rho_act(m, sq)
     assert math.pi * form_A(out) == pytest.approx(4.0, rel=1e-12)  # areas preserved
+
+
+@pytest.mark.parametrize("s", [25.5, 28.0, 30.0])
+def test_sheared_polygons_stay_valid(s):
+    # A shear of translation length s shrinks turn angles like e^-s, below
+    # the constructor's angle threshold, but keeps every edge cross product.
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        p = random_polygon(rng)
+        phi, psi = rng.uniform(0.0, 2.0 * math.pi, 2)
+        g = Mobius.rotation(phi) @ Mobius.axial(s) @ Mobius.rotation(psi)
+        image = p.vertices @ g.matrix.T
+        assert np.array_equal(p.transform(g.matrix).vertices, image)
+        assert np.array_equal(rho_act(g, from_polygon(p, M)).shape_tag.vertices, image)
+        body = rho_act(g, combine(0.5, unit_disc(M), 1.0, from_polygon(p, M))).shape_tag
+        assert isinstance(body, Sum) and np.array_equal(body.terms[1][1].vertices, image)
+
+
+def test_polygon_images_with_flat_turns_or_infinite_vertices_are_refused():
+    square = Polygon(np.array([[2.0, 2.0], [-2.0, 2.0], [-2.0, -2.0], [2.0, -2.0]]))
+    with pytest.raises(ValueError, match="strictly convex"):  # a reflection reverses every turn
+        square.transform(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        square.transform(np.diag([1e308, 1e-308]))
 
 
 def test_rho_act_form_invariance():

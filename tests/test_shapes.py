@@ -55,12 +55,12 @@ def test_polygon_check_is_scale_invariant():
         for k in range(-300, 301, 25):
             p = Polygon(10.0**k * SQUARE.vertices)
             e = np.roll(p.vertices, -1, axis=0) - p.vertices
-            assert p.perimeter() == float(np.hypot(e[:, 0], e[:, 1]).sum())
+            assert p.perimeter == float(np.hypot(e[:, 0], e[:, 1]).sum())
             if abs(k) <= 150:
-                assert p.area() == pytest.approx(shoelace_area(p.vertices), rel=1e-13, abs=0.0)
+                assert p.area == pytest.approx(shoelace_area(p.vertices), rel=1e-13, abs=0.0)
             for v in ([1.0, 0.0], [3.0, -4.0], [-1e-5, 2.0], [0.7, 0.3]):
                 s = Segment(10.0**k * np.array(v))
-                assert s.area() == 0.0 and mixed_area(s, Segment(s.endpoint.copy())) == 0.0
+                assert s.area == 0.0 and mixed_area(s, Segment(s.endpoint.copy())) == 0.0
 
 
 def test_shapes_compare_by_identity():
@@ -78,15 +78,15 @@ def test_square_support_and_area():
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     expect = np.abs(np.cos(theta)) + np.abs(np.sin(theta))
     assert np.abs(SQUARE.support(theta) - expect).max() < 1e-14
-    assert SQUARE.area() == pytest.approx(4.0, abs=0.0)
-    assert SQUARE.perimeter() == pytest.approx(8.0, abs=1e-14)
+    assert SQUARE.area == pytest.approx(4.0, abs=0.0)
+    assert SQUARE.perimeter == pytest.approx(8.0, abs=1e-14)
 
 
 def test_ellipse_perimeter_against_quadrature():
     e = Ellipse(np.array([[2.0, 0.0], [0.0, 0.5]]))
     oracle = quad(lambda t: math.sqrt(4.0 * math.cos(t) ** 2 + 0.25 * math.sin(t) ** 2),
                   0.0, 2.0 * math.pi, epsabs=1e-13, epsrel=1e-13)[0]
-    assert e.perimeter() == pytest.approx(oracle, rel=1e-12)
+    assert e.perimeter == pytest.approx(oracle, rel=1e-12)
 
 
 def test_minkowski_sum_of_segments_is_parallelogram():
@@ -139,7 +139,7 @@ def test_mixed_area_polarization_oracle():
     for _ in range(25):
         p, q = _random_polygon(rng), _random_polygon(rng)
         total = minkowski_sum([(1.0, p), (1.0, q)])
-        oracle = 0.5 * (shoelace_area(total.vertices) - p.area() - q.area())
+        oracle = 0.5 * (shoelace_area(total.vertices) - p.area - q.area)
         direct = mixed_area(p, q)
         assert direct == pytest.approx(oracle, rel=1e-10, abs=1e-12)
         assert mixed_area(q, p) == pytest.approx(direct, rel=1e-12)
@@ -158,8 +158,8 @@ def test_mixed_area_segment_slab():
 def test_mixed_area_ellipse_disc_is_half_perimeter():
     e = Ellipse(np.array([[2.0, 0.0], [0.0, 0.5]]))
     d = Ellipse(np.eye(2))
-    assert mixed_area(e, d) == pytest.approx(e.perimeter() / 2.0, rel=1e-13)
-    assert mixed_area(d, e) == pytest.approx(e.perimeter() / 2.0, rel=1e-13)
+    assert mixed_area(e, d) == pytest.approx(e.perimeter / 2.0, rel=1e-13)
+    assert mixed_area(d, e) == pytest.approx(e.perimeter / 2.0, rel=1e-13)
 
 
 def test_mixed_area_ellipse_polygon_consistency():
@@ -195,7 +195,7 @@ def test_minkowski_sum_with_shared_edge_directions():
     total = minkowski_sum([(1.0, a), (1.0, b)])
     got = {tuple(np.round(v, 12)) for v in total.vertices}
     assert got == {(3.0, 1.5), (-3.0, 1.5), (-3.0, -1.5), (3.0, -1.5)}
-    assert total.area() == pytest.approx(a.area() + b.area() + 2.0 * mixed_area(a, b), rel=1e-13)
+    assert total.area == pytest.approx(a.area + b.area + 2.0 * mixed_area(a, b), rel=1e-13)
 
 
 def test_minkowski_sum_segment_with_polygon():
@@ -231,7 +231,7 @@ def test_minkowski_combination_canonical_form():
     assert body.terms == ((0.5, disc), (2.0, SQUARE))
     nested = minkowski_combination([(2.0, body), (1.0, seg)])
     assert [c for c, _ in nested.terms] == [1.0, 1.0]
-    assert isinstance(nested.terms[1][1], Polygon) and nested.terms[1][1].area() == pytest.approx(96.0, rel=1e-14)
+    assert isinstance(nested.terms[1][1], Polygon) and nested.terms[1][1].area == pytest.approx(96.0, rel=1e-14)
     assert minkowski_combination([(3.0, disc)]).terms == ((3.0, disc),)
     assert minkowski_combination([(3.0, SQUARE)]).terms == ((3.0, SQUARE),)
     with pytest.raises(ValueError):
@@ -242,9 +242,9 @@ def test_sum_of_disc_and_polygon_obeys_steiner():
     # K + cD: area(K) + c per(K) + pi c^2 and perimeter per(K) + 2 pi c
     c = 0.7
     body = minkowski_combination([(c, Ellipse(np.eye(2))), (1.0, SQUARE)])
-    assert body.area() == pytest.approx(4.0 + 8.0 * c + math.pi * c * c, rel=1e-14)
-    assert body.perimeter() == pytest.approx(8.0 + 2.0 * math.pi * c, rel=1e-14)
-    assert mixed_area(body, Ellipse(np.eye(2))) == pytest.approx(body.perimeter() / 2.0, rel=1e-14)
+    assert body.area == pytest.approx(4.0 + 8.0 * c + math.pi * c * c, rel=1e-14)
+    assert body.perimeter == pytest.approx(8.0 + 2.0 * math.pi * c, rel=1e-14)
+    assert mixed_area(body, Ellipse(np.eye(2))) == pytest.approx(body.perimeter / 2.0, rel=1e-14)
 
 
 def test_sum_boundary_support_and_derivative_agree():
@@ -259,7 +259,7 @@ def test_sum_boundary_support_and_derivative_agree():
     assert np.abs(np.sum(pts * uperp, axis=1) - body.support_deriv(theta)).max() < 1e-13
     assert body.support_deriv(0.4) == pytest.approx(float(body.support_deriv(np.array([0.4]))[0]), abs=1e-15)
     dense = np.linspace(0.0, 2.0 * np.pi, 1 << 14, endpoint=False)
-    assert body.area() == pytest.approx(shoelace_area(body.boundary(dense)), rel=1e-6)
+    assert body.area == pytest.approx(shoelace_area(body.boundary(dense)), rel=1e-6)
 
 
 def test_sum_transform_keeps_mixed_areas():
@@ -268,6 +268,6 @@ def test_sum_transform_keeps_mixed_areas():
     body = minkowski_combination([(0.6, _tilted_ellipse()), (1.0, SQUARE)])
     moved = body.transform(m)
     assert isinstance(moved, Sum) and isinstance(moved.terms[1][1], Polygon)
-    assert moved.area() == pytest.approx(body.area(), rel=1e-13)
+    assert moved.area == pytest.approx(body.area, rel=1e-13)
     other = Ellipse(np.diag([2.0, 0.5]))
     assert mixed_area(moved, other.transform(m)) == pytest.approx(mixed_area(body, other), rel=1e-13)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypkonvex.mobius import rho_act
 from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, minkowski_sum
-from hypkonvex.lorentz import form_A, form_A_spectral, pi0
+from hypkonvex.lorentz import _cosh_between, form_A, form_A_spectral, hyper_dist, normalize, pi0
 from hypkonvex.shapedoc import to_even_fn
 from hypkonvex.supportfn import (
     EVEN_TOL,
@@ -127,10 +127,44 @@ def test_combine_disc_bilinearity():
 
 
 def test_combine_validation():
-    with pytest.raises(GridMismatchError):
-        combine(1.0, unit_disc(M), 1.0, unit_disc(2 * M))
     with pytest.raises(ValueError):
         combine(-1.0, unit_disc(M), 1.0, unit_disc(M))
+
+
+_TAGGED = unit_disc(M), from_ellipse(DIAG_2_HALF, 2 * M)
+_RAW = constant(1.0, M), EvenFn(from_ellipse(DIAG_2_HALF, 2 * M).samples)
+
+
+@pytest.mark.parametrize(
+    "pair, call",
+    [
+        (_TAGGED, lambda a, b: combine(1.0, a, 1.0, b)),
+        (_RAW, signed_diff),
+        (_TAGGED, form_A),
+        (_RAW, form_A),
+        (_TAGGED, form_A_spectral),
+        (_TAGGED, _cosh_between),
+        (_RAW, _cosh_between),
+        (_TAGGED, lambda a, b: hyper_dist(normalize(a), normalize(b))),
+        (_RAW, lambda a, b: hyper_dist(normalize(a), normalize(b))),
+        (_TAGGED, lambda a, b: hyper_dist(normalize(a), normalize(b), method="spectral")),
+    ],
+    ids=[
+        "combine",
+        "signed_diff",
+        "form_A-tagged",
+        "form_A-raw",
+        "form_A_spectral",
+        "cosh_between-tagged",
+        "cosh_between-raw",
+        "hyper_dist-exact",
+        "hyper_dist-spectral",
+        "hyper_dist-method-spectral",
+    ],
+)
+def test_operands_on_different_grids_are_refused(pair, call):
+    with pytest.raises(GridMismatchError, match="grids differ: %d vs %d" % (M, 2 * M)):
+        call(*pair)
 
 
 def test_signed_diff():
@@ -322,7 +356,7 @@ def polygon_mixed_area_oracle(p, q):
     if not isinstance(p, Polygon) or not isinstance(q, Polygon):
         raise TypeError("the oracle takes two Polygon instances")
     total = minkowski_sum([(1.0, p), (1.0, q)])
-    return 0.5 * (shoelace_area(total.vertices) - p.area() - q.area())
+    return 0.5 * (shoelace_area(total.vertices) - p.area - q.area)
 
 
 def test_polygon_oracle_examples():
@@ -331,7 +365,7 @@ def test_polygon_oracle_examples():
     lam = 1.7
     scaled_sq = Polygon(lam * SQUARE.vertices)
     lhs = polygon_mixed_area_oracle(SQUARE, scaled_sq) ** 2
-    rhs = SQUARE.area() * scaled_sq.area()
+    rhs = SQUARE.area * scaled_sq.area
     assert lhs == pytest.approx(rhs, rel=1e-13)
     # oracle against the spectral form at M=4096
     h1 = from_polygon(SQUARE, 4096)
