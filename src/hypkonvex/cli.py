@@ -84,25 +84,20 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _load_body(path, grid):
-    try:
-        doc = load_shapedoc(path)
-        return to_even_fn(doc, grid)
-    except (OSError, ShapeDocError, ValueError) as exc:
-        raise CliError("cannot read body from %s: %s" % (path, exc), EXIT_USAGE)
-
-
-def _normalized(h, label):
-    try:
-        return normalize(h)
-    except IsotropicVectorError as exc:
-        raise CliError("%s: %s" % (label, exc), EXIT_DOMAIN)
-
-
 def _load_pair(args, grid):
     """The bodies shape_a and shape_b on the grid, then their hyperboloid points."""
-    ha, hb = _load_body(args.shape_a, grid), _load_body(args.shape_b, grid)
-    return ha, hb, _normalized(ha, "shape_a"), _normalized(hb, "shape_b")
+    bodies, points = [], []
+    for path in (args.shape_a, args.shape_b):
+        try:
+            bodies.append(to_even_fn(load_shapedoc(path), grid))
+        except (OSError, ShapeDocError, ValueError) as exc:
+            raise CliError("cannot read body from %s: %s" % (path, exc), EXIT_USAGE)
+    for label, h in zip(("shape_a", "shape_b"), bodies):
+        try:
+            points.append(normalize(h))
+        except IsotropicVectorError as exc:
+            raise CliError("%s: %s" % (label, exc), EXIT_DOMAIN)
+    return bodies + points
 
 
 def cmd_dist(args):

@@ -87,11 +87,6 @@ def _turns(e):
     return e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0], SYM_TOL * length * _next(length)
 
 
-def _check_turns(cross, flat):
-    if not np.all(cross > flat):
-        raise ValueError("polygon must be strictly convex in counterclockwise order")
-
-
 def _unit_vectors(theta):
     theta = np.asarray(theta, dtype=float)
     return np.stack([np.cos(theta), np.sin(theta)])
@@ -224,7 +219,9 @@ class Polygon(_Body):
         u = v / (np.abs(v).max() or 1.0)
         if np.abs(u[: n // 2] + u[n // 2 :]).max() > SYM_TOL:
             raise ValueError("polygon vertex set is not symmetric about the origin")
-        _check_turns(*_turns(_next(u) - u))
+        cross, flat = _turns(_next(u) - u)
+        if np.any(cross <= flat):
+            raise ValueError("polygon must be strictly convex in counterclockwise order")
         object.__setattr__(self, "vertices", v)
 
     def hsupport(self, w):
@@ -234,20 +231,7 @@ class Polygon(_Body):
         return self.vertices[np.argmax(self.vertices @ w, axis=0)].T
 
     def transform(self, m):
-        # A unit-determinant m keeps the cross product of two edges, while a
-        # shear stretches their lengths and so shrinks the turn angles that
-        # the constructor tests: the image's cross products are held to this
-        # polygon's thresholds instead, and the image is not validated again.
-        m = np.asarray(m, dtype=float)
-        w = self.vertices @ m.T
-        if not np.isfinite(w).all():
-            raise ValueError("polygon vertices must be a finite (n, 2) array")
-        u = self.vertices / np.abs(self.vertices).max()
-        e = _next(u) - u
-        _check_turns(_turns(e @ m.T)[0], _turns(e)[1])
-        image = Polygon.__new__(Polygon)
-        object.__setattr__(image, "vertices", _freeze(w))
-        return image
+        return Polygon(self.vertices @ np.asarray(m, dtype=float).T)
 
 
 @dataclass(frozen=True, eq=False)

@@ -307,11 +307,9 @@ def eval_deriv(h, theta):
 
 
 def _deriv_coeffs(h):
-    """The rfft/M coefficients i n c_n of h', with the Nyquist bin zeroed: the
+    """The rfft/M coefficients i n c_n of h', the Nyquist bin zeroed: the
     sawtooth mode has no consistent odd derivative."""
-    d = 1j * np.arange(h.grid // 2 + 1) * h._coeffs
-    d[-1] = 0.0
-    return d
+    return np.append(1j * np.arange(h.grid // 2) * h._coeffs[:-1], 0.0)
 
 
 def fourier(h):

@@ -20,7 +20,7 @@ from hypkonvex.mobius import (
     mobius_from_halfplane,
     rho_act,
 )
-from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum
+from hypkonvex.shapes import Ellipse, Polygon, Segment, mixed_area
 from hypkonvex.supportfn import (
     EvenFn,
     SpectralTailWarning,
@@ -109,24 +109,56 @@ def test_rho_act_transports_tags_exactly():
     assert math.pi * form_A(out) == pytest.approx(4.0, rel=1e-12)  # areas preserved
 
 
-@pytest.mark.parametrize("s", [25.5, 28.0, 30.0])
-def test_sheared_polygons_stay_valid(s):
-    # A shear of translation length s shrinks turn angles like e^-s, below
-    # the constructor's angle threshold, but keeps every edge cross product.
+def _sheared(rng, s):
+    """g = R(phi) axial(s) R(psi), phi and psi uniform: a shear of translation length s."""
+    phi, psi = rng.uniform(0.0, 2.0 * math.pi, 2)
+    return Mobius.rotation(phi) @ Mobius.axial(s) @ Mobius.rotation(psi)
+
+
+@pytest.mark.parametrize("s", [20.0, 25.5, 28.0, 33.0, 36.0])
+def test_polygon_images_are_exact_or_refused(s):
+    # A shear shrinks turn angles like e^-s.  The image is the polygon of the
+    # moved vertices, validated like any input: every turn it keeps is positive
+    # in floating point, and from s = 24.5 on most images are refused.
     rng = np.random.default_rng(16)
     for _ in range(50):
-        p = random_polygon(rng)
-        phi, psi = rng.uniform(0.0, 2.0 * math.pi, 2)
-        g = Mobius.rotation(phi) @ Mobius.axial(s) @ Mobius.rotation(psi)
-        image = p.vertices @ g.matrix.T
-        assert np.array_equal(p.transform(g.matrix).vertices, image)
-        assert np.array_equal(rho_act(g, from_polygon(p, M)).shape_tag.vertices, image)
-        body = rho_act(g, combine(0.5, unit_disc(M), 1.0, from_polygon(p, M))).shape_tag
-        assert isinstance(body, Sum) and np.array_equal(body.terms[1][1].vertices, image)
+        p, g = random_polygon(rng), _sheared(rng, s)
+        try:
+            image = p.transform(g.matrix)
+        except ValueError as exc:
+            assert "strictly convex" in str(exc)
+            continue
+        assert np.array_equal(image.vertices, p.vertices @ g.matrix.T)
+        e = np.roll(image.vertices, -1, axis=0) - image.vertices
+        assert np.all(e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1) > 0.0)
+        assert np.array_equal(rho_act(g, from_polygon(p, M)).shape_tag.vertices, image.vertices)
 
 
-def test_polygon_images_with_flat_turns_or_infinite_vertices_are_refused():
+# Known defect: minkowski_sum merges turns that a shear squeezed below SYM_TOL
+_SQUEEZED = pytest.mark.xfail(strict=True, reason="minkowski_sum drops sheared turns")
+
+
+@pytest.mark.parametrize("s", [20.0, pytest.param(24.0, marks=_SQUEEZED), pytest.param(28.0, marks=_SQUEEZED)])
+def test_combinations_of_moved_polygons_are_moved_combinations(s):
+    # Refusing a moved polygon or its sum is allowed; a body with fewer
+    # vertices, or other mixed areas, than g applied to the unmoved sum is not.
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        p, q, g = random_polygon(rng), random_polygon(rng), _sheared(rng, s)
+        body = combine(0.3, from_polygon(p, M), 0.7, from_polygon(q, M)).shape_tag
+        try:
+            gp = rho_act(g, from_polygon(p, M))
+            moved = combine(0.3, gp, 0.7, rho_act(g, from_polygon(q, M))).shape_tag
+        except ValueError:
+            continue
+        assert len(moved.vertices) == len(body.vertices)
+        assert mixed_area(moved, moved) == pytest.approx(mixed_area(body, body), rel=1e-4)
+        assert mixed_area(moved, gp.shape_tag) == pytest.approx(mixed_area(body, p), rel=1e-4)
+
+
+def test_polygon_images_are_validated_like_inputs():
     square = Polygon(np.array([[2.0, 2.0], [-2.0, 2.0], [-2.0, -2.0], [2.0, -2.0]]))
+    assert np.array_equal(square.transform(1e-7 * np.eye(2)).vertices, 1e-7 * square.vertices)  # any scale
     with pytest.raises(ValueError, match="strictly convex"):  # a reflection reverses every turn
         square.transform(np.diag([1.0, -1.0]))
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
