@@ -3,13 +3,14 @@
 form_A is the bilinear form (1/2pi) int (h1 h2 - h1' h2'); on support
 functions it is the mixed area divided by pi.  Bodies of area pi sit on the
 hyperboloid {A(h) = 1, pi0(h) > 0} and acosh of the form is their distance.
-The form has signature (1, -, -, ...) on pi-periodic functions, which makes
-the reversed Cauchy-Schwarz inequality (the Minkowski inequality for bodies)
-hold exactly -- also for the discretized form, provided all operands are
-evaluated through the same route.  One rule, in _exact, picks that route for
-a set of operands: closed-form mixed areas when every operand carries a
-shape tag, and the Parseval sum on coefficients for all of them otherwise.
-Both routes refuse operands on different grids (supportfn._same_grid).
+An operand is a body K (a shape tag), the interpolant t of raw samples, or
+their sum (supportfn._parts), and form_A adds the exact pairings of parts:
+mixed_area(K, L)/pi (_form_exact), the Parseval sum (form_A_spectral) and
+(1/2pi) int t dS_K over K's surface-area measure (_form_shape_raw).  One
+form of signature (1, -, -, ...) on one space holding every operand, it
+keeps the reversed Cauchy-Schwarz inequality (the Minkowski inequality for
+bodies) for every pair, with no route to pick.  Operands on different grids
+are refused (supportfn._same_grid).
 """
 
 import functools
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapes import _freeze, mixed_area
-from .supportfn import EvenFn, _parseval_counts, _same_grid, combine, scaled
+from .shapes import Ellipse, _freeze, _stretch, _terms, mixed_area
+from .supportfn import EvenFn, _bandwidth, _interp, _parseval_counts, _parts, _same_grid, combine, scaled
 
 FORM_UNIT_TOL = 1e-10
 INVARIANT_TOL = 1e-9
@@ -60,37 +61,96 @@ def form_A_spectral(h1, h2=None):
     return _parseval(h1._coeffs, h2._coeffs, _same_grid(h1, h2))
 
 
-def _form_exact(h1, h2=None):
-    h2 = h1 if h2 is None else h2
-    _same_grid(h1, h2)
+def _form_exact(h1, h2):
     return mixed_area(h1.shape_tag, h2.shape_tag) / math.pi
 
 
-def _exact(*fns):
-    """Whether every form value over ``fns`` takes the exact route: only
-    when every operand carries a shape tag, else all take the spectral one."""
-    return all(h.shape_tag is not None for h in fns if h is not None)
+def _graded_edges(log2_width, end):
+    """Panel edges 0, w, 2w, 4w, ... up to ``end``, graded toward a peak of
+    width w = 2**log2_width at 0.
+
+    The width comes as a logarithm, so that no ratio of scales is formed and
+    any peak width works; edges that underflow to 0 are dropped.
+    """
+    grown = (2.0 ** (log2_width + k) for k in range(math.ceil(math.log2(end) - log2_width)))
+    return [0.0] + [e for e in grown if e > 0.0] + [end]
+
+
+@functools.cache
+def _gauss_legendre():  # on first use: numpy.polynomial costs every command 5 ms, 1 MB
+    return np.polynomial.legendre.leggauss(20)
+
+
+def _panel_mean(f, edges):
+    """Mean of f over [edges[0], edges[-1]] by 20-point Gauss-Legendre on
+    each panel between consecutive edges, on which f must be analytic.
+
+    On graded edges a singularity at distance ~w from 0 stays a panel width
+    or more from every panel, so all panels converge at one geometric rate.
+    """
+    nodes, weights = _gauss_legendre()
+    e = np.asarray(edges, dtype=float)
+    mid, rad = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
+    return float(rad @ (f(mid[:, None] + rad[:, None] * nodes) @ weights) / (e[-1] - e[0]))
+
+
+def _ellipse_pairing(e, at, band):
+    """(1/2pi) int t dS_E for E = R(a) diag(s0, 1/s0) D, t read by ``at``: dS_E, of
+    density H_E^-3 in the normal angle, is the arc length hypot(s0 sin p, cos p / s0) dp
+    at normal angle a +- atan2(s0 sin p, cos p / s0), p in [0, pi/2], on panels graded
+    toward p = 0 (the normal sweeps past the ends within 1/s0^2) and cut at every
+    16/band of normal angle.  s0 and a come from _stretch and the singular vectors,
+    not from |M^T u|, whose minimum rounds to eps s0."""
+    s0 = _stretch(*e.matrix.ravel().tolist())
+    a, end = math.atan2(*np.linalg.svd(e.matrix)[0][::-1, 0]), 0.5 * math.pi  # the major axis
+    nu = np.arange(0.0, end, min(end, 16.0 / max(band, 1)))
+    edges = np.union1d(_graded_edges(-2.0 * math.log2(s0), end), np.arctan2(np.sin(nu) / s0, s0 * np.cos(nu)))
+
+    def f(p):
+        nu = np.arctan2(s0 * np.sin(p), np.cos(p) / s0)
+        v = at(a + np.stack([nu, -nu]))
+        return (v[0] + v[1]) * np.hypot(s0 * np.sin(p), np.cos(p) / s0)
+
+    return 0.5 * _panel_mean(f, edges)
+
+
+def _form_shape_raw(k, t):
+    """A(K, t) = (1/2pi) int t dS_K, term by term over a Sum; (1/2pi) sum l_i t(n_i)
+    over the turned edge fan for a polygon or segment.  t is read by its direct sum
+    while angles times band stay under 2^14, below the set-up of supportfn._interp."""
+    band = _bandwidth(t._coeffs)
+    c = t._coeffs[1 : band + 1] * np.where(np.arange(1, band + 1) == t.grid // 2, 1.0, 2.0)  # Nyquist once
+
+    def at(theta):
+        if theta.size * band > 16384:
+            return _interp(t._coeffs, t.grid, theta)
+        powers = np.cumprod(np.broadcast_to(np.exp(1j * theta)[..., None], theta.shape + (band,)), axis=-1)
+        return (powers @ c).real + t._coeffs[0].real
+
+    total = 0.0
+    for w, shape in _terms(k.shape_tag):
+        if isinstance(shape, Ellipse):
+            total += w * _ellipse_pairing(shape, at, band)
+        else:
+            fan = shape._turned_fan
+            total += w * float(np.hypot(*fan) @ at(np.arctan2(*fan[::-1]))) / (2.0 * math.pi)
+    return total
 
 
 def form_A(h1, h2=None):
-    """The Lorentzian area form A(h1, h2); A(h) when h2 is omitted.
-
-    Exact mixed areas when every operand carries a shape tag, the spectral
-    sum (form_A_spectral) otherwise.
-    """
-    form = _form_exact if _exact(h1, h2) else form_A_spectral
-    return form(h1, h2)
+    """The Lorentzian area form A(h1, h2); A(h1) when h2 is omitted: the sum
+    of the pairings of the operands' parts, each of its own closed form."""
+    h2 = h1 if h2 is None else h2
+    _same_grid(h1, h2)
+    (k1, t1), (k2, t2) = _parts(h1), _parts(h2)
+    pairs = (_form_exact, k1, k2), (form_A_spectral, t1, t2), (_form_shape_raw, k1, t2), (_form_shape_raw, k2, t1)
+    return sum(form(a, b) for form, a, b in pairs if a and b)
 
 
 def pi0(h):
-    """Mean of h over the circle: A(h, 1), perimeter/(2 pi) for bodies.
-
-    The exact perimeter when h carries a shape tag, the mean of the samples
-    otherwise.
-    """
-    if _exact(h):
-        return h.shape_tag.perimeter / (2.0 * math.pi)
-    return float(h.samples.mean())
+    """Mean of h over the circle, A(h, 1): its body's perimeter/(2 pi) plus its raw samples' mean."""
+    k, t = _parts(h)
+    return (k.shape_tag.perimeter / (2.0 * math.pi) if k else 0.0) + (float(t.samples.mean()) if t else 0.0)
 
 
 def h1_seminorms(h):
@@ -140,28 +200,26 @@ def normalize(h):
 
 
 def _cosh_between(h1, h2):
-    """A(h1, h2) / sqrt(A(h1) A(h2)), all three values from one route."""
-    form = _form_exact if _exact(h1, h2) else form_A_spectral
-    return form(h1, h2) / math.sqrt(form(h1) * form(h2))
+    """A(h1, h2) / sqrt(A(h1) A(h2))."""
+    return form_A(h1, h2) / math.sqrt(form_A(h1) * form_A(h2))
 
 
 def hyper_dist(p, q, method="auto"):
     """Hyperbolic distance acosh A(p, q) between hyperboloid points.
 
-    A(p, q) and its normalization sqrt(A(p)A(q)) (unity within the HPoint
-    tolerance) come from one route, so the reversed Cauchy-Schwarz bound
-    holds whatever mix of tagged and untagged operands is given.  On the
-    spectral route x - 1 = A(p, q)/sqrt(A(p)A(q)) - 1 is computed as
-    -A(p/|p| - q/|q|)/2, free of the cancellation that would floor small
-    distances at sqrt(machine epsilon).  Values of x - 1 in [-INVARIANT_TOL, 0)
-    are taken for round-off and give distance 0; anything below
-    -INVARIANT_TOL (1e-9) is a real invariant violation and raises, and so
-    does a NaN or infinite x, the trace of a mixed area that overflowed.
-    method="spectral" takes the spectral route for tagged operands too.
+    x = A(p, q)/sqrt(A(p)A(q)) is taken with its normalization (unity within
+    the HPoint tolerance), so x >= 1 holds to rounding for any operands.  For
+    two raw operands x - 1 is -A(p/|p| - q/|q|)/2 on the coefficients, free of
+    the cancellation that floors small distances at sqrt(machine epsilon)
+    elsewhere (method="spectral" takes it on the grid samples of any operands).
+    Values of x - 1 in [-INVARIANT_TOL, 0) are taken for round-off and give
+    distance 0; anything below -INVARIANT_TOL (1e-9) is a real invariant
+    violation and raises, and so does a NaN or infinite x, the trace of a
+    mixed area that overflowed.
     """
     if method not in ("auto", "spectral"):
         raise ValueError("unknown method %r" % (method,))
-    if method == "auto" and _exact(p.fn, q.fn):
+    if method == "auto" and (_parts(p.fn)[0] is not None or _parts(q.fn)[0] is not None):
         xm1 = _cosh_between(p.fn, q.fn) - 1.0
     else:
         M = _same_grid(p.fn, q.fn)

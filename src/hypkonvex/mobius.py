@@ -9,7 +9,6 @@ bodies whose extrinsic distance comes out in closed form through complete
 elliptic integrals.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -23,10 +22,12 @@ from .supportfn import (
     _from_shape,
     _grid_directions,
     _interp,
+    _parts,
     _warn_spectral_tail,
+    combine,
     from_ellipse,
 )
-from .lorentz import acosh1p, normalize
+from .lorentz import _graded_edges, _panel_mean, acosh1p, normalize
 
 DET_TOL = 1e-12
 
@@ -104,10 +105,11 @@ def rho_act(m, h):
     """The isometric action on circle functions: |m^T u| h(angle(m^T u)).
 
     Shape tags transport exactly (ellipse matrix -> mA, segment -> mv,
-    polygon -> m vertices, Sum -> each term).  Untagged functions are
-    resampled at the sheared angles by trigonometric interpolation (the
-    nonuniform FFT of supportfn._interp, O(M log M)); a warning fires when
-    the input spectrum is not resolved, since the action shears spectra.
+    polygon -> m vertices, Sum -> each term), a body plus raw samples moves
+    each part, and raw samples are resampled at the sheared angles by
+    trigonometric interpolation (the nonuniform FFT of supportfn._interp,
+    O(M log M)); a warning fires when the input spectrum is not resolved,
+    since the action shears spectra.
     Only the first M/2 grid angles are evaluated, and that half is written
     twice: theta + pi keeps |m^T u| and adds pi to the angle, so the result is
     exactly pi-periodic; any odd-harmonic residue of the input (at most
@@ -115,6 +117,9 @@ def rho_act(m, h):
     """
     if h.shape_tag is not None:
         return _from_shape(h.shape_tag.transform(m.matrix), h.grid)
+    k, t = _parts(h)
+    if k is not None:
+        return combine(1.0, rho_act(m, k), 1.0, rho_act(m, t))
     _warn_spectral_tail(
         h, "input spectrum unresolved (top quarter holds %.2f%% energy); the sheared result will alias"
     )
@@ -151,35 +156,6 @@ def dist_h2(z1, z2):
 def iota(z, M=DEFAULT_GRID):
     """Embed the hyperbolic plane: a half-plane point goes to its area-pi ellipse."""
     return normalize(from_ellipse(Ellipse(mobius_from_halfplane(z).matrix), M))
-
-
-def _graded_edges(log2_width, end):
-    """Panel edges 0, w, 2w, 4w, ... up to ``end``, graded toward a peak of
-    width w = 2**log2_width at 0.
-
-    The width comes as a logarithm, so that no ratio of scales is formed and
-    any peak width works; edges that underflow to 0 are dropped.
-    """
-    grown = (2.0 ** (log2_width + k) for k in range(math.ceil(math.log2(end) - log2_width)))
-    return [0.0] + [e for e in grown if e > 0.0] + [end]
-
-
-@functools.cache
-def _gauss_legendre():  # on first use: numpy.polynomial costs every command 5 ms, 1 MB
-    return np.polynomial.legendre.leggauss(20)
-
-
-def _panel_mean(f, edges):
-    """Mean of f over [edges[0], edges[-1]] by 20-point Gauss-Legendre on
-    each panel between consecutive edges, on which f must be analytic.
-
-    On graded edges a singularity at distance ~w from 0 stays a panel width
-    or more from every panel, so all panels converge at one geometric rate.
-    """
-    nodes, weights = _gauss_legendre()
-    e = np.asarray(edges, dtype=float)
-    mid, rad = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
-    return float(rad @ (f(mid[:, None] + rad[:, None] * nodes) @ weights) / (e[-1] - e[0]))
 
 
 def _iota_dist(q, s0):

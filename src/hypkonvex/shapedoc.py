@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .shapes import Ellipse, Polygon, Segment
-from .supportfn import EvenFn, SpectralTailWarning, _from_shape, _resample
+from .supportfn import EvenFn, SpectralTailWarning, _from_shape, _parseval_counts, _resample
 
 
 class ShapeDocError(ValueError):
@@ -63,19 +63,22 @@ def load_shapedoc(path):
 def to_even_fn(doc, M):
     """Realize a parsed document on an M-point grid.
 
-    Raw samples on a different grid are transferred by trigonometric
-    interpolation (one irfft, supportfn._resample, exact up to rounding),
-    with a warning (kinked bodies should ship as shapes).
+    Raw samples on another grid are moved by one irfft (supportfn._resample),
+    exactly onto a finer grid; onto a coarser one the harmonics at and above
+    its Nyquist fold, with a SpectralTailWarning when their energy share
+    exceeds rounding (1e-24).
     """
     if isinstance(doc, (Ellipse, Segment, Polygon)):
         return _from_shape(doc, M)
     if isinstance(doc, EvenFn):
         if doc.grid == M:
             return doc
-        warnings.warn(
-            "resampling raw samples from grid %d to %d" % (doc.grid, M),
-            SpectralTailWarning,
-        )
+        mags = np.abs(doc._coeffs)
+        energy = _parseval_counts(doc.grid) * (mags / (mags.max() or 1.0)) ** 2
+        folded = float(energy[M // 2 :].sum() / energy.sum()) if energy.any() else 0.0
+        if folded > 1e-24:
+            why = "resampling raw samples from grid %d to %d folds %.3g of their energy"
+            warnings.warn(why % (doc.grid, M, folded), SpectralTailWarning)
         return EvenFn(_resample(doc._coeffs, doc.grid, M))
     raise ShapeDocError("cannot realize %r" % (doc,))
 

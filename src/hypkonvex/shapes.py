@@ -332,6 +332,9 @@ def minkowski_sum(terms):
     e = np.concatenate([c * _edge_fan(k) for c, k in terms]) + 0.0
     e = e[np.argsort(np.arctan2(e[:, 1], e[:, 0]), kind="stable")]
     cross, flat = _turns(e)
+    # also flat: a turn within the rounding of the walked vertices, a few eps of L/4 (L the fan length)
+    length = np.hypot(e[:, 0], e[:, 1])
+    flat += 4.0 * sys.float_info.epsilon * length.sum() * (length + _next(length))
     same = (np.abs(cross) <= flat) & (np.einsum("ij,ij->i", e, _next(e)) > 0.0)
     # a run starts after every edge that does not continue into the next,
     # and may wrap from the end of the sorted fan to its start

@@ -7,13 +7,13 @@ shape, as its tag, and M: every operation that can use the closed form does,
 so those bodies never suffer interpolation error and cost per vertex, not per
 grid point; their samples are computed on first read.  Fourier coefficients
 are derived on demand and cached.  Scaling and nonnegative combination keep
-the tag (as a Sum whose terms keep their coefficients), so only functions built
-from raw samples or signed differences go through the spectral machinery:
-trigonometric interpolation (one irfft onto another uniform grid; a nonuniform
-FFT in O(M log M), to 1e-12 of the coefficients' absolute sum, at scattered
-angles) and rfft-based differentiation (_deriv_coeffs, the one place the
-Nyquist bin of a derivative is dropped).  Every operation on two functions
-takes them on one grid, checked by _same_grid.
+the tag (as a Sum whose terms keep their coefficients); with raw samples they
+keep the body and raw parts (_parts).  The rest goes through the spectral
+machinery: trigonometric interpolation (one irfft onto another uniform grid;
+a nonuniform FFT in O(M log M), to 1e-12 of the coefficients' absolute sum,
+at scattered angles) and rfft-based differentiation (_deriv_coeffs, the one
+place the Nyquist bin of a derivative is dropped).  Every operation on two
+functions takes them on one grid, checked by _same_grid.
 """
 
 import math
@@ -142,6 +142,23 @@ def _from_shape(shape, M):
     return h
 
 
+def _parts(h):
+    """(K, t): the tagged part and the raw part of h, either None (_summed)."""
+    return (h, None) if h.shape_tag is not None else getattr(h, "_summands", (None, h))
+
+
+def _summed(pairs, samples):
+    """The untagged sum of c h over the (c, h) pairs, with these samples; with a body
+    among them it keeps their bodies' Minkowski combination and raw sum as parts."""
+    h = EvenFn(samples)
+    parts = [(c, p) for c, g in pairs for p in _parts(g) if p is not None]
+    bodies = [(c, p.shape_tag) for c, p in parts if p.shape_tag is not None]
+    if bodies:
+        raw = sum(c * p.samples for c, p in parts if p.shape_tag is None)
+        object.__setattr__(h, "_summands", (_from_shape(minkowski_combination(bodies), h.grid), EvenFn(raw)))
+    return h
+
+
 def from_samples(values, M=None):
     """Wrap raw samples; M, when given, cross-checks the array length."""
     v = np.asarray(values, dtype=float)
@@ -186,12 +203,12 @@ def scaled(h, c):
     The scaled body keeps c as a coefficient (a shape K becomes the one-term
     Sum ((c, K),), a Sum multiplies its coefficients), so no geometry is
     rebuilt and no grid arithmetic is done; its samples are that body's
-    support, read on demand.
+    support, read on demand.  A sum of a body and raw samples scales both parts.
     """
     if c < 0.0:
         raise ValueError("scaling coefficient must be nonnegative")
     if h.shape_tag is None or c == 0.0:
-        return EvenFn(c * h.samples)
+        return _summed([(c, h)] if c else [], c * h.samples)
     return _from_shape(minkowski_combination([(c, h.shape_tag)]), h.grid)
 
 
@@ -201,7 +218,7 @@ def combine(c1, h1, c2, h2):
     Adding support functions adds the bodies (Minkowski sum), so when both
     operands are tagged the result carries the body c1 K1 + c2 K2 as its
     tag, built from the two tags alone with no grid arithmetic; otherwise it
-    is returned untagged, as the sum of the samples.
+    is returned untagged, as the sum of the samples, with its parts (_summed).
     """
     _same_grid(h1, h2)
     if c1 < 0.0 or c2 < 0.0:
@@ -211,7 +228,7 @@ def combine(c1, h1, c2, h2):
     if c1 == 0.0:
         return scaled(h2, c2)
     if h1.shape_tag is None or h2.shape_tag is None:
-        return EvenFn(c1 * h1.samples + c2 * h2.samples)
+        return _summed([(c1, h1), (c2, h2)], c1 * h1.samples + c2 * h2.samples)
     return _from_shape(minkowski_combination([(c1, h1.shape_tag), (c2, h2.shape_tag)]), h1.grid)
 
 
@@ -236,6 +253,13 @@ def _resample(coeffs, M, N):
     return np.fft.irfft(folded[: N // 2 + 1] * N, n=N)
 
 
+def _bandwidth(coeffs):
+    """The highest harmonic whose coefficient exceeds 1e-15 of the largest (0 if none)."""
+    mags = np.abs(coeffs)
+    sig = np.nonzero(mags > 1e-15 * mags.max())[0]
+    return int(sig[-1]) if sig.size else 0
+
+
 def _interp(coeffs, M, theta):
     """Evaluate the trigonometric interpolant with rfft/M coefficients
     ``coeffs`` at arbitrary angles (uniform grids take _resample).
@@ -252,9 +276,7 @@ def _interp(coeffs, M, theta):
     """
     theta = np.asarray(theta, dtype=float)
     flat = np.atleast_1d(theta).ravel()
-    mags = np.abs(coeffs)
-    sig = np.nonzero(mags > 1e-15 * mags.max())[0]
-    nmax = int(sig[-1]) if sig.size else 0
+    nmax = _bandwidth(coeffs)
     if nmax == 0:
         out = np.full(flat.shape, coeffs[0].real)
         return out.reshape(theta.shape) if theta.ndim else float(out[0])

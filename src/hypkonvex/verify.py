@@ -16,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limits import empirical_dim_estimate, hausdorff_dim_estimate
-from .lorentz import _cosh_between, form_A, h1_seminorms, normalize
+from .lorentz import _cosh_between, _graded_edges, _panel_mean, form_A, h1_seminorms, normalize
 from .mobius import (
     BASEPOINT,
     HalfPlanePoint,
     Mobius,
-    _graded_edges,
-    _panel_mean,
     _translation_length,
     dist_h2,
     halfplane_apply,
@@ -410,8 +408,8 @@ def _equivariance_suite(col, rng, grid):
         diff = float(np.abs(lhs.samples - rhs.samples).max())
         col.add("iota-equivariance", _digest(m.matrix, [z.x, z.y]), diff, 1e-10)
     for _ in range(100):
-        # Each factor bounded by sqrt(3) so the composition stays within the
-        # norm-3 regime the grid resolves; a second shear multiplies spectra.
+        # Each factor bounded by sqrt(3) keeps the composition within norm 3, which
+        # grids of 1024 and more resolve (not 512); a second shear multiplies spectra.
         m1, m2 = random_mobius(rng, math.sqrt(3.0)), random_mobius(rng, math.sqrt(3.0))
         h = random_band_limited(rng, grid, mean=1.5)
         lhs = rho_act(m1 @ m2, h)

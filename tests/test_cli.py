@@ -19,6 +19,7 @@ from scipy.special import ellipe
 import hypkonvex
 from hypkonvex.cli import main
 from hypkonvex.lorentz import geodesic_point, normalize
+from hypkonvex.mobius import Mobius
 from hypkonvex.shapedoc import parse_shapedoc, to_even_fn
 from hypkonvex.shapes import Polygon, Sum, convex_hull
 from hypkonvex.supportfn import SpectralTailWarning, grid_angles
@@ -87,13 +88,59 @@ def _area_pi_square():
 
 
 def test_dist_polygon_vs_its_own_samples(tmp_path, capsys):
-    # one operand tagged, one not: every form value must come from one route
+    # The samples mean their trigonometric interpolant t, a body other than
+    # the square P.  The square's edge normals fall on grid angles, where t is
+    # the sample h, so A(P, t) = (1/2pi) 4 sqrt(pi) h = 1 = A(P), and the
+    # distance is acosh(1/sqrt(A(t))), A(t) the Parseval sum of t.  Two copies
+    # of the samples are at distance 0.
     sq = _area_pi_square()
     samples = to_even_fn(parse_shapedoc(sq), 2048).samples
     a = _write(tmp_path, "a.json", sq)
     b = _write(tmp_path, "b.json", json.dumps({"type": "samples", "grid": 2048, "values": samples.tolist()}))
     assert main(["dist", a, b, "--out", str(tmp_path / "out")]) == 0
+    c, n = np.fft.rfft(samples) / 2048, np.arange(1025)
+    weights = np.where((n == 0) | (n == 1024), 1.0, 2.0) * (1.0 - n**2)
+    assert samples[::512] == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-15)
+    oracle = math.acosh(1.0 / math.sqrt(float(weights @ np.abs(c) ** 2)))
+    assert float(capsys.readouterr().out.strip()) == pytest.approx(oracle, rel=1e-10)
+    assert oracle > 0.03
+    assert main(["dist", b, b, "--out", str(tmp_path / "out")]) == 0
     assert 0.0 <= float(capsys.readouterr().out.strip()) <= 1e-12
+
+
+def test_dist_square_to_an_ellipse_reads_the_same_from_its_samples(tmp_path, capsys):
+    # The ellipse's 2048 samples interpolate it to about 1e-15, so the square
+    # must read the matrix value against them, not that of its own aliased
+    # grid spectrum.
+    sq = _write(tmp_path, "sq.json", _area_pi_square())
+    matrix = _write(tmp_path, "e.json", _ellipse_doc(0.8))
+    samples = to_even_fn(parse_shapedoc(_ellipse_doc(0.8)), 2048).samples
+    raw = _write(tmp_path, "r.json", json.dumps({"type": "samples", "grid": 2048, "values": samples.tolist()}))
+    values = []
+    for b in (matrix, raw):
+        assert main(["dist", sq, b, "--out", str(tmp_path / "out")]) == 0
+        values.append(float(capsys.readouterr().out.strip()))
+    assert values[1] == pytest.approx(values[0], rel=1e-12)
+
+
+def test_dist_of_a_far_stretched_ellipse_and_samples_follows_the_orbit_asymptotic(tmp_path, capsys):
+    # E = R(a) diag(s0, 1/s0) R(b) at s0 = 1e20 (entries near 6e19) against
+    # 64 raw samples t: dS_E puts mass 2 s0 at each end of the minor normal
+    # J u1 = (cos(a + pi/2), sin(a + pi/2)), so A(E, t) = (2/pi) s0 t(J u1)
+    # up to O(1/s0^2), and d = log s0 + log((4/pi) t(J u1) / sqrt(A(t))).
+    s0, a = 1e20, 0.6
+    matrix = Mobius.rotation(a).matrix @ np.diag([s0, 1.0 / s0]) @ Mobius.rotation(0.4).matrix
+    values = random_polygon(np.random.default_rng(3)).support(grid_angles(64))
+    e = _write(tmp_path, "e.json", json.dumps({"type": "ellipse", "matrix": matrix.tolist()}))
+    r = _write(tmp_path, "r.json", json.dumps({"type": "samples", "grid": 64, "values": values.tolist()}))
+    assert main(["dist", e, r, "--grid", "64", "--out", str(tmp_path / "out")]) == 0
+    c, n = np.fft.rfft(values) / 64, np.arange(33)
+    weights = np.where((n == 0) | (n == 32), 1.0, 2.0)
+    area = float(weights * (1.0 - n**2) @ np.abs(c) ** 2)
+    minor = a + 0.5 * math.pi
+    t = float(weights @ (c * np.exp(1j * n * minor)).real)  # the interpolant, its Nyquist mode a cosine
+    oracle = math.log(s0) + math.log(4.0 / math.pi * t / math.sqrt(area))
+    assert float(capsys.readouterr().out.strip()) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_geodesic_disc_to_square_closed_form(tmp_path, capsys):
@@ -526,17 +573,15 @@ def test_seventeen_digit_roundtrip(tmp_path, capsys):
 
 
 def test_strict_mode_escalates_spectral_warning(tmp_path):
-    # raw samples on a coarser grid force a resample, which warns
-    import numpy as np
-    from hypkonvex.supportfn import grid_angles
-
-    samples = 2.0 + 0.1 * np.cos(2 * grid_angles(64))
-    doc = json.dumps({"type": "samples", "grid": 64, "values": samples.tolist()})
+    # a square's samples regridded from 256 to 64 fold the harmonics at and
+    # above 32 into the coarser samples, which warns
+    square = Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
+    doc = json.dumps({"type": "samples", "grid": 256, "values": square.support(grid_angles(256)).tolist()})
     a = _write(tmp_path, "a.json", doc)
     b = _write(tmp_path, "b.json", DISC)
-    with pytest.warns(SpectralTailWarning, match="resampling raw samples from grid 64 to 256"):
-        assert main(["dist", a, b, "--grid", "256", "--out", str(tmp_path / "o")]) == 0
-    assert main(["dist", a, b, "--grid", "256", "--strict", "--out", str(tmp_path / "o")]) == 3
+    with pytest.warns(SpectralTailWarning, match="resampling raw samples from grid 256 to 64 folds 7.6.e-06 of"):
+        assert main(["dist", a, b, "--grid", "64", "--out", str(tmp_path / "o")]) == 0
+    assert main(["dist", a, b, "--grid", "64", "--strict", "--out", str(tmp_path / "o")]) == 3
 
 
 def test_verify_failure_exits_4(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import ellipe
+
+import hypkonvex.lorentz as lorentz
 
 from hypkonvex.limits import project_disc_to_segment_geodesic
 from hypkonvex.lorentz import (
@@ -322,12 +325,12 @@ _BODIES = st.recursive(_LEAVES, lambda kids: st.builds(combine, _COEFF, kids, _C
 @given(_BODIES, _BODIES)
 def test_hyper_dist_never_raises_and_is_symmetric(h1, h2):
     p = normalize(h1)
-    same = normalize(from_samples(h1.samples))  # the first body again, untagged
-    for q in (normalize(h2), same):
+    raw = normalize(from_samples(h1.samples))  # the first body's samples, untagged
+    for q in (normalize(h2), raw):
         d, d_rev = hyper_dist(p, q), hyper_dist(q, p)
         assert math.isfinite(d) and d >= 0.0
         assert math.cosh(d_rev) == pytest.approx(math.cosh(d), rel=1e-12)
-    assert hyper_dist(p, same) < 1e-6
+    assert hyper_dist(raw, normalize(from_samples(h1.samples.copy()))) < 1e-6
 
 
 def test_hyper_dist_resolves_zero_on_the_spectral_route():
@@ -335,8 +338,8 @@ def test_hyper_dist_resolves_zero_on_the_spectral_route():
     # between distinct bodies agree with acosh of the form ratio
     for seed in range(120):
         h = random_body_fn(np.random.default_rng(seed), PROPERTY_GRID)
-        p = normalize(h)
-        assert hyper_dist(p, normalize(from_samples(h.samples))) <= 1e-12
+        p = normalize(from_samples(h.samples))
+        assert hyper_dist(p, normalize(from_samples(h.samples.copy()))) <= 1e-12
         q = normalize(from_samples(random_body_fn(np.random.default_rng(seed + 1000), PROPERTY_GRID).samples))
         assert hyper_dist(p, q) == pytest.approx(math.acosh(_cosh_between(p.fn, q.fn)), rel=1e-12)
 
@@ -377,6 +380,12 @@ def test_tagged_bodies_never_sample_the_grid(monkeypatch):
         for q in points:
             assert hyper_dist(p, q) >= 0.0
             assert geodesic_point(p, q, 0.5).fn.shape_tag is not None
+    # a tagged body against raw samples pairs through its own closed form
+    raw = random_support_fn(rng, big)
+    for h in fns:
+        form_A(h, raw)
+    for p in points:
+        assert hyper_dist(p, normalize(raw)) > 0.0
     assert sizes and big not in sizes
     assert ell.samples.size == big and sizes[-1] == big  # the spy sees a grid read
 
@@ -483,3 +492,98 @@ def test_overflowed_mixed_area_refuses():
     p, q = (normalize(from_ellipse(Ellipse(np.array(m)), 64)) for m in (ma, mb))
     with pytest.raises(HyperbolicInvariantError, match="overflowed"):
         hyper_dist(p, q)
+
+
+def test_each_part_pairing_calls_its_own_form(monkeypatch):
+    # The benchmark counts the two routes by replacing these module attributes.
+    calls = {"exact": 0, "spectral": 0}
+
+    def counting(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(lorentz, "_form_exact", counting("exact", lorentz._form_exact))
+    monkeypatch.setattr(lorentz, "form_A_spectral", counting("spectral", lorentz.form_A_spectral))
+    rng = np.random.default_rng(2)
+    tagged, raw = from_polygon(random_polygon(rng), M), random_support_fn(rng, M)
+    for a, b, want in [
+        (tagged, from_ellipse(random_ellipse(rng), M), {"exact": 1, "spectral": 0}),
+        (raw, random_support_fn(rng, M), {"exact": 0, "spectral": 1}),
+        (tagged, raw, {"exact": 0, "spectral": 0}),
+    ]:
+        calls.update(exact=0, spectral=0)
+        form_A(a, b)
+        assert calls == want
+
+
+def _band_limited(rng, grid, top):
+    """Raw samples of 1.5 + sum over even n <= top of a_n cos nx + b_n sin nx,
+    with |a_n|, |b_n| ~ 0.2/n^3 (a smooth body), and that sum as an oracle."""
+    n = np.arange(2, top + 1, 2)
+    a, b = 0.2 * rng.normal(size=(2, n.size)) / n**3
+
+    def t(x):
+        x = np.asarray(x, dtype=float)[..., None]
+        return 1.5 + (np.cos(n * x) @ a) + (np.sin(n * x) @ b)
+
+    return from_samples(t(grid_angles(grid))), t
+
+
+def _polygon_oracle(vertices, t):
+    # (1/2pi) sum over edges e of |e| t(outward normal of e)
+    e = np.roll(vertices, -1, axis=0) - vertices
+    return sum(math.hypot(x, y) * float(t(math.atan2(-x, y))) for x, y in e) / (2.0 * math.pi)
+
+
+def _ellipse_oracle(s, a, t):
+    # (1/pi) int over a period of t H^-3 for R(a) diag(e^{s/2}, e^{-s/2}) R(b),
+    # split at the minor normal a + pi/2 and taken in the offset d from it,
+    # where H = hypot(s0 sin d, cos d / s0) is evaluated without cancellation
+    s0, minor = math.exp(0.5 * s), a + 0.5 * math.pi
+    f = lambda d: float(t(minor + d)) / math.hypot(s0 * math.sin(d), math.cos(d) / s0) ** 3  # noqa: E731
+    kw = dict(epsabs=0.0, epsrel=2e-14, limit=2000)
+    return (quad(f, -0.5 * math.pi, 0.0, **kw)[0] + quad(f, 0.0, 0.5 * math.pi, **kw)[0]) / math.pi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["polygon", "segment", "ellipse", "sum"]),
+    st.sampled_from([64, 256, 2048, 8192]),
+    st.floats(0.0, 10.0),
+    st.floats(0.05, 0.95),
+    st.integers(0, 2**32 - 1),
+)
+def test_tagged_bodies_pair_with_raw_samples_by_their_own_closed_form(kind, grid, s, tau, seed):
+    # Against independent oracles: the explicit edge sum for polygons and
+    # segments, scipy quad of t H^-3 for ellipses of translation length s <= 10,
+    # with t the dense trigonometric sum.  A combination of the body and the
+    # raw samples is a point of one form: reversed Cauchy-Schwarz holds against
+    # either part, and so does geodesic additivity.
+    rng = np.random.default_rng(seed)
+    raw, t = _band_limited(rng, grid, int(rng.integers(2, min(40, grid // 4) + 1)))
+    a, b, poly = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi), random_polygon(rng)
+    stretch = np.diag([math.exp(0.5 * s), math.exp(-0.5 * s)])
+    matrix = Mobius.rotation(a).matrix @ stretch @ Mobius.rotation(b).matrix
+    endpoint = rng.uniform(0.2, 2.0) * np.array([math.cos(a), math.sin(a)])
+    if kind == "polygon":
+        body, want = from_polygon(poly, grid), _polygon_oracle(poly.vertices, t)
+    elif kind == "segment":
+        body, want = from_segment(Segment(endpoint), grid), _polygon_oracle(np.stack([endpoint, -endpoint]), t)
+    elif kind == "ellipse":
+        body, want = from_ellipse(Ellipse(matrix), grid), _ellipse_oracle(s, a, t)
+    else:
+        body = combine(0.7, from_polygon(poly, grid), 1.3, from_ellipse(Ellipse(matrix), grid))
+        want = 0.7 * _polygon_oracle(poly.vertices, t) + 1.3 * _ellipse_oracle(s, a, t)
+    assert form_A(body, raw) == pytest.approx(want, rel=1e-12)
+    assert form_A(raw, body) == pytest.approx(want, rel=1e-12)
+    mixed = combine(1.0 - tau, body, tau, raw)
+    assert mixed.shape_tag is None
+    for part in (body, raw):
+        assert form_A(mixed, part) ** 2 >= form_A(mixed) * form_A(part) * (1.0 - 1e-12)
+    if kind != "segment":
+        p, q = normalize(body), normalize(raw)
+        r = geodesic_point(p, q, tau)
+        assert hyper_dist(p, r) + hyper_dist(r, q) == pytest.approx(hyper_dist(p, q), abs=1e-9)

@@ -198,6 +198,21 @@ def test_minkowski_sum_with_shared_edge_directions():
     assert total.area == pytest.approx(a.area + b.area + 2.0 * mixed_area(a, b), rel=1e-13)
 
 
+@pytest.mark.parametrize("seed", [45, 99, 113, 268])
+def test_sums_of_bodies_of_very_different_sizes_are_not_refused(seed):
+    # (P + 1000 Q) + P: P's edges recur, 1000 times shorter than the sum, and
+    # the walked vertices round their turns by a few eps of the sum's size;
+    # turns within that are merged, so the sum is accepted and bilinear.
+    from hypkonvex.verify import random_polygon
+
+    rng = np.random.default_rng(seed)
+    p, q = random_polygon(rng), random_polygon(rng)
+    s = minkowski_combination([(1.0, p), (1000.0, q)])
+    total = minkowski_combination([(1.0, s), (1.0, p)])
+    assert total.area == pytest.approx(s.area + 2.0 * mixed_area(s, p) + p.area, rel=1e-12)
+    assert total.perimeter == pytest.approx(s.perimeter + p.perimeter, rel=1e-12)
+
+
 def test_minkowski_sum_segment_with_polygon():
     sq = Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
     s = Segment(np.array([0.0, 2.0]))
