@@ -3,10 +3,10 @@
 form_A is the bilinear form (1/2pi) int (h1 h2 - h1' h2'); on support
 functions it is the mixed area divided by pi.  Bodies of area pi sit on the
 hyperboloid {A(h) = 1, pi0(h) > 0} and acosh of the form is their distance.
-An operand is a body K (a shape tag), the interpolant t of raw samples, or
-their sum (supportfn._parts), and form_A adds the exact pairings of parts:
-mixed_area(K, L)/pi (_form_exact), the Parseval sum (form_A_spectral) and
-(1/2pi) int t dS_K over K's surface-area measure (_form_shape_raw).  One
+An operand is a body part K plus a raw part t (supportfn.EvenFn), either
+absent, and form_A adds the exact pairings of the parts: mixed_area(K, L)/pi
+(_form_exact), the Parseval sum (form_A_spectral) and (1/2pi) int t dS_K
+over K's surface-area measure (_form_shape_raw); pi0 reads the parts too.  One
 form of signature (1, -, -, ...) on one space holding every operand, it
 keeps the reversed Cauchy-Schwarz inequality (the Minkowski inequality for
 bodies) for every pair, with no route to pick.  Operands on different grids
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shapes import Ellipse, _freeze, _stretch, _terms, mixed_area
-from .supportfn import EvenFn, _bandwidth, _interp, _parseval_counts, _parts, _same_grid, combine, scaled
+from .supportfn import EvenFn, _bandwidth, _interp, _parseval_counts, _same_grid, combine, scaled
 
 FORM_UNIT_TOL = 1e-10
 INVARIANT_TOL = 1e-9
@@ -61,8 +61,8 @@ def form_A_spectral(h1, h2=None):
     return _parseval(h1._coeffs, h2._coeffs, _same_grid(h1, h2))
 
 
-def _form_exact(h1, h2):
-    return mixed_area(h1.shape_tag, h2.shape_tag) / math.pi
+def _form_exact(k1, k2):
+    return mixed_area(k1, k2) / math.pi
 
 
 def _graded_edges(log2_width, end):
@@ -128,7 +128,7 @@ def _form_shape_raw(k, t):
         return (powers @ c).real + t._coeffs[0].real
 
     total = 0.0
-    for w, shape in _terms(k.shape_tag):
+    for w, shape in _terms(k):
         if isinstance(shape, Ellipse):
             total += w * _ellipse_pairing(shape, at, band)
         else:
@@ -142,15 +142,14 @@ def form_A(h1, h2=None):
     of the pairings of the operands' parts, each of its own closed form."""
     h2 = h1 if h2 is None else h2
     _same_grid(h1, h2)
-    (k1, t1), (k2, t2) = _parts(h1), _parts(h2)
+    (k1, t1), (k2, t2) = (h1.body, h1.raw), (h2.body, h2.raw)
     pairs = (_form_exact, k1, k2), (form_A_spectral, t1, t2), (_form_shape_raw, k1, t2), (_form_shape_raw, k2, t1)
-    return sum(form(a, b) for form, a, b in pairs if a and b)
+    return sum(form(a, b) for form, a, b in pairs if a is not None and b is not None)
 
 
 def pi0(h):
     """Mean of h over the circle, A(h, 1): its body's perimeter/(2 pi) plus its raw samples' mean."""
-    k, t = _parts(h)
-    return (k.shape_tag.perimeter / (2.0 * math.pi) if k else 0.0) + (float(t.samples.mean()) if t else 0.0)
+    return (h.body.perimeter / (2.0 * math.pi) if h.body else 0.0) + (float(h.raw.samples.mean()) if h.raw else 0.0)
 
 
 def h1_seminorms(h):
@@ -219,7 +218,7 @@ def hyper_dist(p, q, method="auto"):
     """
     if method not in ("auto", "spectral"):
         raise ValueError("unknown method %r" % (method,))
-    if method == "auto" and (_parts(p.fn)[0] is not None or _parts(q.fn)[0] is not None):
+    if method == "auto" and (p.fn.body is not None or q.fn.body is not None):
         xm1 = _cosh_between(p.fn, q.fn) - 1.0
     else:
         M = _same_grid(p.fn, q.fn)

@@ -22,9 +22,7 @@ from .supportfn import (
     _from_shape,
     _grid_directions,
     _interp,
-    _parts,
     _warn_spectral_tail,
-    combine,
     from_ellipse,
 )
 from .lorentz import _graded_edges, _panel_mean, acosh1p, normalize
@@ -104,28 +102,23 @@ BASEPOINT = HalfPlanePoint(0.0, 1.0)
 def rho_act(m, h):
     """The isometric action on circle functions: |m^T u| h(angle(m^T u)).
 
-    Shape tags transport exactly (ellipse matrix -> mA, segment -> mv,
-    polygon -> m vertices, Sum -> each term), a body plus raw samples moves
-    each part, and raw samples are resampled at the sheared angles by
-    trigonometric interpolation (the nonuniform FFT of supportfn._interp,
-    O(M log M)); a warning fires when the input spectrum is not resolved,
-    since the action shears spectra.
-    Only the first M/2 grid angles are evaluated, and that half is written
-    twice: theta + pi keeps |m^T u| and adds pi to the angle, so the result is
-    exactly pi-periodic; any odd-harmonic residue of the input (at most
-    EVEN_TOL) is dropped.
+    It is linear, so it moves each part of h.  The body transports exactly
+    (ellipse matrix -> mA, segment -> mv, polygon -> m vertices, Sum -> each
+    term).  The raw part is resampled at the sheared angles by trigonometric
+    interpolation (the nonuniform FFT of supportfn._interp, O(M log M)); a
+    warning fires when its spectrum is not resolved, since the action shears
+    spectra.  Only the first M/2 grid angles are evaluated, and that half is
+    written twice: theta + pi keeps |m^T u| and adds pi to the angle, so the
+    result is exactly pi-periodic; any odd-harmonic residue of the input (at
+    most EVEN_TOL) is dropped.
     """
-    if h.shape_tag is not None:
-        return _from_shape(h.shape_tag.transform(m.matrix), h.grid)
-    k, t = _parts(h)
-    if k is not None:
-        return combine(1.0, rho_act(m, k), 1.0, rho_act(m, t))
-    _warn_spectral_tail(
-        h, "input spectrum unresolved (top quarter holds %.2f%% energy); the sheared result will alias"
-    )
-    w = m.matrix.T @ _grid_directions(h.grid)[:, : h.grid // 2]
-    half = np.hypot(w[0], w[1]) * _interp(h._coeffs, h.grid, np.arctan2(w[1], w[0]))
-    return EvenFn(np.tile(half, 2))
+    t = h.raw
+    if t is not None:
+        why = "input spectrum unresolved (top quarter holds %.2f%% energy); the sheared result will alias"
+        _warn_spectral_tail(t, why)
+        w = m.matrix.T @ _grid_directions(h.grid)[:, : h.grid // 2]
+        t = EvenFn(np.tile(np.hypot(w[0], w[1]) * _interp(t._coeffs, h.grid, np.arctan2(w[1], w[0])), 2))
+    return _from_shape(h.body.transform(m.matrix) if h.body is not None else None, h.grid, t)
 
 
 def halfplane_apply(m, z):

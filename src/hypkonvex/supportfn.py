@@ -1,19 +1,17 @@
-"""Even circle functions on a uniform grid, with exact shape tags.
+"""Even circle functions on a uniform grid: a body part plus a raw part.
 
-An EvenFn holds M samples of a pi-periodic function on [0, 2pi) -- the kind
-of function a symmetric convex body produces as its support function.  A
-function built from an ellipse, segment, polygon or Sum stores only that
-shape, as its tag, and M: every operation that can use the closed form does,
-so those bodies never suffer interpolation error and cost per vertex, not per
-grid point; their samples are computed on first read.  Fourier coefficients
-are derived on demand and cached.  Scaling and nonnegative combination keep
-the tag (as a Sum whose terms keep their coefficients); with raw samples they
-keep the body and raw parts (_parts).  The rest goes through the spectral
-machinery: trigonometric interpolation (one irfft onto another uniform grid;
-a nonuniform FFT in O(M log M), to 1e-12 of the coefficients' absolute sum,
-at scattered angles) and rfft-based differentiation (_deriv_coeffs, the one
-place the Nyquist bin of a derivative is dropped).  Every operation on two
-functions takes them on one grid, checked by _same_grid.
+An EvenFn on M grid angles is the support function of a body K (an ellipse,
+segment, polygon or Sum, kept as its shape) plus the trigonometric
+interpolant t of raw samples, either part absent; raw samples are their own
+raw part.  Every operation adds K's closed form to t's spectral form, so a
+body suffers no interpolation error and costs per vertex, not per grid
+point; scaling and nonnegative combination act part by part.  The samples
+(K's support plus t's samples, computed on first read) serve the operations
+on samples alone.  The spectral form is trigonometric interpolation (one
+irfft onto another uniform grid; a nonuniform FFT in O(M log M), to 1e-12 of
+the coefficients' absolute sum, at scattered angles) and rfft-based
+differentiation (_deriv_coeffs, the one place the Nyquist bin of a
+derivative is dropped).  Operations on two functions check one grid (_same_grid).
 """
 
 import math
@@ -91,17 +89,25 @@ def _checked(s):
     return s
 
 
-class EvenFn:
-    """Samples of a pi-periodic function at angles 2*pi*j/M, j = 0..M-1.
+class _Itself:
+    """A raw function's raw part, itself; a non-data descriptor, so functions with a body keep theirs."""
 
-    ``EvenFn(samples)`` wraps raw samples; its ``shape_tag`` is None.  A
-    function built from a shape (by ``from_ellipse``, ``from_segment``,
-    ``from_polygon``, ``scaled``, ``combine`` or ``rho_act``) stores only that
-    shape, as ``shape_tag``, and the grid size ``grid``: it is the shape's
-    support function and closed forms take over.  Its ``samples``, the
-    support at the grid angles, are computed on first read and pass the
-    same finite and pi-periodic check as raw ones.  Instances are immutable.
+    def __get__(self, h, owner=None):
+        return h
+
+
+class EvenFn:
+    """A pi-periodic function at angles 2*pi*j/M, j = 0..M-1: body + raw.
+
+    ``body`` is a shape or None, ``raw`` a function of raw samples or None;
+    ``EvenFn(samples)`` wraps raw samples and is its own raw part.  A function
+    with a body stores only its parts and ``grid``; its ``samples`` are
+    computed on first read and pass the same finite and pi-periodic check as
+    raw ones.  ``shape_tag`` is the body when there is no raw part, else None.
+    Instances are immutable.
     """
+
+    raw = _Itself()
 
     def __init__(self, samples):
         s = np.array(samples, dtype=float)
@@ -109,7 +115,7 @@ class EvenFn:
             raise ValueError("samples must be a finite 1-d array")
         _check_grid(s.size)
         object.__setattr__(self, "grid", s.size)
-        object.__setattr__(self, "shape_tag", None)
+        object.__setattr__(self, "body", None)
         object.__setattr__(self, "samples", _checked(s))
 
     def __setattr__(self, name, value):
@@ -118,10 +124,15 @@ class EvenFn:
     def __delattr__(self, name):
         raise AttributeError("EvenFn is immutable")
 
+    @property
+    def shape_tag(self):
+        return self.body if self.raw is None else None
+
     @cached_property
     def samples(self):
-        # reached only by tagged functions: raw ones hold their samples
-        return _checked(self.shape_tag.hsupport(_grid_directions(self.grid)))
+        # reached only by functions with a body: raw ones hold their samples
+        s = self.body.hsupport(_grid_directions(self.grid))
+        return _checked(s if self.raw is None else s + self.raw.samples)
 
     @cached_property
     def _coeffs(self):
@@ -131,32 +142,27 @@ class EvenFn:
         return c
 
 
-def _from_shape(shape, M):
-    """The support function of ``shape`` on an M-point grid; no sample is computed."""
+def _from_shape(shape, M, raw=None):
+    """The support function of ``shape`` plus ``raw`` (or ``raw`` alone) on an M-point grid; no sample is computed."""
+    if shape is None:
+        return raw
     if not isinstance(shape, (Ellipse, Segment, Polygon, Sum)):
         raise TypeError("shape tag must be an Ellipse, Segment, Polygon, or Sum")
     _check_grid(M)
     h = EvenFn.__new__(EvenFn)
     object.__setattr__(h, "grid", M)
-    object.__setattr__(h, "shape_tag", shape)
+    object.__setattr__(h, "body", shape)
+    object.__setattr__(h, "raw", raw)
     return h
 
 
-def _parts(h):
-    """(K, t): the tagged part and the raw part of h, either None (_summed)."""
-    return (h, None) if h.shape_tag is not None else getattr(h, "_summands", (None, h))
-
-
-def _summed(pairs, samples):
-    """The untagged sum of c h over the (c, h) pairs, with these samples; with a body
-    among them it keeps their bodies' Minkowski combination and raw sum as parts."""
-    h = EvenFn(samples)
-    parts = [(c, p) for c, g in pairs for p in _parts(g) if p is not None]
-    bodies = [(c, p.shape_tag) for c, p in parts if p.shape_tag is not None]
-    if bodies:
-        raw = sum(c * p.samples for c, p in parts if p.shape_tag is None)
-        object.__setattr__(h, "_summands", (_from_shape(minkowski_combination(bodies), h.grid), EvenFn(raw)))
-    return h
+def _partwise(h, theta, closed, spectral):
+    """closed(h.body) + spectral(h.raw) at the finite angles theta, over the parts h has."""
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("angles must be finite")
+    terms = [form(part) for form, part in ((closed, h.body), (spectral, h.raw)) if part is not None]
+    v = terms[0] + terms[1] if len(terms) == 2 else terms[0]
+    return float(v) if np.ndim(theta) == 0 else v
 
 
 def from_samples(values, M=None):
@@ -197,39 +203,37 @@ def from_polygon(p, M=DEFAULT_GRID):
     return _from_shape(p, M)
 
 
-def scaled(h, c):
-    """c*h; a tagged h (c > 0) stays tagged with the scaled body.
+def _combination(pairs, M):
+    """The sum of c h over the (c, h) pairs, part by part: the bodies' Minkowski
+    combination (a Sum keeps each coefficient, so no geometry is rebuilt) and
+    the raw parts' sum.  A zero coefficient drops its operand."""
+    bodies = [(c, h.body) for c, h in pairs if c != 0.0 and h.body is not None]
+    raws = [c * h.raw.samples for c, h in pairs if c != 0.0 and h.raw is not None]
+    if not (bodies or raws):
+        return constant(0.0, M)
+    raw = EvenFn(sum(raws[1:], raws[0])) if raws else None
+    return _from_shape(minkowski_combination(bodies) if bodies else None, M, raw)
 
-    The scaled body keeps c as a coefficient (a shape K becomes the one-term
-    Sum ((c, K),), a Sum multiplies its coefficients), so no geometry is
-    rebuilt and no grid arithmetic is done; its samples are that body's
-    support, read on demand.  A sum of a body and raw samples scales both parts.
-    """
+
+def scaled(h, c):
+    """c*h for c >= 0, part by part (_combination): a body K becomes the
+    one-term Sum ((c, K),), a Sum multiplies its coefficients."""
     if c < 0.0:
         raise ValueError("scaling coefficient must be nonnegative")
-    if h.shape_tag is None or c == 0.0:
-        return _summed([(c, h)] if c else [], c * h.samples)
-    return _from_shape(minkowski_combination([(c, h.shape_tag)]), h.grid)
+    return _combination([(c, h)], h.grid)
 
 
 def combine(c1, h1, c2, h2):
-    """The nonnegative combination c1*h1 + c2*h2.
+    """The nonnegative combination c1*h1 + c2*h2, part by part (_combination).
 
-    Adding support functions adds the bodies (Minkowski sum), so when both
-    operands are tagged the result carries the body c1 K1 + c2 K2 as its
-    tag, built from the two tags alone with no grid arithmetic; otherwise it
-    is returned untagged, as the sum of the samples, with its parts (_summed).
+    Adding support functions adds the bodies (Minkowski sum), so the body part
+    is c1 K1 + c2 K2, built from the two bodies alone, and the raw part is the
+    sum of the raw samples.
     """
     _same_grid(h1, h2)
     if c1 < 0.0 or c2 < 0.0:
         raise ValueError("combination coefficients must be nonnegative")
-    if c2 == 0.0:
-        return scaled(h1, c1)
-    if c1 == 0.0:
-        return scaled(h2, c2)
-    if h1.shape_tag is None or h2.shape_tag is None:
-        return _summed([(c1, h1), (c2, h2)], c1 * h1.samples + c2 * h2.samples)
-    return _from_shape(minkowski_combination([(c1, h1.shape_tag), (c2, h2.shape_tag)]), h1.grid)
+    return _combination([(c1, h1), (c2, h2)], h1.grid)
 
 
 def signed_diff(h1, h2):
@@ -308,24 +312,14 @@ def _interp(coeffs, M, theta):
 
 
 def eval_at(h, theta):
-    """Value of h at arbitrary angles: closed form when tagged, else
-    trigonometric interpolation through the samples."""
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("angles must be finite")
-    if h.shape_tag is not None:
-        v = h.shape_tag.support(theta)
-        return float(v) if np.ndim(theta) == 0 else v
-    return _interp(h._coeffs, h.grid, theta)
+    """Value of h at arbitrary angles: the body's closed form plus the
+    trigonometric interpolant of the raw part."""
+    return _partwise(h, theta, lambda k: k.support(theta), lambda t: _interp(t._coeffs, h.grid, theta))
 
 
 def eval_deriv(h, theta):
-    """dh/dtheta at arbitrary angles (closed form when tagged)."""
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("angles must be finite")
-    if h.shape_tag is not None:
-        v = h.shape_tag.support_deriv(theta)
-        return float(v) if np.ndim(theta) == 0 else v
-    return _interp(_deriv_coeffs(h), h.grid, theta)
+    """dh/dtheta at arbitrary angles, by parts as in eval_at."""
+    return _partwise(h, theta, lambda k: k.support_deriv(theta), lambda t: _interp(_deriv_coeffs(t), h.grid, theta))
 
 
 def _deriv_coeffs(h):
@@ -421,9 +415,11 @@ def support_split(h):
 def boundary_curve(h, n_points=DEFAULT_GRID):
     """Boundary of the body with support function h as an (n, 2) polyline.
 
-    Points are c(t) = h(t) u(t) + h'(t) u_perp(t); tagged shapes use their
-    closed-form boundary.  Raises NotSupportFunctionError when h fails the
-    convexity gate: a chord convexity defect below
+    Points are c(t) = h(t) u(t) + h'(t) u_perp(t), linear in h: the body's
+    closed-form boundary plus that map of the raw part's interpolant.  With a
+    raw part, the whole function's samples must pass the chord convexity gate
+    (a body alone is convex), else NotSupportFunctionError is raised: a
+    chord convexity defect below
     -(CONVEXITY_TOL (1 + max|h|) + c eps max|h| / (2 - 2cos d)), d = 2 pi/M.
 
     The second term is the rounding floor of the defect's numerator, with
@@ -437,13 +433,17 @@ def boundary_curve(h, n_points=DEFAULT_GRID):
     3 eps max|h|.
     """
     _check_grid(n_points)
-    if h.shape_tag is not None:
-        return h.shape_tag.boundary(grid_angles(n_points))
-    top = float(np.abs(h.samples).max())
-    floor = _CHORD_ROUNDING * sys.float_info.epsilon * top / (2.0 - 2.0 * math.cos(2.0 * math.pi / h.grid))
-    if chord_convexity_defect(h) < -(CONVEXITY_TOL * (1.0 + top) + floor):
-        raise NotSupportFunctionError("input is not a support function (h''+h < 0 somewhere)")
-    vals = _resample(h._coeffs, h.grid, n_points)
-    dvals = _resample(_deriv_coeffs(h), h.grid, n_points)
-    c, s = _grid_directions(n_points)
-    return np.stack([vals * c - dvals * s, vals * s + dvals * c], axis=1)
+    if h.raw is not None:
+        top = float(np.abs(h.samples).max())
+        floor = _CHORD_ROUNDING * sys.float_info.epsilon * top / (2.0 - 2.0 * math.cos(2.0 * math.pi / h.grid))
+        if chord_convexity_defect(h) < -(CONVEXITY_TOL * (1.0 + top) + floor):
+            raise NotSupportFunctionError("input is not a support function (h''+h < 0 somewhere)")
+
+    def spectral(t):
+        vals = _resample(t._coeffs, t.grid, n_points)
+        dvals = _resample(_deriv_coeffs(t), t.grid, n_points)
+        c, s = _grid_directions(n_points)
+        return np.stack([vals * c - dvals * s, vals * s + dvals * c], axis=1)
+
+    theta = grid_angles(n_points)
+    return _partwise(h, theta, lambda k: k.boundary(theta), spectral)

@@ -436,6 +436,15 @@ def _ellipse_h2_dist(e1, e2):
     return _translation_length(*_adjugate_product(e2.matrix, e1.matrix))
 
 
+def _add_gram_signature(col, digest, g):
+    """Record that the Gram matrix g of n+1 bodies has the form's signature (1, n): its eigenvalues
+    l0 >= l1 >= ... have min(l0, -l1) above (n+1) 1e-12 max|g|.  That floor is the most by which
+    a relative rounding of 1e-12 in each form value (the closed forms reach a few eps) moves any
+    eigenvalue of an (n+1)-square matrix (Weyl's inequality, the error's norm below (n+1) its entries)."""
+    lam = np.linalg.eigvalsh(g)[::-1] / np.abs(g).max()
+    col.add_lower("gram-signature", digest, float(min(lam[0], -lam[1])), len(g) * 1e-12, n=len(g) - 1)
+
+
 def _gram_rank_suite(col, rng, grid):
     for n in range(2, 7):
         for _ in range(50):
@@ -446,9 +455,7 @@ def _gram_rank_suite(col, rng, grid):
                     mats.append(e)
             fns = [from_ellipse(e, grid) for e in mats]
             g = np.array([[form_A(a, b) for b in fns] for a in fns])
-            gn = g / np.abs(g).max(axis=1, keepdims=True)
-            det = abs(float(np.linalg.det(gn)))
-            col.add_lower("gram-nonsingular", _digest(*[e.matrix for e in mats]), det, 1e-10, n=n)
+            _add_gram_signature(col, _digest(*[e.matrix for e in mats]), g)
 
 
 def _ellipse_sum_suite(col, rng, grid):

@@ -271,14 +271,14 @@ def test_criterion_10_equivariance():
 def test_criterion_11_span_dimension():
     gram = run_suite("gram-rank", seed=11, grid=GRID)
     esum = run_suite("ellipse-sum", seed=11, grid=GRID)
-    min_det = min(r["value"] for r in gram.records)
+    margin = min(r["value"] / r["threshold"] for r in gram.records)
     hom = max(abs(r["value"]) for r in esum.records if r["check"] == "homothetic-energy")
     non = min(r["value"] for r in esum.records if r["check"] == "non-ellipse-energy")
     _criterion(
         11,
-        "Gram nonsingularity n=2..6 and ellipse-sum harmonic energies",
+        "Gram signature (1, n) for n=2..6 and ellipse-sum harmonic energies",
         gram.passed and esum.passed,
-        "min |det| %.1e, homothetic %.1e, non-homothetic %.1e" % (min_det, hom, non),
+        "eigenvalues >= %.1e x rounding floor, homothetic %.1e, non-homothetic %.1e" % (margin, hom, non),
     )
 
 

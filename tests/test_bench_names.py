@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hypkonvex"
 
 
 @pytest.fixture
@@ -110,3 +111,44 @@ def test_worker_calls_resolve_with_their_keywords():
             called.add(".".join(chain))
     assert {"lorentz.hyper_dist", "supportfn.from_samples", "cli.main", "mobius.Mobius.axial"} <= called
 
+
+
+def test_shape_tag_is_the_body_exactly_when_there_is_no_raw_part(bench_path):
+    # worker.py picks its dist route from mid.fn.shape_tag, and the tracer
+    # counts supportfn.combine.tagged from result.shape_tag.
+    from hypkonvex.mobius import Mobius, rho_act
+    from hypkonvex.shapes import Ellipse, Polygon
+    from hypkonvex.supportfn import combine, from_ellipse, from_polygon, from_samples, scaled
+
+    tagged = importlib.import_module("tracer").COUNTERS["supportfn.combine"]
+    M = 64
+    disc = from_ellipse(Ellipse(np.eye(2)), M)
+    square = from_polygon(Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])), M)
+    raw = from_samples(square.samples)
+    combined = [combine(0.5, disc, 0.5, square), combine(0.5, disc, 0.5, raw), combine(1.0, raw, 2.0, raw)]
+    combined += [combine(2.0, square, 0.0, raw), combine(0.0, square, 2.0, raw)]
+    made = [disc, square, raw] + combined + [scaled(h, 2.0) for h in combined[:3]]
+    made += [rho_act(Mobius.rotation(0.3) @ Mobius.axial(0.5), h) for h in made]
+    for h in made:
+        assert h.shape_tag is (h.body if h.raw is None else None)
+        assert (h.body, h.raw) != (None, None)
+    for h in combined:
+        assert tagged((), {}, h) == {"supportfn.combine.tagged": int(h.raw is None)}
+    assert {(h.body is not None, h.raw is not None) for h in made} == {(True, False), (False, True), (True, True)}
+
+
+def test_no_module_of_the_package_reads_shape_tag():
+    # supportfn defines shape_tag for callers outside the package; the
+    # package's own operations read a function's body and raw parts, so
+    # that none can route on tagged versus untagged.
+    reads, defined = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "shape_tag") or (
+                isinstance(node, ast.Constant) and node.value == "shape_tag"
+            ):
+                reads.append("%s:%d" % (path.name, node.lineno))
+            elif isinstance(node, ast.FunctionDef) and node.name == "shape_tag":
+                defined.append(path.name)
+    assert reads == []
+    assert defined == ["supportfn.py"]

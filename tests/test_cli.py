@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -163,6 +164,27 @@ def test_geodesic_disc_to_square_closed_form(tmp_path, capsys):
     assert isinstance(mid, Sum)
     expect = render_boundary(mid.boundary(grid_angles(2048))).find("path").get("d")
     assert 'd="%s"' % expect in (out / "frame_004.svg").read_text()
+
+
+def test_geodesic_frames_from_a_square_to_smooth_samples_have_the_reported_perimeters(tmp_path, capsys):
+    # The inner frames draw K + t, the square's closed-form boundary plus
+    # that of the samples' interpolant: each frame's polyline (64 pixels per
+    # unit, no frame scaled to fit) measures the perimeter 2 pi pi0 that
+    # geodesic.csv reports, to the 2048-gon's and the pixels' rounding.
+    x = grid_angles(2048)
+    smooth = {"type": "samples", "grid": 2048, "values": (1.0 + 0.1 * np.cos(2 * x) + 0.02 * np.sin(4 * x)).tolist()}
+    a = _write(tmp_path, "a.json", _area_pi_square())
+    b = _write(tmp_path, "b.json", json.dumps(smooth))
+    out = tmp_path / "geo"
+    assert main(["geodesic", a, b, "--steps", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = (out / "geodesic.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 5
+    for k, row in enumerate(rows):
+        d = re.search(r' d="M([^"]*)z"', (out / ("frame_%03d.svg" % k)).read_text()).group(1)
+        px = np.array(re.split(r"[ L]", d), dtype=float).reshape(-1, 2)
+        perimeter = float(np.hypot(*(np.roll(px, -1, axis=0) - px).T).sum()) / 64.0
+        assert perimeter == pytest.approx(float(row.split(",")[3]), rel=1e-3)
 
 
 @pytest.mark.parametrize(

@@ -651,3 +651,51 @@ def test_interp_working_memory_is_linear_in_the_targets():
         finally:
             tracemalloc.stop()
         assert peak < 200 * theta.size
+
+
+def _body(kind, grid, rng):
+    ell, poly = from_ellipse(random_ellipse(rng), grid), from_polygon(random_polygon(rng), grid)
+    if kind == "sum":
+        return combine(0.6, ell, 1.4, poly)
+    return {"ellipse": ell, "polygon": poly, "segment": from_segment(Segment(rng.normal(size=2)), grid)}[kind]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["ellipse", "polygon", "segment", "sum"]),
+    st.sampled_from(["band-limited", "polygon-samples"]),
+    st.sampled_from([64, 256, 2048, 8192]),
+    st.floats(0.05, 3.0),
+    st.floats(0.05, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_every_operation_on_body_plus_raw_is_the_sum_over_the_parts(body_kind, raw_kind, grid, a, b, seed):
+    # h = a K + b t, K a body and t raw samples (convex, so that every
+    # boundary passes the chord gate): evaluation, derivative, boundary, pi0
+    # and the form read both parts, and rho_act moves both.
+    rng = np.random.default_rng(seed)
+    k = _body(body_kind, grid, rng)
+    t = random_support_fn(rng, grid) if raw_kind == "band-limited" else _raw_body(raw_kind, grid, rng)
+    h = combine(a, k, b, t)
+    scale = a * float(np.abs(k.samples).max()) + b * float(np.abs(t._coeffs).sum())
+    theta = rng.uniform(-10.0, 10.0, 257)
+    for op in (eval_at, eval_deriv):
+        assert np.abs(op(h, theta) - (a * op(k, theta) + b * op(t, theta))).max() <= 1e-9 * scale
+    n = min(grid, 2048)
+    want = a * boundary_curve(k, n) + b * boundary_curve(t, n)
+    assert np.abs(boundary_curve(h, n) - want).max() <= 1e-9 * scale
+    assert pi0(h) == pytest.approx(a * pi0(k) + b * pi0(t), rel=1e-12)
+    g = combine(1.0, from_polygon(random_polygon(rng), grid), 1.0, random_support_fn(rng, grid))
+    assert form_A(h, g) == pytest.approx(a * form_A(k, g) + b * form_A(t, g), rel=1e-10, abs=1e-10 * scale)
+    m = random_mobius(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTailWarning)
+        moved, mk, mt = rho_act(m, h), rho_act(m, k), rho_act(m, t)
+    parts = combine(a, mk, b, mt)
+    assert np.abs(moved.samples - parts.samples).max() <= 3e-9 * scale
+    assert np.abs(eval_at(moved, theta) - eval_at(parts, theta)).max() <= 3e-9 * scale
+    assert np.abs(moved.body.support(theta) - a * mk.body.support(theta)).max() <= 3e-14 * scale
+    assert np.abs(moved.raw.samples - b * mt.samples).max() <= 3e-9 * scale
+    assert h.shape_tag is None and moved.shape_tag is None
+    for tagged in (combine(a, k, 0.0, t), combine(0.0, t, b, k), scaled(k, a)):
+        assert tagged.raw is None and tagged.shape_tag is tagged.body is not None

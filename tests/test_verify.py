@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ellipe
 
+from hypkonvex.lorentz import form_A
 from hypkonvex.mobius import Mobius, iota_dist_quadrature
 from hypkonvex.shapes import Ellipse
 from hypkonvex.supportfn import from_ellipse, grid_angles, unit_disc
@@ -16,6 +17,7 @@ from hypkonvex.verify import (
     KERNEL_T_MAX,
     SUITES,
     SuiteReport,
+    _add_gram_signature,
     _jacobian_mean,
     curvature_scale_estimate,
     ellipse_sum_test,
@@ -23,6 +25,7 @@ from hypkonvex.verify import (
     kernels_compare,
     minkowski_extended_test,
     random_band_limited,
+    random_ellipse,
     random_mobius,
     run_suite,
 )
@@ -186,3 +189,28 @@ def test_random_band_limited_is_the_trig_sum_of_its_draws():
     assert np.abs(h.samples - expect).max() < 1e-13
     with pytest.raises(ValueError):
         random_band_limited(np.random.default_rng(4), 64, max_harmonic=32)
+
+
+@pytest.mark.parametrize("seed", [1733, 1804, 1849])
+def test_gram_rank_passes_where_a_determinant_floor_failed(seed):
+    # n = 6 Gram matrices whose row-normalized determinant fell below 1e-10
+    # (6.85e-11 at seed 1804) still have signature (1, 6) far above rounding
+    report = run_suite("gram-rank", seed=seed, grid=2048)
+    assert report.passed and {r["n"] for r in report.records} == {2, 3, 4, 5, 6}
+
+
+def test_gram_signature_refuses_a_repeated_ellipse_and_the_l2_product():
+    rng = np.random.default_rng(5)
+    fns = [from_ellipse(random_ellipse(rng), 256) for _ in range(4)]
+
+    def check(gram):
+        report = SuiteReport("gram-rank", 5, 256)
+        _add_gram_signature(report, "", np.array([[gram(a, b) for b in fns] for a in fns]))
+        return report.passed
+
+    assert check(form_A)
+    fns[3] = fns[0]
+    assert not check(form_A)
+    fns[3] = from_ellipse(random_ellipse(rng), 256)
+    assert check(form_A)
+    assert not check(lambda a, b: float(np.mean(a.samples * b.samples)))  # positive definite
