@@ -6,7 +6,8 @@ hyperboloid {A(h) = 1, pi0(h) > 0} and acosh of the form is their distance.
 An operand is a body part K plus a raw part t (supportfn.EvenFn), either
 absent, and form_A adds the exact pairings of the parts: mixed_area(K, L)/pi
 (_form_exact), the Parseval sum (form_A_spectral) and (1/2pi) int t dS_K
-over K's surface-area measure (_form_shape_raw); pi0 reads the parts too.  One
+over K's surface-area measure, t read at K's normals by supportfn._interp
+like any off-grid read (_form_shape_raw); pi0 reads the parts too.  One
 form of signature (1, -, -, ...) on one space holding every operand, it
 keeps the reversed Cauchy-Schwarz inequality (the Minkowski inequality for
 bodies) for every pair, with no route to pick.  Operands on different grids
@@ -94,21 +95,21 @@ def _panel_mean(f, edges):
     return float(rad @ (f(mid[:, None] + rad[:, None] * nodes) @ weights) / (e[-1] - e[0]))
 
 
-def _ellipse_pairing(e, at, band):
-    """(1/2pi) int t dS_E for E = R(a) diag(s0, 1/s0) D, t read by ``at``: dS_E, of
-    density H_E^-3 in the normal angle, is the arc length hypot(s0 sin p, cos p / s0) dp
-    at normal angle a +- atan2(s0 sin p, cos p / s0), p in [0, pi/2], on panels graded
-    toward p = 0 (the normal sweeps past the ends within 1/s0^2) and cut at every
-    16/band of normal angle.  s0 and a come from _stretch and the singular vectors,
-    not from |M^T u|, whose minimum rounds to eps s0."""
+def _ellipse_pairing(e, t):
+    """(1/2pi) int t dS_E for E = R(a) diag(s0, 1/s0) D: dS_E, of density H_E^-3 in the
+    normal angle, is the arc length hypot(s0 sin p, cos p / s0) dp at normal angle
+    a +- atan2(s0 sin p, cos p / s0), p in [0, pi/2], on panels graded toward p = 0 (the
+    normal sweeps past the ends within 1/s0^2) and cut every 16/band of normal angle,
+    band t's (supportfn._bandwidth).  s0 and a come from _stretch and the singular
+    vectors, not from |M^T u|, whose minimum rounds to eps s0."""
     s0 = _stretch(*e.matrix.ravel().tolist())
     a, end = math.atan2(*np.linalg.svd(e.matrix)[0][::-1, 0]), 0.5 * math.pi  # the major axis
-    nu = np.arange(0.0, end, min(end, 16.0 / max(band, 1)))
+    nu = np.arange(0.0, end, min(end, 16.0 / max(_bandwidth(t._coeffs), 1)))
     edges = np.union1d(_graded_edges(-2.0 * math.log2(s0), end), np.arctan2(np.sin(nu) / s0, s0 * np.cos(nu)))
 
     def f(p):
         nu = np.arctan2(s0 * np.sin(p), np.cos(p) / s0)
-        v = at(a + np.stack([nu, -nu]))
+        v = _interp(t._coeffs, t.grid, a + np.stack([nu, -nu]))
         return (v[0] + v[1]) * np.hypot(s0 * np.sin(p), np.cos(p) / s0)
 
     return 0.5 * _panel_mean(f, edges)
@@ -116,24 +117,15 @@ def _ellipse_pairing(e, at, band):
 
 def _form_shape_raw(k, t):
     """A(K, t) = (1/2pi) int t dS_K, term by term over a Sum; (1/2pi) sum l_i t(n_i)
-    over the turned edge fan for a polygon or segment.  t is read by its direct sum
-    while angles times band stay under 2^14, below the set-up of supportfn._interp."""
-    band = _bandwidth(t._coeffs)
-    c = t._coeffs[1 : band + 1] * np.where(np.arange(1, band + 1) == t.grid // 2, 1.0, 2.0)  # Nyquist once
-
-    def at(theta):
-        if theta.size * band > 16384:
-            return _interp(t._coeffs, t.grid, theta)
-        powers = np.cumprod(np.broadcast_to(np.exp(1j * theta)[..., None], theta.shape + (band,)), axis=-1)
-        return (powers @ c).real + t._coeffs[0].real
-
+    over the turned edge fan for a polygon or segment.  t is read at the normal
+    angles by supportfn._interp."""
     total = 0.0
     for w, shape in _terms(k):
         if isinstance(shape, Ellipse):
-            total += w * _ellipse_pairing(shape, at, band)
+            total += w * _ellipse_pairing(shape, t)
         else:
             fan = shape._turned_fan
-            total += w * float(np.hypot(*fan) @ at(np.arctan2(*fan[::-1]))) / (2.0 * math.pi)
+            total += w * float(np.hypot(*fan) @ _interp(t._coeffs, t.grid, np.arctan2(*fan[::-1]))) / (2.0 * math.pi)
     return total
 
 

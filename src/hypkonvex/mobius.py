@@ -104,8 +104,8 @@ def rho_act(m, h):
 
     It is linear, so it moves each part of h.  The body transports exactly
     (ellipse matrix -> mA, segment -> mv, polygon -> m vertices, Sum -> each
-    term).  The raw part is resampled at the sheared angles by trigonometric
-    interpolation (the nonuniform FFT of supportfn._interp, O(M log M)); a
+    term).  The raw part is resampled at the sheared angles by supportfn._interp
+    (the direct sum for few angles times band, else the nonuniform FFT); a
     warning fires when its spectrum is not resolved, since the action shears
     spectra.  Only the first M/2 grid angles are evaluated, and that half is
     written twice: theta + pi keeps |m^T u| and adds pi to the angle, so the

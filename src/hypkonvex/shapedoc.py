@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 
 from .shapes import Ellipse, Polygon, Segment
-from .supportfn import EvenFn, SpectralTailWarning, _from_shape, _parseval_counts, _resample
+from .supportfn import EvenFn, SpectralTailWarning, _from_shape, _resample, _tail_share
 
 
 class ShapeDocError(ValueError):
@@ -73,9 +73,7 @@ def to_even_fn(doc, M):
     if isinstance(doc, EvenFn):
         if doc.grid == M:
             return doc
-        mags = np.abs(doc._coeffs)
-        energy = _parseval_counts(doc.grid) * (mags / (mags.max() or 1.0)) ** 2
-        folded = float(energy[M // 2 :].sum() / energy.sum()) if energy.any() else 0.0
+        folded = _tail_share(doc, M // 2)
         if folded > 1e-24:
             why = "resampling raw samples from grid %d to %d folds %.3g of their energy"
             warnings.warn(why % (doc.grid, M, folded), SpectralTailWarning)

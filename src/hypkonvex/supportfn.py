@@ -8,10 +8,11 @@ body suffers no interpolation error and costs per vertex, not per grid
 point; scaling and nonnegative combination act part by part.  The samples
 (K's support plus t's samples, computed on first read) serve the operations
 on samples alone.  The spectral form is trigonometric interpolation (one
-irfft onto another uniform grid; a nonuniform FFT in O(M log M), to 1e-12 of
-the coefficients' absolute sum, at scattered angles) and rfft-based
-differentiation (_deriv_coeffs, the one place the Nyquist bin of a
-derivative is dropped).  Operations on two functions check one grid (_same_grid).
+irfft onto another uniform grid; at scattered angles _interp, the one off-grid
+evaluator: the direct sum for few angles times band, else a nonuniform FFT in
+O(M log M)) and rfft-based differentiation (_deriv_coeffs, the one place the
+Nyquist bin of a derivative is dropped).  Operations on two functions check
+one grid (_same_grid).
 """
 
 import math
@@ -265,24 +266,27 @@ def _bandwidth(coeffs):
 
 
 def _interp(coeffs, M, theta):
-    """Evaluate the trigonometric interpolant with rfft/M coefficients
-    ``coeffs`` at arbitrary angles (uniform grids take _resample).
-
-    A type-2 nonuniform FFT by fast Gaussian gridding (Dutt & Rokhlin 1993,
-    Greengard & Lee 2004): the coefficients are deconvolved by the Gaussian's
-    spectrum, one irfft puts them on a twice-oversampled grid, and each angle
-    gathers 2*_SPREAD fine-grid values under the Gaussian, one multiply-add
-    each.  The coefficient tail below 1e-15 of the peak is dropped, which sets
-    the bandwidth, so the cost is O(n_max log n_max + points) in O(points)
-    memory, and the result matches the direct sum to about 1e-12 of the sum
-    of |coeffs|; a constant is returned exactly.
-    The angles must be finite (eval_at and eval_deriv check theirs).
+    """The trigonometric interpolant with rfft/M coefficients ``coeffs`` at
+    finite angles, reduced mod 2 pi: the one off-grid evaluator (uniform grids
+    take _resample).  Coefficients below 1e-15 of the peak are dropped, which
+    sets the band n_max.  While points times n_max stay within 2^14, the direct
+    sum (the Nyquist mode a cosine; a constant exactly) costs less than the
+    set-up of the type-2 nonuniform FFT by fast Gaussian gridding (Dutt &
+    Rokhlin 1993, Greengard & Lee 2004) taken past that: the coefficients are
+    deconvolved by the Gaussian's spectrum, one irfft puts them on a
+    twice-oversampled grid, and each angle gathers 2*_SPREAD fine-grid values
+    under the Gaussian, one multiply-add each, in O(n_max log n_max + points)
+    time and O(points) memory, to about 1e-12 of sum |coeffs| from the direct sum.
     """
     theta = np.asarray(theta, dtype=float)
-    flat = np.atleast_1d(theta).ravel()
+    flat = np.mod(np.atleast_1d(theta).ravel(), 2.0 * math.pi)
     nmax = _bandwidth(coeffs)
-    if nmax == 0:
-        out = np.full(flat.shape, coeffs[0].real)
+    if flat.size * nmax <= 1 << 14:
+        c = 2.0 * coeffs[1 : nmax + 1]
+        if nmax == M // 2:
+            c[-1] = coeffs[nmax].real
+        powers = np.cumprod(np.broadcast_to(np.exp(1j * flat)[:, None], (flat.size, nmax)), axis=1)
+        out = (powers @ c).real + coeffs[0].real
         return out.reshape(theta.shape) if theta.ndim else float(out[0])
     # Bandwidth N > 2 n_max, a fine grid of 2N points, and the Gaussian
     # exp(-x^2 / 4 tau) whose width suits a 2*msp-point stencil there.
@@ -293,7 +297,7 @@ def _interp(coeffs, M, theta):
     f = _resample(coeffs[: nmax + 1] * (math.sqrt(math.pi / tau) * np.exp(k * k * tau)) / fine, M, fine)
     f = f[np.arange(-msp, fine + msp) % fine]  # padded: the gather needs no modulo
     h = 2.0 * math.pi / fine
-    u = np.mod(flat, 2.0 * math.pi) / h
+    u = flat / h
     m0 = np.minimum(np.floor(u), fine - 1)
     xi = (u - m0) * h
     # exp(-(xi - l h)^2 / 4 tau) = e1 * a**l * e3(l) for l = 1 - msp .. msp:
@@ -384,14 +388,18 @@ def chord_convexity_defect(h):
     return float(defect.min() / (2.0 - 2.0 * math.cos(d)))
 
 
+def _tail_share(h, n, first=0):
+    """The share of h's energy in harmonics >= first that lies in harmonics >= n (0 if
+    none), normalized by the largest coefficient: no square overflows at any scale."""
+    mags = np.abs(h._coeffs[first:])
+    energy = _parseval_counts(h.grid)[first:] * (mags / (mags.max() or 1.0)) ** 2
+    return float(energy[n - first :].sum() / energy.sum()) if energy.any() else 0.0
+
+
 def _warn_spectral_tail(h, message):
     """Warn with a SpectralTailWarning, ``message % percent``, when the top
     quarter of h's spectrum carries more than 1% of its non-constant energy."""
-    c = h._coeffs
-    p = _parseval_counts(h.grid) * np.abs(c) ** 2
-    p[0] = 0.0
-    total = p.sum()
-    frac = float(p[int(round(0.75 * (h.grid // 2))) :].sum() / total) if total else 0.0
+    frac = _tail_share(h, int(round(0.75 * (h.grid // 2))), first=1)
     if frac > 0.01:
         warnings.warn(message % (100.0 * frac), SpectralTailWarning)
 

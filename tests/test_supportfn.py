@@ -1,14 +1,17 @@
 """Grid functions: constructors, Fourier machinery, convexity, boundaries."""
 
+import importlib
 import math
+import pkgutil
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hypkonvex.mobius import rho_act
+import hypkonvex
+from hypkonvex.mobius import Mobius, rho_act
 from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, minkowski_sum
 from hypkonvex.lorentz import _cosh_between, form_A, form_A_spectral, hyper_dist, normalize, pi0
 from hypkonvex.shapedoc import to_even_fn
@@ -285,6 +288,18 @@ def test_support_split_tail_warning():
             support_split(EvenFn(1.0 + 0.01 * spike))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e160])
+def test_tail_warnings_are_scale_free(scale):
+    # unresolved noise: about a quarter of its energy lies in the top quarter
+    # of the spectrum, at any scale, and no square of a coefficient overflows
+    h = EvenFn(scale * (3.0 + np.tile(np.random.default_rng(4).normal(size=M // 2), 2)))
+    for act in (support_split, lambda h: rho_act(Mobius.axial(0.5), h), lambda h: to_even_fn(h, M // 2)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpectralTailWarning):
+                act(h)
+
+
 def test_boundary_curve_disc_and_ellipse():
     pts = boundary_curve(unit_disc(M), 256)
     assert np.abs(np.hypot(pts[:, 0], pts[:, 1]) - 1.0).max() < 1e-14
@@ -460,7 +475,7 @@ def test_scaled_and_combine_keep_tags_of_every_kind():
 
 def _dense_interp(coeffs, M, theta):
     """The direct O(points * n_max) sum of the interpolant with rfft/M
-    coefficients, with the same 1e-15 coefficient cut: the NUFFT's oracle."""
+    coefficients, with the same 1e-15 coefficient cut: the oracle of _interp."""
     theta = np.asarray(theta, dtype=float)
     flat = np.atleast_1d(theta).ravel()
     half = M // 2
@@ -501,6 +516,17 @@ _ANGLE = st.one_of(
 )
 
 
+# Both sides of _interp's size rule, points * band <= 2^14: noise at grid 2048
+# has band 1024, so 16 angles take the direct sum and 17 the NUFFT; one angle
+# at band 16384 (grid 32768) takes the direct sum.  Angles far outside
+# [0, 2 pi) are reduced alike on both sides; they have few significant bits,
+# so that the oracle's phases n*theta carry no rounding, and stay within about
+# 30 turns, where reducing by the rounded 2 pi costs 0.3 of the bound on noise.
+@example(2048, "raw", False, 0, np.linspace(0.1, 6.2, 16))
+@example(2048, "raw", False, 0, np.linspace(0.1, 6.2, 17))
+@example(32768, "raw", False, 0, 1.234)
+@example(2048, "raw", False, 1, np.array([-200.0, 150.5, 96.125, -57.0]))
+@example(2048, "raw", False, 1, np.arange(-200.0, 200.0, 10.0) + 0.125)
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     st.sampled_from([8, 12, 16, 64, 256, 2048]),
@@ -517,6 +543,35 @@ def test_interp_matches_dense_sum(grid, kind, deriv, seed, theta):
     got, want = _interp(c, grid, theta), _dense_interp(c, grid, theta)
     assert np.shape(got) == np.shape(want) and type(got) is type(want)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(c).sum()
+
+
+def test_interp_is_the_only_reader_of_a_raw_part_off_the_grid(monkeypatch):
+    """With _interp replaced, in every module namespace that holds it (as
+    bench/tracer.py wraps it), by the constant 1, every off-grid reader of raw
+    samples t sees the disc: A(K, t) becomes pi0(K) = per(K)/(2 pi) for a
+    polygon and for an ellipse, and rho(m) t the support of the ellipse m."""
+    rng = np.random.default_rng(8)
+    t = random_band_limited(rng, M, 16, mean=1.5)
+    reads = []
+
+    def one(coeffs, grid, theta):
+        reads.append(coeffs is t._coeffs and grid == t.grid)
+        return np.ones(np.shape(theta)) if np.ndim(theta) else 1.0
+
+    for info in pkgutil.iter_modules(hypkonvex.__path__):
+        mod = importlib.import_module("hypkonvex." + info.name)
+        for attr, obj in list(vars(mod).items()):
+            if obj is _interp:
+                monkeypatch.setattr(mod, attr, one)
+    for k in (from_polygon(random_polygon(rng), M), from_ellipse(random_ellipse(rng), M)):
+        reads.clear()
+        assert form_A(k, t) == pytest.approx(pi0(k), rel=1e-14)
+        assert reads and all(reads)
+    reads.clear()
+    m = random_mobius(rng)
+    moved = rho_act(m, t)
+    assert reads == [True]
+    assert np.abs(moved.samples - from_ellipse(m.matrix, M).samples).max() < 1e-14
 
 
 def _dense_on_grid(coeffs, M, N):
