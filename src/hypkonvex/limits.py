@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lorentz import hyper_dist, normalize
+from .lorentz import HPoint, form_A, hyper_dist, normalize
 from .mobius import BASEPOINT, Mobius, halfplane_apply, iota
 from .shapes import Segment
 from .supportfn import DEFAULT_GRID, combine, from_segment, unit_disc
@@ -53,7 +53,7 @@ def project_disc_to_segment_geodesic(nu, omega, M=DEFAULT_GRID):
     The geodesic through two segment classes consists of area-pi
     parallelograms a*v + b*w; the perimeter 2(a+b) with ab pinned by the area
     is minimal exactly at a = b, so the projection is the rhombus homothetic
-    to v + w, returned area-normalized.
+    to v + w, returned area-normalized as one polygon (sides scaled, then summed).
     """
     t1, t2 = _direction_angle(nu), _direction_angle(omega)
     delta = class_angle(t1, t2)
@@ -62,7 +62,8 @@ def project_disc_to_segment_geodesic(nu, omega, M=DEFAULT_GRID):
     a = 0.5 * math.sqrt(math.pi / math.sin(delta))
     s1 = from_segment(Segment(a * np.array([math.cos(t1), math.sin(t1)])), M)
     s2 = from_segment(Segment(a * np.array([math.cos(t2), math.sin(t2)])), M)
-    return normalize(combine(1.0, s1, 1.0, s2))
+    c = 1.0 / math.sqrt(form_A(combine(1.0, s1, 1.0, s2)))
+    return HPoint(combine(c, s1, c, s2))
 
 
 def visual_dist(d1, d2):

@@ -117,14 +117,14 @@ def _ellipse_pairing(e, t):
 
 def _form_shape_raw(k, t):
     """A(K, t) = (1/2pi) int t dS_K, term by term over a Sum; (1/2pi) sum l_i t(n_i)
-    over the turned edge fan for a polygon or segment.  t is read at the normal
+    over the turned edge fan (+-J e_i) for a polygon.  t is read at the normal
     angles by supportfn._interp."""
     total = 0.0
     for w, shape in _terms(k):
         if isinstance(shape, Ellipse):
             total += w * _ellipse_pairing(shape, t)
         else:
-            fan = shape._turned_fan
+            fan = np.concatenate([shape._turned_fan, -shape._turned_fan], axis=1)
             total += w * float(np.hypot(*fan) @ _interp(t._coeffs, t.grid, np.arctan2(*fan[::-1]))) / (2.0 * math.pi)
     return total
 

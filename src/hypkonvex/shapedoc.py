@@ -8,7 +8,9 @@ Four document types:
     {"type": "samples", "grid": M, "values": [...]}
 
 Parsers reject ellipse matrices with determinant away from 1, asymmetric
-or non-convex polygons, and a samples grid that is not an integer.
+or non-convex polygons, and a samples grid that is not an integer.  Segments
+and polygons parse to a Polygon held as its generators, the edge vectors
+over half its boundary (2v for the segment [-v, v]).
 """
 
 import json
@@ -68,7 +70,7 @@ def to_even_fn(doc, M):
     its Nyquist fold, with a SpectralTailWarning when their energy share
     exceeds rounding (1e-24).
     """
-    if isinstance(doc, (Ellipse, Segment, Polygon)):
+    if isinstance(doc, (Ellipse, Polygon)):
         return _from_shape(doc, M)
     if isinstance(doc, EvenFn):
         if doc.grid == M:

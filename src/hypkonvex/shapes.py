@@ -1,18 +1,21 @@
 """Exact primitives for plane symmetric convex bodies.
 
-Three shape families carry closed forms: ellipses (linear images of the unit
-disc), symmetric segments, and symmetric convex polygons.  A fourth, Sum, is
-a positive Minkowski combination of them, so the closed forms survive every
-nonnegative combination of bodies.  Each defines only its homogeneous
-support, its support point and its image under a linear map; the support
-function, its derivative, the boundary, and the area a(K, K) and perimeter
-2 a(K, disc) as mixed areas derive from these.  Mixed areas between any two
-shapes are available in closed form, which is what keeps segment and polygon
-computations free of grid error.
+Two shape families carry closed forms: ellipses (linear images of the unit
+disc) and symmetric convex polygons, each held as the zonogon sum of the
+segments [-e_i/2, e_i/2] over its generators, the half edge fan e_1 ... e_k
+(Bolker 1969, Trans. AMS 145:323; Schneider, Convex Bodies, 3.5); a segment
+has one.  A third type, Sum, is a positive Minkowski combination of them, so
+the closed forms survive every nonnegative combination of bodies.  Each
+defines only its homogeneous support, its support point and its image under
+a linear map; the support function, its derivative, the boundary, and the
+area a(K, K) and perimeter 2 a(K, disc) as mixed areas derive from these.
+Mixed areas between any two shapes are in closed form, which is what keeps
+polygon computations free of grid error.
 """
 
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,6 +25,10 @@ from .specfun import agm_KE_from_complement
 
 DET_TOL = 1e-9
 SYM_TOL = 1e-12
+
+
+class SpectralTailWarning(UserWarning):
+    """A spectrum's top holds enough energy to distrust derivatives, or a shear left polygon areas to rounding."""
 
 
 def _check_unit_det(a, b, c, d, tol):
@@ -74,19 +81,6 @@ def _freeze(arr):
     return out
 
 
-def _next(a):
-    """a shifted one step back along axis 0: a[1], ..., a[n-1], a[0]."""
-    return np.concatenate((a[1:], a[:1]))
-
-
-def _turns(e):
-    """The cross products e_i x e_(i+1) of consecutive (n, 2) edges, and the
-    thresholds SYM_TOL |e_i| |e_(i+1)| at or below which a turn is flat."""
-    f = _next(e)
-    length = np.hypot(e[:, 0], e[:, 1])
-    return e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0], SYM_TOL * length * _next(length)
-
-
 def _unit_vectors(theta):
     theta = np.asarray(theta, dtype=float)
     return np.stack([np.cos(theta), np.sin(theta)])
@@ -120,13 +114,6 @@ class _Body:
     @cached_property
     def perimeter(self):
         return 2.0 * _mixed_area(self, _DISC)
-
-    @cached_property
-    def _turned_fan(self):
-        # J e for the edge fan e, J the quarter turn (x, y) -> (y, -x): the
-        # outward edge normals times the edge lengths, as (2, n) vectors
-        e = _edge_fan(self)
-        return _freeze(np.stack([e[:, 1], -e[:, 0]]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,72 +153,118 @@ class Ellipse(_Body):
 _DISC = Ellipse(np.eye(2))
 
 
-@dataclass(frozen=True, eq=False)
-class Segment(_Body):
-    """The degenerate body [-v, v] for a nonzero endpoint v."""
-
-    endpoint: np.ndarray
-
-    def __post_init__(self):
-        v = _freeze(self.endpoint)
-        if v.shape != (2,) or not np.all(np.isfinite(v)):
-            raise ValueError("segment endpoint must be a finite 2-vector")
-        if np.hypot(v[0], v[1]) == 0.0:
-            raise ValueError("segment endpoint must be nonzero")
-        object.__setattr__(self, "endpoint", v)
-
-    def _dot(self, w):
-        """<v, w>, each product a product of mantissas times a power of two:
-        nothing overflows before the sum, and <v, J v> is exactly 0."""
-        mv, ev = np.frexp(self.endpoint)
-        mw, ew = np.frexp(w)
-        e0, e1 = ev[0] + ew[0], ev[1] + ew[1]
-        top = np.maximum(e0, e1)
-        return np.ldexp(np.ldexp(mv[0] * mw[0], e0 - top) + np.ldexp(mv[1] * mw[1], e1 - top), top)
-
-    def hsupport(self, w):
-        return np.abs(self._dot(w))
-
-    def support_point(self, w):
-        return np.multiply.outer(self.endpoint, np.sign(self._dot(w)))
-
-    def transform(self, m):
-        return Segment(np.asarray(m, dtype=float) @ self.endpoint)
+def _canonical(generators):
+    """(k, 2) finite generators, each folded to an angle in [0, pi) and
+    sorted by angle, then x, then y: the order depends on the set alone."""
+    g = np.array(generators, dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError("polygon generators must be finite")
+    g *= np.copysign(1.0, np.where(g[:, 1] != 0.0, g[:, 1], g[:, 0]))[:, None]
+    g += 0.0  # clears -0.0, so that equal generator sets are equal bits
+    g = g[np.lexsort((g[:, 1], g[:, 0], np.arctan2(g[:, 1], g[:, 0])))]
+    g.setflags(write=False)
+    return g
 
 
-@dataclass(frozen=True, eq=False)
+def _zonogon(generators):
+    p = object.__new__(Polygon)
+    object.__setattr__(p, "generators", _canonical(generators))
+    return p
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Polygon(_Body):
-    """A symmetric strictly convex polygon with counterclockwise vertices."""
+    """A symmetric convex polygon, held as the zonogon sum [-e_i/2, e_i/2] of
+    its generators: the (k, 2) half edge fan e_1 ... e_k, in canonical form.
 
-    vertices: np.ndarray
+    ``Polygon(vertices)`` converts counterclockwise vertices, checked once to
+    ``SYM_TOL`` relative to the largest coordinate: finite, an even count of
+    at least 4, symmetric about the origin, every turn positive.  Images and
+    sums map and concatenate generators, convex by construction, so only an
+    overflow is refused; a shear's rounding of the areas past DET_TOL warns.
+    """
 
-    def __post_init__(self):
-        v = _freeze(self.vertices)
+    generators: np.ndarray
+
+    def __init__(self, vertices):
+        v = np.array(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or not np.isfinite(v).all():
             raise ValueError("polygon vertices must be a finite (n, 2) array")
         n = v.shape[0]
         if n < 4 or n % 2 != 0:
             raise ValueError("a symmetric polygon needs an even vertex count >= 4")
-        # Tested on v / max|v|, so that the same thresholds hold at every
-        # scale with no overflow or underflow, and Minkowski sums of bodies
-        # of very different sizes stay valid: every turn must exceed an angle
-        # of SYM_TOL, the threshold at which minkowski_sum merges.
+        # on v / max|v|, so that the thresholds hold at every scale: every turn must exceed SYM_TOL
         u = v / (np.abs(v).max() or 1.0)
         if np.abs(u[: n // 2] + u[n // 2 :]).max() > SYM_TOL:
             raise ValueError("polygon vertex set is not symmetric about the origin")
-        cross, flat = _turns(_next(u) - u)
-        if np.any(cross <= flat):
+        e = np.diff(np.concatenate((u, u[:2])), axis=0)  # the n edges and the first again
+        length = np.hypot(e[:, 0], e[:, 1])
+        if np.any(e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0] <= SYM_TOL * length[:-1] * length[1:]):
             raise ValueError("polygon must be strictly convex in counterclockwise order")
-        object.__setattr__(self, "vertices", v)
+        e = np.diff(np.concatenate((v, v[:1])), axis=0)  # each generator averages an edge and its antipode
+        object.__setattr__(self, "generators", _canonical(0.5 * e[: n // 2] - 0.5 * e[n // 2 :]))
+
+    @cached_property
+    def _scaled(self):
+        # the generator columns over 2^p, p the exponent of the largest entry, so that
+        # products with them overflow only where the support does; and 2^(p - 1)
+        p = math.frexp(np.abs(self.generators).max())[1]
+        return np.ldexp(self.generators[:, :1], -p), np.ldexp(self.generators[:, 1:], -p), 2.0 ** (p - 1)
+
+    def _dots(self, w):
+        # <e_i, w> / 2^p: two rank-one products, each entry rounded once, and
+        # one sum, with no fused multiply-add, so that <e, J e> is exactly 0
+        gx, gy, _ = self._scaled
+        d = np.dot(gx, w[:1])
+        d += np.dot(gy, w[1:])
+        return d
 
     def hsupport(self, w):
-        return np.max(self.vertices @ w, axis=0)
+        # (1/2) sum |<e_i, w>|
+        d = self._dots(w)
+        return np.abs(d, out=d).sum(axis=0) * self._scaled[2]
 
     def support_point(self, w):
-        return self.vertices[np.argmax(self.vertices @ w, axis=0)].T
+        # (1/2) sum sign<e_i, w> e_i
+        return 0.5 * (self.generators.T @ np.sign(self._dots(w)))
 
     def transform(self, m):
-        return Polygon(self.vertices @ np.asarray(m, dtype=float).T)
+        # warns where eps |m|^2 / |det m|, the rounding of the moved crosses the areas sum, exceeds DET_TOL
+        m = np.asarray(m, dtype=float)
+        image, ((a, b), (c, d)) = _zonogon(self.generators @ m.T), m.tolist()
+        if sys.float_info.epsilon * (a * a + b * b + c * c + d * d) > DET_TOL * abs(a * d - b * c):
+            warnings.warn("a shear leaves a moved polygon's areas to rounding beyond DET_TOL", SpectralTailWarning)
+        return image
+
+    @cached_property
+    def _turned_fan(self):
+        # J e_i, J the quarter turn (x, y) -> (y, -x): half the edge fan's outward normals times lengths
+        return _freeze(np.stack([self.generators[:, 1], -self.generators[:, 0]]))
+
+    @cached_property
+    def vertices(self):
+        """The counterclockwise vertices Polygon() converts: the walk of the generators, exact parallels merged."""
+        x, y, _ = self._scaled  # scaled, so that no cross underflows
+        path = np.cumsum(self.generators, axis=0)[np.append(x[:-1, 0] * y[1:, 0] != y[:-1, 0] * x[1:, 0], True)]
+        half = path - 0.5 * path[-1]
+        return _freeze(np.concatenate([half, -half]))
+
+    @property
+    def endpoint(self):
+        """v for the segment [-v, v], the one-generator polygon."""
+        if len(self.generators) != 1:
+            raise AttributeError("only a one-generator polygon has an endpoint")
+        return 0.5 * self.generators[0]
+
+
+class Segment(Polygon):
+    """``Segment(v)``: the segment [-v, v] for a finite nonzero v, the Polygon with one generator 2v."""
+
+    def __new__(cls, endpoint):
+        v = np.array(endpoint, dtype=float)
+        if v.shape != (2,) or not np.isfinite(v).all() or not v.any():
+            raise ValueError("segment endpoint must be a finite nonzero 2-vector")
+        return _zonogon(2.0 * v[None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,10 +272,9 @@ class Sum(_Body):
     """The Minkowski combination sum c_i K_i of shapes, every c_i > 0.
 
     Build it with ``minkowski_combination``, which keeps it canonical: every
-    term keeps its coefficient, and the segments and polygons of a
-    combination of two or more of them are merged into one polygonal term of
-    coefficient 1.  A scaled polygon P is the one-term Sum ((c, P),).
-    Support values and support points add term by term.
+    term keeps its coefficient, and two or more polygons are summed into one
+    polygon term of coefficient 1.  A scaled polygon P is the one-term Sum
+    ((c, P),).  Support values and support points add term by term.
     """
 
     terms: tuple
@@ -252,8 +284,8 @@ class Sum(_Body):
         if not terms:
             raise ValueError("a Sum needs at least one term")
         for c, k in terms:
-            if not (math.isfinite(c) and c > 0.0) or not isinstance(k, (Ellipse, Segment, Polygon)):
-                raise ValueError("Sum terms are (c > 0, Ellipse | Segment | Polygon) pairs")
+            if not (math.isfinite(c) and c > 0.0) or not isinstance(k, (Ellipse, Polygon)):
+                raise ValueError("Sum terms are (c > 0, Ellipse | Polygon) pairs")
         object.__setattr__(self, "terms", terms)
 
     def hsupport(self, w):
@@ -270,9 +302,8 @@ def minkowski_combination(terms):
     """The body sum c_i K_i of (c_i, K_i) pairs with c_i > 0, in canonical form.
 
     Sums among the K_i are expanded and every term keeps its coefficient;
-    two or more segment and polygon terms merge into one by
-    ``minkowski_sum``.  A lone term with coefficient 1 is returned bare;
-    anything else is a Sum.
+    two or more polygon terms are summed into one by ``minkowski_sum``.  A
+    lone term with coefficient 1 is returned bare; anything else is a Sum.
     """
     flat = []
     for c, k in terms:
@@ -282,9 +313,9 @@ def minkowski_combination(terms):
             flat.extend((c * ci, ki) for ci, ki in k.terms)
         else:
             flat.append((c, k))
-    polygonal = [(c, k) for c, k in flat if not isinstance(k, Ellipse)]
-    if len(polygonal) > 1:
-        flat = [(c, k) for c, k in flat if isinstance(k, Ellipse)] + [(1.0, minkowski_sum(polygonal))]
+    polygons = [(c, k) for c, k in flat if isinstance(k, Polygon)]
+    if len(polygons) > 1:
+        flat = [(c, k) for c, k in flat if not isinstance(k, Polygon)] + [(1.0, minkowski_sum(polygons))]
     if len(flat) == 1 and flat[0][0] == 1.0:
         return flat[0][1]
     return Sum(flat)
@@ -313,57 +344,24 @@ def convex_hull(points):
     return np.array(lower[:-1] + upper[:-1], dtype=float)
 
 
-def _edge_fan(shape):
-    """Edge vectors traversed counterclockwise (a segment degenerates to two)."""
-    if isinstance(shape, Segment):
-        return 2.0 * np.stack([shape.endpoint, -shape.endpoint])
-    return _next(shape.vertices) - shape.vertices
-
-
 def minkowski_sum(terms):
-    """The exact Minkowski sum of (c, K) pairs, K a Segment or Polygon.
-
-    The coefficient-scaled edge fans are sorted once by angle, and runs of
-    parallel same-direction neighbours merge into one edge.  Two merged
-    edges give a Segment, more a Polygon.  A sum of symmetric bodies is
-    symmetric, which pins the translation of the merged edge path exactly.
-    """
-    # + 0.0 clears -0.0, whose angle sorts as -pi
-    e = np.concatenate([c * _edge_fan(k) for c, k in terms]) + 0.0
-    e = e[np.argsort(np.arctan2(e[:, 1], e[:, 0]), kind="stable")]
-    cross, flat = _turns(e)
-    # also flat: a turn within the rounding of the walked vertices, a few eps of L/4 (L the fan length)
-    length = np.hypot(e[:, 0], e[:, 1])
-    flat += 4.0 * sys.float_info.epsilon * length.sum() * (length + _next(length))
-    same = (np.abs(cross) <= flat) & (np.einsum("ij,ij->i", e, _next(e)) > 0.0)
-    # a run starts after every edge that does not continue into the next,
-    # and may wrap from the end of the sorted fan to its start
-    starts = np.sort((np.flatnonzero(~same) + 1) % len(e))
-    e = np.concatenate((e[starts[0] :], e[: starts[0]]))
-    merged = np.add.reduceat(e, starts - starts[0])
-    k = len(merged)
-    if k % 2 != 0:
-        raise ValueError("edge fan of a symmetric sum must be even")
-    if k == 2:
-        return Segment(0.5 * merged[0])
-    # Walk half the fan; central symmetry fixes the translation (vertex i
-    # and i + k/2 are antipodal) and the second half mirrors the first.
-    path = np.cumsum(merged[: k // 2], axis=0)
-    half = path - 0.5 * path[-1]
-    return Polygon(np.concatenate([half, -half]))
+    """The exact Minkowski sum of (c, P) pairs of polygons: their
+    coefficient-scaled generators concatenated, in canonical order."""
+    return _zonogon(np.concatenate([c * p.generators for c, p in terms]))
 
 
 def mixed_area(a, b):
     """Mixed area a(K, L) of two shapes, in closed form; a(K, K) is the area.
 
-    A Sum expands by bilinearity.  Against a polygon or segment L with edge
-    fan e_j it is (1/2) sum_j H_K(J e_j), for H_K the homogeneous support and
-    J the quarter turn (x, y) -> (y, -x), so equal bodies pair by the same
-    float operations as a body with itself.  Two ellipses A·D and B·D reduce
-    to an ellipse against the disc, a(A·D, B·D) = a(B^{-1}A·D, D) = pi C(s0),
-    with s0 the stretch of adj(B)·A and C the form value; it is NaN or inf
-    when that product overflows.  Areas and perimeters (a(K, disc)) are read
-    from each shape's cache.
+    A Sum expands by bilinearity.  Against a polygon L with generators e_j it
+    is sum_j H_K(J e_j), half the sum over the edge fan +-e_j (H_K, the
+    homogeneous support, is even), J the quarter turn (x, y) -> (y, -x), so
+    two polygons pair as (1/2) sum_ij |e_i x f_j| and equal bodies pair by
+    the same float operations as a body with itself.  Two
+    ellipses A·D and B·D reduce to an ellipse against the disc, a(A·D, B·D) =
+    a(B^{-1}A·D, D) = pi C(s0), with s0 the stretch of adj(B)·A and C the form
+    value; it is NaN or inf when that product overflows.  Areas and
+    perimeters (a(K, disc)) are read from each shape's cache.
     """
     if a is b:
         return a.area
@@ -379,8 +377,8 @@ def _mixed_area(a, b):
         # term pairs go through mixed_area, so that a term's area is its
         # cached a(K, K), the same float as its pairing with an equal copy
         return sum(c * d * mixed_area(k, l) for c, k in _terms(a) for d, l in _terms(b))
-    if isinstance(b, (Polygon, Segment)):
-        return 0.5 * float(a.hsupport(b._turned_fan).sum())
-    if isinstance(a, (Polygon, Segment)):
+    if isinstance(b, Polygon):
+        return float(a.hsupport(b._turned_fan).sum())
+    if isinstance(a, Polygon):
         return _mixed_area(b, a)
     return math.pi * _form_value(_stretch(*_adjugate_product(b.matrix, a.matrix)))

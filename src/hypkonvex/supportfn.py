@@ -1,13 +1,13 @@
 """Even circle functions on a uniform grid: a body part plus a raw part.
 
 An EvenFn on M grid angles is the support function of a body K (an ellipse,
-segment, polygon or Sum, kept as its shape) plus the trigonometric
-interpolant t of raw samples, either part absent; raw samples are their own
-raw part.  Every operation adds K's closed form to t's spectral form, so a
-body suffers no interpolation error and costs per vertex, not per grid
-point; scaling and nonnegative combination act part by part.  The samples
-(K's support plus t's samples, computed on first read) serve the operations
-on samples alone.  The spectral form is trigonometric interpolation (one
+polygon or Sum, kept as its shape) plus the trigonometric interpolant t of
+raw samples, either part absent; raw samples are their own raw part.  Every
+operation adds K's closed form to t's spectral form, so a body suffers no
+interpolation error and costs per generator, not per grid point; scaling
+and nonnegative combination act part by part.  The samples (K's support
+plus t's samples, computed on first read) serve the operations on samples
+alone.  The spectral form is trigonometric interpolation (one
 irfft onto another uniform grid; at scattered angles _interp, the one off-grid
 evaluator: the direct sum for few angles times band, else a nonuniform FFT in
 O(M log M)) and rfft-based differentiation (_deriv_coeffs, the one place the
@@ -22,7 +22,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .shapes import Ellipse, Polygon, Segment, Sum, _freeze, _unit_vectors, minkowski_combination
+from .shapes import Ellipse, Polygon, Segment, SpectralTailWarning, Sum, _freeze, _unit_vectors, minkowski_combination
 
 DEFAULT_GRID = 2048
 EVEN_TOL = 1e-12
@@ -40,10 +40,6 @@ class GridMismatchError(ValueError):
 
 class NotSupportFunctionError(ValueError):
     """An operation that needs a support function got a non-convex input."""
-
-
-class SpectralTailWarning(UserWarning):
-    """The top of the spectrum carries enough energy to distrust derivatives."""
 
 
 def _check_grid(M):
@@ -147,8 +143,8 @@ def _from_shape(shape, M, raw=None):
     """The support function of ``shape`` plus ``raw`` (or ``raw`` alone) on an M-point grid; no sample is computed."""
     if shape is None:
         return raw
-    if not isinstance(shape, (Ellipse, Segment, Polygon, Sum)):
-        raise TypeError("shape tag must be an Ellipse, Segment, Polygon, or Sum")
+    if not isinstance(shape, (Ellipse, Polygon, Sum)):
+        raise TypeError("shape tag must be an Ellipse, Polygon, or Sum")
     _check_grid(M)
     h = EvenFn.__new__(EvenFn)
     object.__setattr__(h, "grid", M)
@@ -191,17 +187,13 @@ def from_ellipse(e, M=DEFAULT_GRID):
 
 
 def from_segment(s, M=DEFAULT_GRID):
-    """Support samples |<u, v>| of the segment [-v, v]."""
-    if not isinstance(s, Segment):
-        s = Segment(s)
-    return _from_shape(s, M)
+    """Support samples |<u, v>| of the segment [-v, v] (endpoint v, or its one-generator Polygon)."""
+    return _from_shape(s if isinstance(s, Polygon) and len(s.generators) == 1 else Segment(s), M)
 
 
 def from_polygon(p, M=DEFAULT_GRID):
-    """Support samples max_v <u, v> of a symmetric convex polygon."""
-    if not isinstance(p, Polygon):
-        p = Polygon(p)
-    return _from_shape(p, M)
+    """Support samples of a symmetric convex polygon (its vertices, or a Polygon)."""
+    return _from_shape(p if isinstance(p, Polygon) else Polygon(p), M)
 
 
 def _combination(pairs, M):
@@ -265,6 +257,10 @@ def _bandwidth(coeffs):
     return int(sig[-1]) if sig.size else 0
 
 
+# 2 pi as a 31-bit head, exact times any |k| < 2^22 turns, and its tail (Cody & Waite 1980)
+_TWO_PI_HI, _TWO_PI_LO = float.fromhex("0x1.921fb544p+2"), float.fromhex("0x1.0b4611a626331p-32")
+
+
 def _interp(coeffs, M, theta):
     """The trigonometric interpolant with rfft/M coefficients ``coeffs`` at
     finite angles, reduced mod 2 pi: the one off-grid evaluator (uniform grids
@@ -279,7 +275,9 @@ def _interp(coeffs, M, theta):
     time and O(points) memory, to about 1e-12 of sum |coeffs| from the direct sum.
     """
     theta = np.asarray(theta, dtype=float)
-    flat = np.mod(np.atleast_1d(theta).ravel(), 2.0 * math.pi)
+    flat = np.atleast_1d(theta).ravel()
+    turns = np.floor(flat / (2.0 * math.pi))
+    flat = np.mod((flat - turns * _TWO_PI_HI) - turns * _TWO_PI_LO, 2.0 * math.pi)  # in range past 2^22 turns too
     nmax = _bandwidth(coeffs)
     if flat.size * nmax <= 1 << 14:
         c = 2.0 * coeffs[1 : nmax + 1]

@@ -152,3 +152,31 @@ def test_no_module_of_the_package_reads_shape_tag():
                 defined.append(path.name)
     assert reads == []
     assert defined == ["supportfn.py"]
+
+
+def test_each_polygonal_body_opens_one_support_span(bench_path):
+    # tracer.py wraps support on each of SHAPE_CLASSES.  A Segment is a
+    # one-generator Polygon and a moved polygon a Polygon too; were Segment
+    # and Polygon one class object, its support would be wrapped twice and
+    # every call would open two nested spans.
+    from hypkonvex.mobius import Mobius
+
+    tracer = importlib.import_module("tracer")
+    shapes = importlib.import_module("hypkonvex.shapes")
+    square = shapes.Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
+    moved = square.transform((Mobius.rotation(0.3) @ Mobius.axial(2.0)).matrix)
+    namespaces = [importlib.import_module("hypkonvex")] + [importlib.import_module("hypkonvex." + m) for m in tracer.MODULES]
+    before = [dict(vars(ns)) for ns in namespaces]
+    supports = {name: getattr(shapes, name).support for name in tracer.SHAPE_CLASSES}
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for body in (shapes.Segment(np.array([1.0, 0.5])), square, moved):
+            start = len(t.spans)
+            body.support(0.3)
+            assert [span[0] for span in t.spans[start:]] == ["shapes.support"]
+    finally:
+        t.uninstall()
+    for ns, attrs in zip(namespaces, before):
+        assert vars(ns).keys() == attrs.keys() and all(vars(ns)[k] is v for k, v in attrs.items())
+    assert {name: getattr(shapes, name).support for name in tracer.SHAPE_CLASSES} == supports

@@ -427,14 +427,15 @@ def test_tagged_samples_are_the_support_of_the_tag(h1, h2, c1, c2, seed):
                 assert k.area == math.pi
                 assert k.perimeter == 2.0 * math.pi * _form_value(s0)
                 continue
-            if isinstance(k, Segment):
-                e, copy = 2.0 * np.stack([k.endpoint, -k.endpoint]), Segment(k.endpoint.copy())
+            # a copy by the identity map holds the same generators e_i, and the
+            # perimeter is the length of the edge fan +-e_i
+            copy, e = k.transform(np.eye(2)), k.generators
+            if len(e) == 1:
                 assert k.area == 0.0
             else:
-                e, copy = np.roll(k.vertices, -1, axis=0) - k.vertices, Polygon(k.vertices.copy())
                 assert k.area == pytest.approx(shoelace_area(k.vertices), rel=1e-13, abs=0.0)
             assert k.area == mixed_area(k, copy)  # the cached area is the uncached pairing
-            assert k.perimeter == float(np.hypot(e[:, 0], e[:, 1]).sum())
+            assert k.perimeter == 2.0 * float(np.hypot(e[:, 0], e[:, 1]).sum())
 
 
 def _tagged_body(kind, ellipse, vertices, endpoint):

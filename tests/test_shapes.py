@@ -99,11 +99,15 @@ def test_minkowski_sum_of_segments_is_parallelogram():
 
 
 def test_minkowski_sum_parallel_segments_degenerates():
+    # parallel generators are kept side by side, not merged: the sum is the
+    # segment [-3, 3] x {0}, held as its two generators, with no area
     s1 = Segment(np.array([2.0, 0.0]))
     s2 = Segment(np.array([-1.0, 0.0]))
     out = minkowski_sum([(1.0, s1), (1.0, s2)])
-    assert isinstance(out, Segment)
-    assert np.allclose(out.endpoint, [3.0, 0.0])
+    assert isinstance(out, Polygon) and np.array_equal(out.generators, [[2.0, 0.0], [4.0, 0.0]])
+    theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    assert np.abs(out.support(theta) - 3.0 * np.abs(np.cos(theta))).max() < 1e-15
+    assert out.area == 0.0 and out.perimeter == 12.0
 
 
 def test_minkowski_sum_supports_add():
@@ -196,6 +200,20 @@ def test_minkowski_sum_with_shared_edge_directions():
     got = {tuple(np.round(v, 12)) for v in total.vertices}
     assert got == {(3.0, 1.5), (-3.0, 1.5), (-3.0, -1.5), (3.0, -1.5)}
     assert total.area == pytest.approx(a.area + b.area + 2.0 * mixed_area(a, b), rel=1e-13)
+
+
+def test_vertices_of_sums_with_parallel_generators_convert_back():
+    # the walk takes each run of parallel generators as one edge, so the
+    # vertices of a sum are strictly convex and Polygon() reads them back
+    box = Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
+    wide = Polygon(np.array([[2.0, 0.5], [-2.0, 0.5], [-2.0, -0.5], [2.0, -0.5]]))
+    seg = Segment(np.array([1.0, 0.0]))
+    for total in (minkowski_sum([(1.0, box), (1.0, wide)]), minkowski_sum([(1.0, box), (2.0, seg)])):
+        assert len(total.generators) > 2 and len(total.vertices) == 4
+        again = Polygon(total.vertices)
+        assert len(again.generators) == 2
+        assert again.area == total.area and again.perimeter == total.perimeter
+    assert np.array_equal(Polygon(box.vertices).generators, box.generators)
 
 
 @pytest.mark.parametrize("seed", [45, 99, 113, 268])

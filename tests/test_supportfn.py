@@ -6,6 +6,7 @@ import pkgutil
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -96,6 +97,8 @@ def test_from_segment_examples():
     assert abs(pi0(h) - 2.0 / math.pi) < 1e-10
     with pytest.raises(ValueError):
         from_segment(Segment(np.zeros(2)), M)
+    with pytest.raises(TypeError):  # a square is a Polygon, but not a segment
+        from_segment(Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])), M)
 
 
 def test_from_polygon_square():
@@ -520,8 +523,8 @@ _ANGLE = st.one_of(
 # has band 1024, so 16 angles take the direct sum and 17 the NUFFT; one angle
 # at band 16384 (grid 32768) takes the direct sum.  Angles far outside
 # [0, 2 pi) are reduced alike on both sides; they have few significant bits,
-# so that the oracle's phases n*theta carry no rounding, and stay within about
-# 30 turns, where reducing by the rounded 2 pi costs 0.3 of the bound on noise.
+# so that the oracle's phases n*theta carry no rounding (angles further out
+# are checked against an mpmath reduction below).
 @example(2048, "raw", False, 0, np.linspace(0.1, 6.2, 16))
 @example(2048, "raw", False, 0, np.linspace(0.1, 6.2, 17))
 @example(32768, "raw", False, 0, 1.234)
@@ -543,6 +546,19 @@ def test_interp_matches_dense_sum(grid, kind, deriv, seed, theta):
     got, want = _interp(c, grid, theta), _dense_interp(c, grid, theta)
     assert np.shape(got) == np.shape(want) and type(got) is type(want)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(c).sum()
+
+
+def test_interp_reduces_far_angles_in_two_parts():
+    # 40 angles up to 160 turns out, on grid-2048 noise (the NUFFT side),
+    # against the dense sum at the angles reduced in 40 digits.  Reducing by
+    # the rounded 2 pi shifts an angle k turns out by about k * 2.4e-16 and
+    # alone costs up to 1.4e-12 sum |c_n| here.
+    rng = np.random.default_rng(3)
+    c = np.fft.rfft(rng.normal(size=2048)) / 2048
+    theta = rng.uniform(-1000.0, 1000.0, 40)
+    with mpmath.workdps(40):
+        reduced = np.array([float(mpmath.mpf(t) % (2 * mpmath.pi)) for t in theta])
+    assert np.abs(_interp(c, 2048, theta) - _dense_interp(c, 2048, reduced)).max() <= 1e-12 * np.abs(c).sum()
 
 
 def test_interp_is_the_only_reader_of_a_raw_part_off_the_grid(monkeypatch):
@@ -682,7 +698,7 @@ def test_tagged_samples_are_the_support_at_the_grid_angles():
         seg = from_segment(Segment(rng.normal(size=2)), grid)
         bodies = [ell, poly, seg, combine(0.5, ell, 1.5, poly), combine(1.0, seg, 1.0, poly), scaled(seg, 2.5)]
         bodies.append(rho_act(random_mobius(rng), bodies[3]))
-        assert {type(h.shape_tag) for h in bodies} == {Ellipse, Polygon, Segment, Sum}
+        assert {type(h.shape_tag) for h in bodies} == {Ellipse, Polygon, Sum}  # a segment is a Polygon
         for h in bodies:
             assert h.samples.tobytes() == h.shape_tag.support(grid_angles(grid)).tobytes()
         u = _grid_directions(grid)
