@@ -11,7 +11,6 @@ floats are written with 17 significant digits.
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -30,7 +29,7 @@ from .lorentz import (
     pi0,
 )
 from .shapedoc import ShapeDocError, load_shapedoc, to_even_fn
-from .supportfn import NotSupportFunctionError, SpectralTailWarning, boundary_curve
+from .supportfn import DEFAULT_GRID, NotSupportFunctionError, SpectralTailWarning, boundary_curve
 from .verify import KERNEL_T_MAX, SUITES, kernels_compare, run_suite
 from .svgout import write_svg
 
@@ -51,15 +50,10 @@ class CliError(Exception):
 
 
 def _grid(args):
-    """The --grid value, else HYPKONVEX_GRID, else 2048: a multiple of 4, at least 64."""
-    text = os.environ.get("HYPKONVEX_GRID", "2048") if args.grid is None else args.grid
-    try:
-        grid = int(text)
-    except ValueError:
-        raise CliError("HYPKONVEX_GRID must be an integer, got %r" % (text,), EXIT_USAGE) from None
-    if grid < 64 or grid % 4 != 0:
+    """The --grid value, once it is a multiple of 4 and at least 64."""
+    if args.grid < 64 or args.grid % 4 != 0:
         raise CliError("grid must be a multiple of 4 and at least 64", EXIT_USAGE)
-    return grid
+    return args.grid
 
 
 def _check_steps(steps, most):
@@ -220,7 +214,7 @@ def build_parser():
     out.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     # the commands that compute on a grid, where spectral warnings can fire
     spectral = argparse.ArgumentParser(add_help=False, parents=[out])
-    spectral.add_argument("--grid", type=int, default=None, help="grid size M (multiple of 4, >= 64)")
+    spectral.add_argument("--grid", type=int, default=DEFAULT_GRID, help="grid size M (multiple of 4, >= 64)")
     spectral.add_argument("--strict", action="store_true", help="escalate spectral warnings to errors")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -102,15 +102,14 @@ BASEPOINT = HalfPlanePoint(0.0, 1.0)
 def rho_act(m, h):
     """The isometric action on circle functions: |m^T u| h(angle(m^T u)).
 
-    It is linear, so it moves each part of h.  The body transports exactly
-    (ellipse matrix -> mA, polygon -> its generators mapped by m, with a
-    warning past DET_TOL of rounding, Sum -> each term).  The raw part is
-    resampled at the sheared angles by supportfn._interp (the direct sum for
-    few angles times band, else the nonuniform FFT); a warning fires when its
-    spectrum is not resolved, since the action shears spectra.  Only the
-    first M/2 grid angles are evaluated, and that half is written twice:
-    theta + pi keeps |m^T u| and adds pi to the angle, so the result is
-    exactly pi-periodic; any odd-harmonic residue (at most EVEN_TOL) is dropped.
+    It is linear, so it moves each part of h.  The body moves by its
+    transform, which keeps its base and m: bodies moved by one element pair
+    exactly as their bases, at any shear.  The raw part is resampled at the
+    sheared angles by supportfn._interp, with a warning when its spectrum is
+    not resolved, since the action shears spectra.  Only the first M/2 grid
+    angles are evaluated, and that half is written twice: theta + pi keeps
+    |m^T u| and adds pi to the angle, so the result is exactly pi-periodic;
+    any odd-harmonic residue (at most EVEN_TOL) is dropped.
     """
     t = h.raw
     if t is not None:

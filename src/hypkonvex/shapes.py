@@ -7,15 +7,14 @@ segments [-e_i/2, e_i/2] over its generators, the half edge fan e_1 ... e_k
 has one.  A third type, Sum, is a positive Minkowski combination of them, so
 the closed forms survive every nonnegative combination of bodies.  Each
 defines only its homogeneous support, its support point and its image under
-a linear map; the support function, its derivative, the boundary, and the
+a group element; the support function, its derivative, the boundary, and the
 area a(K, K) and perimeter 2 a(K, disc) as mixed areas derive from these.
-Mixed areas between any two shapes are in closed form, which is what keeps
-polygon computations free of grid error.
+Mixed areas between any two shapes are in closed form, free of grid error,
+and bodies moved by one group element pair as their bases, a(gK, gL) = a(K, L).
 """
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,10 +24,6 @@ from .specfun import agm_KE_from_complement
 
 DET_TOL = 1e-9
 SYM_TOL = 1e-12
-
-
-class SpectralTailWarning(UserWarning):
-    """A spectrum's top holds enough energy to distrust derivatives, or a shear left polygon areas to rounding."""
 
 
 def _check_unit_det(a, b, c, d, tol):
@@ -93,8 +88,20 @@ class _Body:
 
     Everything else derives from these two: the support function, its
     derivative u_perp·x(u), the boundary, the area a(K, K) and the perimeter
-    2 a(K, disc), the last two once per body.
+    2 a(K, disc), the last two once per body.  ``transform(m)`` takes m of unit
+    determinant (the Ellipse rule) and keeps the image's unmoved ``base`` and
+    composed element ``g``, both None on an unmoved body.
     """
+
+    base = g = None
+
+    def transform(self, m):
+        return self._moved(Ellipse(m).matrix)
+
+    def _moved(self, m):  # the image under a checked m; its rounding is not checked again
+        image = self._image(m)
+        vars(image).update(base=self.base or self, g=m if self.g is None else _freeze(m @ self.g))
+        return image
 
     def support(self, theta):
         return self.hsupport(_unit_vectors(theta))
@@ -146,8 +153,12 @@ class Ellipse(_Body):
 
     area = math.pi
 
-    def transform(self, m):
-        return Ellipse(np.asarray(m, dtype=float) @ self.matrix)
+    def _image(self, m):
+        image = object.__new__(Ellipse)
+        object.__setattr__(image, "matrix", _freeze(m @ self.matrix))
+        if not np.isfinite(image.matrix).all():
+            raise ValueError("ellipse matrix must be finite")
+        return image
 
 
 _DISC = Ellipse(np.eye(2))
@@ -181,7 +192,7 @@ class Polygon(_Body):
     ``SYM_TOL`` relative to the largest coordinate: finite, an even count of
     at least 4, symmetric about the origin, every turn positive.  Images and
     sums map and concatenate generators, convex by construction, so only an
-    overflow is refused; a shear's rounding of the areas past DET_TOL warns.
+    overflow is refused.
     """
 
     generators: np.ndarray
@@ -228,13 +239,8 @@ class Polygon(_Body):
         # (1/2) sum sign<e_i, w> e_i
         return 0.5 * (self.generators.T @ np.sign(self._dots(w)))
 
-    def transform(self, m):
-        # warns where eps |m|^2 / |det m|, the rounding of the moved crosses the areas sum, exceeds DET_TOL
-        m = np.asarray(m, dtype=float)
-        image, ((a, b), (c, d)) = _zonogon(self.generators @ m.T), m.tolist()
-        if sys.float_info.epsilon * (a * a + b * b + c * c + d * d) > DET_TOL * abs(a * d - b * c):
-            warnings.warn("a shear leaves a moved polygon's areas to rounding beyond DET_TOL", SpectralTailWarning)
-        return image
+    def _image(self, m):
+        return _zonogon(self.generators @ m.T)
 
     @cached_property
     def _turned_fan(self):
@@ -248,13 +254,6 @@ class Polygon(_Body):
         path = np.cumsum(self.generators, axis=0)[np.append(x[:-1, 0] * y[1:, 0] != y[:-1, 0] * x[1:, 0], True)]
         half = path - 0.5 * path[-1]
         return _freeze(np.concatenate([half, -half]))
-
-    @property
-    def endpoint(self):
-        """v for the segment [-v, v], the one-generator polygon."""
-        if len(self.generators) != 1:
-            raise AttributeError("only a one-generator polygon has an endpoint")
-        return 0.5 * self.generators[0]
 
 
 class Segment(Polygon):
@@ -274,18 +273,15 @@ class Sum(_Body):
     Build it with ``minkowski_combination``, which keeps it canonical: every
     term keeps its coefficient, and two or more polygons are summed into one
     polygon term of coefficient 1.  A scaled polygon P is the one-term Sum
-    ((c, P),).  Support values and support points add term by term.
+    ((c, P),).  Support values, support points and images go term by term.
     """
 
     terms: tuple
 
     def __post_init__(self):
         terms = tuple((float(c), k) for c, k in self.terms)
-        if not terms:
-            raise ValueError("a Sum needs at least one term")
-        for c, k in terms:
-            if not (math.isfinite(c) and c > 0.0) or not isinstance(k, (Ellipse, Polygon)):
-                raise ValueError("Sum terms are (c > 0, Ellipse | Polygon) pairs")
+        if not terms or not all(math.isfinite(c) and c > 0.0 and isinstance(k, (Ellipse, Polygon)) for c, k in terms):
+            raise ValueError("a Sum needs one or more (c > 0, Ellipse | Polygon) terms")
         object.__setattr__(self, "terms", terms)
 
     def hsupport(self, w):
@@ -294,8 +290,8 @@ class Sum(_Body):
     def support_point(self, w):
         return sum(c * k.support_point(w) for c, k in self.terms)
 
-    def transform(self, m):
-        return minkowski_combination((c, k.transform(m)) for c, k in self.terms)
+    def _image(self, m):
+        return Sum(tuple((c, k._moved(m)) for c, k in self.terms))
 
 
 def minkowski_combination(terms):
@@ -345,8 +341,12 @@ def convex_hull(points):
 
 
 def minkowski_sum(terms):
-    """The exact Minkowski sum of (c, P) pairs of polygons: their
-    coefficient-scaled generators concatenated, in canonical order."""
+    """The exact Minkowski sum of (c, P) pairs of polygons: their coefficient-scaled
+    generators concatenated, in canonical order, or g applied to the sum of
+    their bases where one element g moved them all."""
+    g = terms[0][1].g
+    if g is not None and all(np.array_equal(p.g, g) for _, p in terms):
+        return minkowski_sum([(c, p.base) for c, p in terms])._moved(g)
     return _zonogon(np.concatenate([c * p.generators for c, p in terms]))
 
 
@@ -357,11 +357,11 @@ def mixed_area(a, b):
     is sum_j H_K(J e_j), half the sum over the edge fan +-e_j (H_K, the
     homogeneous support, is even), J the quarter turn (x, y) -> (y, -x), so
     two polygons pair as (1/2) sum_ij |e_i x f_j| and equal bodies pair by
-    the same float operations as a body with itself.  Two
-    ellipses A·D and B·D reduce to an ellipse against the disc, a(A·D, B·D) =
-    a(B^{-1}A·D, D) = pi C(s0), with s0 the stretch of adj(B)·A and C the form
-    value; it is NaN or inf when that product overflows.  Areas and
-    perimeters (a(K, disc)) are read from each shape's cache.
+    the same float operations as a body with itself.  Two ellipses A·D and
+    B·D reduce to an ellipse against the disc, a(A·D, B·D) = a(B^{-1}A·D, D) =
+    pi C(s0), with s0 the stretch of adj(B)·A and C the form value; it is NaN
+    or inf when that product overflows.  First of all, bodies moved by equal
+    elements pair as their bases.  Areas and perimeters are cached.
     """
     if a is b:
         return a.area
@@ -373,6 +373,8 @@ def _terms(k):
 
 
 def _mixed_area(a, b):
+    if a.g is not None and np.array_equal(a.g, b.g):
+        return mixed_area(a.base, b.base)  # a(gK, gL) = a(K, L)
     if isinstance(a, Sum) or isinstance(b, Sum):
         # term pairs go through mixed_area, so that a term's area is its
         # cached a(K, K), the same float as its pairing with an equal copy

@@ -22,7 +22,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .shapes import Ellipse, Polygon, Segment, SpectralTailWarning, Sum, _freeze, _unit_vectors, minkowski_combination
+from .shapes import Ellipse, Polygon, Segment, Sum, _freeze, _unit_vectors, minkowski_combination
 
 DEFAULT_GRID = 2048
 EVEN_TOL = 1e-12
@@ -32,6 +32,10 @@ CONVEXITY_TOL = 1e-8
 _CHORD_ROUNDING = 4.0 * (math.pi + math.sqrt(2.0) + 1.0) + 3.0
 
 _SPREAD = 16  # half-width of the Gaussian gathering stencil, in fine-grid points
+
+
+class SpectralTailWarning(UserWarning):
+    """A raw spectrum's top holds enough energy to distrust its derivatives, shear or coarser resampling."""
 
 
 class GridMismatchError(ValueError):

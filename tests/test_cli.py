@@ -188,23 +188,21 @@ def test_geodesic_frames_from_a_square_to_smooth_samples_have_the_reported_perim
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (["dist", "{disc}", "{disc}"], {"HYPKONVEX_GRID": "abc"}),
-        (["hdim", "--empirical", "--samples", "0"], {}),
-        (["kernels", "--t-min", "400", "--t-max", "400"], {}),
-        (["kernels", "--t-min", "31", "--t-max", "31"], {}),
-        (["verify", "--suite", "extended", "--seed", "-1"], {}),
-        (["geodesic", "{square}", "{square}", "--steps", "0"], {}),
-        (["dist", "{infinite_grid}", "{disc}"], {}),
-        (["dist", "{disc}", "{overflowing_grid}"], {}),
-        (["geodesic", "{fractional_grid}", "{disc}"], {}),
-        (["dist", "{nan_value}", "{disc}"], {}),
-        (["geodesic", "{disc}", "{value_too_few}"], {}),
-        (["dist", "{deep_nesting}", "{disc}"], {}),
+        ["hdim", "--empirical", "--samples", "0"],
+        ["kernels", "--t-min", "400", "--t-max", "400"],
+        ["kernels", "--t-min", "31", "--t-max", "31"],
+        ["verify", "--suite", "extended", "--seed", "-1"],
+        ["geodesic", "{square}", "{square}", "--steps", "0"],
+        ["dist", "{infinite_grid}", "{disc}"],
+        ["dist", "{disc}", "{overflowing_grid}"],
+        ["geodesic", "{fractional_grid}", "{disc}"],
+        ["dist", "{nan_value}", "{disc}"],
+        ["geodesic", "{disc}", "{value_too_few}"],
+        ["dist", "{deep_nesting}", "{disc}"],
     ],
     ids=[
-        "grid-env-not-int",
         "hdim-no-samples",
         "kernels-overflow",
         "kernels-capped-grid",
@@ -218,12 +216,12 @@ def test_geodesic_frames_from_a_square_to_smooth_samples_have_the_reported_perim
         "shapedoc-deep-nesting",
     ],
 )
-def test_bad_input_exits_2_without_traceback(tmp_path, argv, env):
+def test_bad_input_exits_2_without_traceback(tmp_path, argv):
     docs = {"disc": DISC, "square": SQUARE, **MALFORMED}
     paths = {name: _write(tmp_path, name + ".json", text) for name, text in docs.items()}
     argv = [arg.format(**paths) for arg in argv] + ["--out", str(tmp_path / "out")]
     src = str(Path(hypkonvex.__file__).resolve().parents[1])
-    full_env = dict(os.environ, PYTHONPATH=src, **env)
+    full_env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "hypkonvex.cli", *argv], env=full_env, capture_output=True, text=True, timeout=60
     )
@@ -276,13 +274,12 @@ def test_dist_parse_error_exits_2(tmp_path):
     assert main(["dist", a, str(tmp_path / "missing.json")]) == 2
 
 
-def test_grid_flag_and_env(tmp_path, capsys, monkeypatch):
+def test_grid_flag_and_env(tmp_path, capsys):
     a = _write(tmp_path, "a.json", DISC)
     b = _write(tmp_path, "b.json", DISC)
     assert main(["dist", a, b, "--grid", "90", "--out", str(tmp_path / "o1")]) == 2
     assert main(["dist", a, b, "--grid", "32", "--out", str(tmp_path / "o1")]) == 2
-    monkeypatch.setenv("HYPKONVEX_GRID", "256")
-    assert main(["dist", a, b, "--out", str(tmp_path / "o2")]) == 0
+    assert main(["dist", a, b, "--grid", "256", "--out", str(tmp_path / "o2")]) == 0
     record = json.loads((tmp_path / "o2" / "dist.json").read_text())
     assert record["grid"] == 256
     capsys.readouterr()

@@ -42,7 +42,7 @@ def test_boundary_rep_examples():
     assert abs(form_A(v)) < 1e-10
     assert pi0(v) == pytest.approx(1.0, rel=1e-15)
     # the segment [-v, v] has length pi
-    assert 2.0 * np.hypot(*v.shape_tag.endpoint) == pytest.approx(math.pi, rel=1e-15)
+    assert np.hypot(*v.shape_tag.generators[0]) == pytest.approx(math.pi, rel=1e-15)
 
 
 def test_visual_dist_examples():

@@ -1,13 +1,12 @@
 """Group elements, the circle and half-plane actions, and the embedding."""
 
 import math
-import sys
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypkonvex.lorentz import form_A, form_A_spectral, hyper_dist, normalize
 from hypkonvex.mobius import (
@@ -22,7 +21,7 @@ from hypkonvex.mobius import (
     mobius_from_halfplane,
     rho_act,
 )
-from hypkonvex.shapes import DET_TOL, Ellipse, Polygon, Segment, mixed_area
+from hypkonvex.shapes import Ellipse, Polygon, Segment, mixed_area
 from hypkonvex.supportfn import (
     EvenFn,
     SpectralTailWarning,
@@ -33,7 +32,7 @@ from hypkonvex.supportfn import (
     grid_angles,
     unit_disc,
 )
-from hypkonvex.verify import random_polygon
+from hypkonvex.verify import random_ellipse, random_polygon
 
 M = 1024
 THETA = grid_angles(M)
@@ -105,8 +104,8 @@ def test_rho_act_transports_tags_exactly():
     m = _random_mobius(np.random.default_rng(3))
     seg = from_segment(Segment(np.array([0.4, -0.2])), M)
     out = rho_act(m, seg)
-    moved = m.matrix @ np.array([0.4, -0.2])
-    assert np.allclose(np.sign(out.shape_tag.endpoint @ moved) * out.shape_tag.endpoint, moved)
+    moved, end = m.matrix @ np.array([0.4, -0.2]), 0.5 * out.shape_tag.generators[0]
+    assert np.allclose(np.sign(end @ moved) * end, moved)
     sq = from_polygon(Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])), M)
     out = rho_act(m, sq)
     assert math.pi * form_A(out) == pytest.approx(4.0, rel=1e-12)  # areas preserved
@@ -129,44 +128,41 @@ def test_polygon_images_are_exact_or_refused(s):
     # A linear image of a convex body is convex, so no image is refused,
     # however far a shear squeezes its turns: its generators are the source's
     # mapped by g, folded to angles in [0, pi) and in angular order, and
-    # rho_act moves a tag to the same bits.  From about s = 15 the rounding of
-    # the sheared generators exceeds DET_TOL of the areas, which is warned of.
+    # rho_act moves a tag to the same bits.
     rng = np.random.default_rng(16)
     for _ in range(50):
         p, g = random_polygon(rng), _sheared(rng, s)
-        with pytest.warns(SpectralTailWarning, match="moved polygon"):
-            image = p.transform(g.matrix)
+        image = p.transform(g.matrix)
         assert _folded(image.generators) == _folded(p.generators @ g.matrix.T)
         angle = np.arctan2(image.generators[:, 1], image.generators[:, 0])
         assert np.all((angle >= 0.0) & (angle < math.pi)) and np.all(np.diff(angle) >= 0.0)
-        with pytest.warns(SpectralTailWarning, match="moved polygon"):
-            tag = rho_act(g, from_polygon(p, M)).shape_tag
+        tag = rho_act(g, from_polygon(p, M)).shape_tag
         assert np.array_equal(tag.generators, image.generators)
 
 
 @pytest.mark.parametrize("s", [20.0, 24.0, 28.0])
 def test_combinations_of_moved_polygons_are_moved_combinations(s):
-    # The sum of moved polygons keeps every generator, so it is g applied to
-    # the unmoved sum up to the rounding of g and of the moved generators: the
-    # crosses of sheared generators carry eps e^s of their product's size.
+    # The sum of polygons moved by one g is g applied to the unmoved sum, and
+    # bodies moved by equal elements pair as their bases: a(gK, gL) = a(K, L).
     rng = np.random.default_rng(16)
-    tol = 2.0 * sys.float_info.epsilon * math.exp(s)
     for _ in range(50):
         p, q, g = random_polygon(rng), random_polygon(rng), _sheared(rng, s)
         body = combine(0.3, from_polygon(p, M), 0.7, from_polygon(q, M)).shape_tag
-        with pytest.warns(SpectralTailWarning, match="moved polygon"):
-            gp = rho_act(g, from_polygon(p, M))
-            moved = combine(0.3, gp, 0.7, rho_act(g, from_polygon(q, M))).shape_tag
+        gp = rho_act(g, from_polygon(p, M))
+        moved = combine(0.3, gp, 0.7, rho_act(g, from_polygon(q, M))).shape_tag
         assert len(moved.vertices) == len(body.vertices)
-        assert mixed_area(moved, moved) == pytest.approx(mixed_area(body, body), rel=tol)
-        assert mixed_area(moved, gp.shape_tag) == pytest.approx(mixed_area(body, p), rel=tol)
+        assert mixed_area(moved, moved) == body.transform(g.matrix).area == mixed_area(body, body)
+        assert mixed_area(moved, gp.shape_tag) == mixed_area(body, p)
 
 
 def test_polygon_images_are_validated_like_inputs():
+    # polygons move by the group alone, as ellipses do: a scale or a
+    # reflection is refused (scaled() scales), and so is an overflow
     square = Polygon(np.array([[2.0, 2.0], [-2.0, 2.0], [-2.0, -2.0], [2.0, -2.0]]))
-    assert np.array_equal(square.transform(1e-7 * np.eye(2)).vertices, 1e-7 * square.vertices)  # any scale
-    # a reflection is a linear map too: its image is the same square, not a refusal
-    assert np.array_equal(square.transform(np.diag([1.0, -1.0])).generators, square.generators)
+    for m in (1e-7 * np.eye(2), np.diag([1.0, -1.0])):
+        for body in (square, Ellipse(np.eye(2))):
+            with pytest.raises(ValueError, match="determinant must be 1"):
+                body.transform(m)
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
         square.transform(np.diag([1e308, 1e-308]))
 
@@ -175,27 +171,19 @@ _TURN = st.floats(0.0, 2.0 * math.pi)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1), st.floats(0.01, 100.0), st.floats(0.01, 100.0), _TURN, st.floats(0.0, 28.0), _TURN)
+@given(st.integers(0, 2**32 - 1), st.floats(0.01, 100.0), st.floats(0.01, 100.0), _TURN, st.floats(0.0, 36.0), _TURN)
 def test_sums_of_moved_polygons_are_never_refused_and_keep_their_areas(seed, c1, c2, phi, s, psi):
     # c1 gP + c2 gQ for g = R(phi) axial(s) R(psi): the sum of two moved
     # polygons is built at every s, and its area and its mixed area with gP
-    # are those of c1 P + c2 Q up to the rounding of the sheared crosses,
-    # eps e^s of their products' size (below 1e-3 up to s = 28).  Where that
-    # rounding exceeds DET_TOL, moving the polygons warns.
+    # are those of c1 P + c2 Q, bit for bit: a(gK, gL) = a(K, L).
     rng = np.random.default_rng(seed)
     p, q = random_polygon(rng), random_polygon(rng)
     g = Mobius.rotation(phi) @ Mobius.axial(s) @ Mobius.rotation(psi)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", SpectralTailWarning)
-        gp = rho_act(g, from_polygon(p, M))
-        moved = combine(c1, gp, c2, rho_act(g, from_polygon(q, M))).shape_tag
+    gp = rho_act(g, from_polygon(p, M))
+    moved = combine(c1, gp, c2, rho_act(g, from_polygon(q, M))).shape_tag
     body = combine(c1, from_polygon(p, M), c2, from_polygon(q, M)).shape_tag
-    errors = [
-        abs(mixed_area(moved, moved) / mixed_area(body, body) - 1.0),
-        abs(mixed_area(moved, gp.shape_tag) / mixed_area(body, p) - 1.0),
-    ]
-    assert max(errors) <= 1e-13 + 2.0 * sys.float_info.epsilon * math.exp(s)
-    assert max(errors) <= DET_TOL or any("moved polygon" in str(w.message) for w in caught)
+    assert mixed_area(moved, moved) == mixed_area(body, body)
+    assert mixed_area(moved, gp.shape_tag) == mixed_area(body, p)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -207,6 +195,42 @@ def test_sums_in_either_order_read_distance_zero(seed, c1, c2):
     pq, qp = combine(c1, p, c2, q), combine(c2, q, c1, p)
     assert np.array_equal(pq.shape_tag.generators, qp.shape_tag.generators)
     assert hyper_dist(normalize(pq), normalize(qp)) == 0.0
+
+
+_KINDS = ("ellipse", "polygon", "segment", "sum")
+
+
+def _drawn_body(rng, kind):
+    """The support function of a random body of one kind; a sum combines two of the other kinds."""
+    if kind == "sum":
+        c1, c2 = rng.uniform(0.1, 2.0, 2)
+        return combine(c1, _drawn_body(rng, rng.choice(_KINDS[:3])), c2, _drawn_body(rng, rng.choice(_KINDS[:3])))
+    if kind == "ellipse":
+        return from_ellipse(random_ellipse(rng), M)
+    if kind == "polygon":
+        return from_polygon(random_polygon(rng), M)
+    a = rng.uniform(0.0, 2.0 * math.pi)
+    return from_segment(Segment(rng.uniform(0.2, 2.0) * np.array([math.cos(a), math.sin(a)])), M)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_KINDS), st.sampled_from(_KINDS), st.integers(0, 2**32 - 1), _TURN, st.floats(0.0, 36.0), _TURN)
+@example("ellipse", "polygon", 81, 1.0, 20.0, 2.0)  # m·A misses DET_TOL here: only m is checked
+@example("sum", "segment", 28, 1.0, 28.0, 2.0)
+@example("polygon", "sum", 36, 0.5, 36.0, 2.5)
+def test_equal_elements_cancel_in_every_mixed_area(kind_k, kind_l, seed, phi, s, psi):
+    # rho(g) is an isometry, and for tagged bodies an exact one at every s:
+    # a moved body keeps its base and g, and a(gK, gL) = a(K, L) pairs the
+    # bases, so areas and distances of a pair moved by one g are its own.
+    rng = np.random.default_rng(seed)
+    k, l = _drawn_body(rng, kind_k), _drawn_body(rng, kind_l)
+    g = Mobius.rotation(phi) @ Mobius.axial(s) @ Mobius.rotation(psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gk, gl = rho_act(g, k), rho_act(g, l)
+        assert mixed_area(gk.shape_tag, gl.shape_tag) == mixed_area(k.shape_tag, l.shape_tag)
+        if k.shape_tag.area > 0.0 and l.shape_tag.area > 0.0:
+            assert hyper_dist(normalize(gk), normalize(gl)) == hyper_dist(normalize(k), normalize(l))
 
 
 def test_rho_act_form_invariance():
