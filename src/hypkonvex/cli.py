@@ -9,6 +9,7 @@ floats are written with 17 significant digits.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -205,6 +206,7 @@ def cmd_hdim(args):
     return EXIT_OK
 
 
+@functools.cache  # once per process
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hypkonvex",
@@ -222,24 +224,20 @@ def build_parser():
     p = sub.add_parser("dist", parents=[spectral], help="hyperbolic distance between two bodies")
     p.add_argument("shape_a")
     p.add_argument("shape_b")
-    p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("geodesic", parents=[spectral], help="render the geodesic between two bodies")
     p.add_argument("shape_a")
     p.add_argument("shape_b")
     p.add_argument("--steps", type=int, default=8)
-    p.set_defaults(func=cmd_geodesic)
 
     p = sub.add_parser("verify", parents=[spectral], help="run verification suites")
     p.add_argument("--suite", default="all", help="suite name or 'all'")
     p.add_argument("--seed", type=int, default=0, help="random seed for suites")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("kernels", parents=[out], help="kernel comparison table")
     p.add_argument("--t-min", type=float, default=0.1)
     p.add_argument("--t-max", type=float, default=5.0)
     p.add_argument("--steps", type=int, default=50)
-    p.set_defaults(func=cmd_kernels)
 
     p = sub.add_parser("hdim", parents=[out], help="limit-set dimension estimate")
     p.add_argument("--j-min", type=int, default=4)
@@ -247,19 +245,17 @@ def build_parser():
     p.add_argument("--empirical", action="store_true")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--control", action="store_true", help="use the round-circle control metric")
-    p.set_defaults(func=cmd_hdim)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         with warnings.catch_warnings():
             if getattr(args, "strict", False):  # kernels and hdim take no --strict
                 warnings.simplefilter("error", SpectralTailWarning)
-            return args.func(args)
+            return globals()["cmd_" + args.command](args)  # read at each call, so a patched command runs
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code

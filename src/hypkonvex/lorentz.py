@@ -17,7 +17,7 @@ are refused (supportfn._same_grid).
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,14 +159,16 @@ def h1_seminorms(h):
 
 @dataclass(frozen=True)
 class HPoint:
-    """A point of the hyperboloid: A(fn) = 1 and pi0(fn) >= 1."""
+    """A point of the hyperboloid: A(fn) = 1 and pi0(fn) >= 1; ``a`` keeps A(fn) as computed."""
 
     fn: EvenFn
+    a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = form_A(self.fn)
         if abs(a - 1.0) > FORM_UNIT_TOL:
             raise ValueError("not normalized: A(fn) = %.17g" % a)
+        object.__setattr__(self, "a", a)
         p = pi0(self.fn)
         if p < 1.0 - INVARIANT_TOL:
             raise ValueError("pi0(fn) = %.17g < 1 breaks the hyperboloid invariant" % p)
@@ -211,7 +213,7 @@ def hyper_dist(p, q, method="auto"):
     if method not in ("auto", "spectral"):
         raise ValueError("unknown method %r" % (method,))
     if method == "auto" and (p.fn.body is not None or q.fn.body is not None):
-        xm1 = _cosh_between(p.fn, q.fn) - 1.0
+        xm1 = form_A(p.fn, q.fn) / math.sqrt(p.a * q.a) - 1.0  # _cosh_between, self-forms read off the points
     else:
         M = _same_grid(p.fn, q.fn)
         u = p.fn._coeffs / math.sqrt(form_A_spectral(p.fn))

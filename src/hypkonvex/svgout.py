@@ -3,11 +3,11 @@
 A fixed viewport [-4, 4]^2 maps to a 512x512 canvas so frames along a
 geodesic stay visually comparable; bodies poking outside are scaled down
 with a visible annotation.  Pixel coordinates therefore lie in [0, 512],
-and each prints exactly as '%.3f' would print it.
+and each prints exactly as '%.3f' would print it.  A frame is one fixed template
+(header, title, path, origin axes, scale note), the bytes xml.etree wrote for it.
 """
 
 import functools
-import xml.etree.ElementTree as ET
 
 import numpy as np
 
@@ -52,38 +52,40 @@ def _path_d(px):
     return words.tobytes().replace(b"\0", b"").decode("ascii") + "z"
 
 
+_ORIGIN = _to_px((0.0, 0.0))
+_AXES = "".join(
+    '<line stroke-width="1" x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="#a03030" />'
+    % (_ORIGIN[0] - dx, _ORIGIN[1] - dy, _ORIGIN[0] + dx, _ORIGIN[1] + dy)
+    for dx, dy in ((6.0, 0.0), (0.0, 6.0))
+)
+_FRAME = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="%dpx" height="%dpx" viewBox="0 0 %d %d">' % ((CANVAS,) * 4)
+    + '%s<path stroke-width="1.5" fill-opacity="0.7" d="%s" fill="#c8d8f0" stroke="#203050" />' + _AXES + "%s</svg>"
+)
+
+
 def render_boundary(points, title=None):
     """Closed-path SVG of a boundary polyline with the origin marked.
 
     ``points`` must be a finite (n, 2) array with n >= 3, else ValueError.
-    Returns the XML element tree root.
+    Returns the SVG document text; a nonempty ``title`` becomes its <title>.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3 or not np.all(np.isfinite(pts)):
         raise ValueError("a boundary must be a finite (n, 2) array with n >= 3, got shape %s" % (pts.shape,))
     top = float(np.abs(pts).max())
-    scale_note = None
+    note = ""
     if top > VIEW_HALF:
         factor = 0.95 * VIEW_HALF / top
         pts = pts * factor
-        scale_note = "scaled by %.3g to fit viewport" % factor
-
-    side = int(CANVAS)
-    root = ET.Element("svg", xmlns="http://www.w3.org/2000/svg", width="%dpx" % side, height="%dpx" % side,
-                      viewBox="0 0 %d %d" % (side, side))
-    if title:
-        ET.SubElement(root, "title").text = title
-    path = {"stroke-width": "1.5", "fill-opacity": "0.7", "d": _path_d(np.stack(_to_px(pts.T), axis=1).ravel())}
-    ET.SubElement(root, "path", path, fill="#c8d8f0", stroke="#203050")
-    ox, oy = _to_px((0.0, 0.0))
-    for dx, dy in ((6.0, 0.0), (0.0, 6.0)):
-        x1, y1, x2, y2 = ("%.1f" % v for v in (ox - dx, oy - dy, ox + dx, oy + dy))
-        ET.SubElement(root, "line", {"stroke-width": "1"}, x1=x1, y1=y1, x2=x2, y2=y2, stroke="#a03030")
-    if scale_note:
-        ET.SubElement(root, "text", {"font-size": "12"}, x="8", y="20").text = scale_note
-    return root
+        note = '<text font-size="12" x="8" y="20">scaled by %.3g to fit viewport</text>' % factor
+    if title:  # text escaped as the XML serializer escapes it
+        title = "<title>%s</title>" % title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _FRAME % (title or "", _path_d(np.stack(_to_px(pts.T), axis=1).ravel()), note)
 
 
 def write_svg(points, path, title=None):
-    root = render_boundary(points, title)
-    ET.ElementTree(root).write(path, encoding="unicode", xml_declaration=False)
+    doc = render_boundary(points, title)
+    # xml.etree's writer opened the file so, and any title keeps its bytes
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+        fh.write(doc)

@@ -6,9 +6,11 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import ellipe
 
 import hypkonvex
+from hypkonvex import cli
 from hypkonvex.cli import main
 from hypkonvex.lorentz import geodesic_point, normalize
 from hypkonvex.mobius import Mobius
@@ -27,6 +30,7 @@ from hypkonvex.supportfn import SpectralTailWarning, grid_angles
 from hypkonvex.svgout import render_boundary
 from hypkonvex.verify import random_polygon
 
+SVG = "{http://www.w3.org/2000/svg}"
 DISC = '{"type":"ellipse","matrix":[[1.0,0.0],[0.0,1.0]]}'
 SQUARE = '{"type":"polygon","vertices":[[1,1],[-1,1],[-1,-1],[1,-1]]}'
 SEGMENT = '{"type":"segment","endpoint":[1.0,0.0]}'
@@ -162,7 +166,7 @@ def test_geodesic_disc_to_square_closed_form(tmp_path, capsys):
     pa, pb = (normalize(to_even_fn(parse_shapedoc(Path(p).read_text()), 2048)) for p in (a, b))
     mid = geodesic_point(pa, pb, 0.5).fn.shape_tag
     assert isinstance(mid, Sum)
-    expect = render_boundary(mid.boundary(grid_angles(2048))).find("path").get("d")
+    expect = ET.fromstring(render_boundary(mid.boundary(grid_angles(2048)))).find(SVG + "path").get("d")
     assert 'd="%s"' % expect in (out / "frame_004.svg").read_text()
 
 
@@ -612,3 +616,62 @@ def test_verify_failure_exits_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(SUITES, "rigged", failing)
     assert main(["verify", "--suite", "rigged", "--out", str(tmp_path)]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_calls_in_one_process_read_only_their_own_flags(tmp_path, monkeypatch, capsys):
+    # The parser is built once per process: each call in a sequence gives what
+    # a call on a freshly built parser gives, flags of the call before it unread.
+    from hypkonvex.verify import SUITES
+
+    def warning(col, rng, grid):
+        warnings.warn("rigged spectral tail", SpectralTailWarning)
+        col.add("rigged", "0", 0.0, 1.0)
+
+    monkeypatch.setitem(SUITES, "rigged", warning)
+    a, b = _write(tmp_path, "a.json", DISC), _write(tmp_path, "b.json", SQUARE)
+    sequence = [
+        ["geodesic", a, b, "--grid", "256", "--steps", "2"],
+        ["geodesic", a, b, "--grid", "256"],
+        ["verify", "--suite", "rigged", "--strict"],
+        ["verify", "--suite", "rigged"],
+    ]
+    seen = {}
+    for fresh in (False, True):
+        for i, argv in enumerate(sequence):
+            out = tmp_path / ("%s-%d" % (fresh, i))
+            if fresh:
+                cli.build_parser.cache_clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SpectralTailWarning)
+                code = main(argv + ["--out", str(out)])
+            printed = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            seen[fresh, i] = code, printed.out.replace(str(out), "OUT"), printed.err, files
+    assert all(seen[False, i] == seen[True, i] for i in range(len(sequence)))
+    assert [seen[False, i][0] for i in range(len(sequence))] == [0, 0, 3, 0]
+    assert [len(seen[False, i][3]) for i in range(len(sequence))] == [4, 10, 0, 1]
+
+
+def test_a_command_patched_after_an_earlier_call_is_the_one_that_runs(tmp_path, capsys):
+    assert main(["kernels", "--t-min", "0.5", "--t-max", "0.5", "--out", str(tmp_path / "first")]) == 0
+    with mock.patch("hypkonvex.cli.cmd_kernels", return_value=0) as patched:
+        assert main(["kernels", "--steps", "3", "--out", str(tmp_path / "second")]) == 0
+    assert patched.call_count == 1 and patched.call_args.args[0].steps == 3
+    assert not (tmp_path / "second").exists()
+
+
+def test_a_traced_benchmark_run_records_the_geodesic_command(tmp_path):
+    # The worker runs untraced rounds first, so the parser is built before the
+    # tracer wraps cli.cmd_geodesic; the wrapped command must still be the one
+    # that runs.  A copy of bench/ beside the sources keeps its work files in tmp_path.
+    repo = Path(hypkonvex.__file__).resolve().parents[2]
+    shutil.copytree(repo / "bench", tmp_path / "bench")
+    (tmp_path / "src").symlink_to(repo / "src")
+    argv = [sys.executable, str(tmp_path / "bench" / "run.py"), "--workload", "geodesic", "--seed", "1",
+            "--seconds", "4", "--trace", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["correct"]
+    trace = json.loads((tmp_path / ".bench_out" / "geodesic" / "trace.json").read_text())
+    geodesic = trace["names"].index("cli.cmd_geodesic")
+    assert any(span[0] == geodesic for span in trace["spans"])

@@ -30,3 +30,11 @@ def test_package_import_loads_no_module():
 def test_module_imports_on_its_own(name):
     proc = _run("import hypkonvex.%s" % name)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_loads_no_xml_library():
+    # frames are written from a text template, so no module needs xml.etree
+    code = "import sys; import %s; print(sorted(m for m in sys.modules if m.split('.')[0] == 'xml'))"
+    proc = _run(code % ", ".join("hypkonvex." + name for name in MODULES))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -529,6 +529,31 @@ def test_each_part_pairing_calls_its_own_form(monkeypatch):
         assert calls == want
 
 
+def test_distance_of_points_with_a_body_evaluates_one_form(monkeypatch):
+    # A hyperboloid point keeps its self-form, so a distance pairs only its
+    # two operands, and to the same float as the formula with both self-forms.
+    rng = np.random.default_rng(3)
+    tagged, raw = from_polygon(random_polygon(rng), M), random_support_fn(rng, M)
+    pairs = [
+        (tagged, from_ellipse(random_ellipse(rng), M)),
+        (tagged, raw),
+        (combine(0.5, from_ellipse(random_ellipse(rng), M), 0.5, raw), tagged),
+    ]
+    points = [(normalize(a), normalize(b)) for a, b in pairs]
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args))
+        return form_A(*args)
+
+    monkeypatch.setattr(lorentz, "form_A", counting)
+    for p, q in points:
+        calls.clear()
+        d = hyper_dist(p, q)
+        assert calls == [2]
+        assert d == acosh1p(max(0.0, _cosh_between(p.fn, q.fn) - 1.0))
+
+
 def _band_limited(rng, grid, top):
     """Raw samples of 1.5 + sum over even n <= top of a_n cos nx + b_n sin nx,
     with |a_n|, |b_n| ~ 0.2/n^3 (a smooth body), and that sum as an oracle."""

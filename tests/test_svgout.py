@@ -13,13 +13,13 @@ from hypkonvex.shapedoc import load_shapedoc, to_even_fn
 from hypkonvex.supportfn import boundary_curve
 from hypkonvex.svgout import _path_d, render_boundary, write_svg
 
-from svg_oracle import path_d
+from svg_oracle import frame_document, path_d, write_frame
 
 SVG = "{http://www.w3.org/2000/svg}"
 
 
 def _d(points):
-    return render_boundary(points).find("path").get("d")
+    return ET.fromstring(render_boundary(points)).find(SVG + "path").get("d")
 
 
 @pytest.mark.parametrize("n", [3, 4, 17, 256, 2048])
@@ -37,14 +37,28 @@ def test_scaled_frame_matches_the_oracle_and_carries_the_note():
     for top in (4.0 + 1e-12, 7.5, 1e6):
         pts = rng.normal(size=(300, 2))
         pts *= top / np.abs(pts).max()
-        root = render_boundary(pts)
-        assert root.find("path").get("d") == path_d(pts)
-        assert root.find("text").text.startswith("scaled by ")
+        root = ET.fromstring(render_boundary(pts))
+        assert root.find(SVG + "path").get("d") == path_d(pts)
+        assert root.find(SVG + "text").text.startswith("scaled by ")
     # a body that reaches the viewport edge exactly is drawn unscaled
     edge = np.array([[4.0, 0.0], [0.0, 4.0], [-4.0, 0.0], [0.0, -4.0]])
-    root = render_boundary(edge)
-    assert root.find("text") is None
-    assert root.find("path").get("d") == "M512.000 256.000L256.000 0.000L0.000 256.000L256.000 512.000z"
+    root = ET.fromstring(render_boundary(edge))
+    assert root.find(SVG + "text") is None
+    assert root.find(SVG + "path").get("d") == "M512.000 256.000L256.000 0.000L0.000 256.000L256.000 512.000z"
+
+
+@pytest.mark.parametrize("title", [None, "", "t=0.2500", 'a & b < c > d "e"', "%s 100%", "\u00e9\udc80\n"])
+@pytest.mark.parametrize("top", [0.5, 4.0, 4.0 + 1e-12, 7.5, 1e6])
+def test_frames_are_the_bytes_xml_etree_wrote(tmp_path, top, title):
+    # one document from the template against the element tree, in text and on disk
+    rng = np.random.default_rng(int(top * 8))
+    for n in (3, 300):
+        pts = rng.normal(size=(n, 2))
+        pts *= top / np.abs(pts).max()
+        assert render_boundary(pts, title) == frame_document(pts, title)
+        write_svg(pts, tmp_path / "new.svg", title)
+        write_frame(pts, tmp_path / "old.svg", title)
+        assert (tmp_path / "new.svg").read_bytes() == (tmp_path / "old.svg").read_bytes()
 
 
 def test_signed_zeros_and_ties_print_as_the_oracle_does():
@@ -126,6 +140,7 @@ def test_every_geodesic_frame_matches_the_oracle(tmp_path, capsys):
         frame = boundary_curve(geodesic_point(pa, pb, k / steps).fn, 2048)
         d = root.find(SVG + "path").get("d")
         assert d == path_d(frame)
+        assert (out / ("frame_%03d.svg" % k)).read_text() == frame_document(frame, "t=%.4f" % (k / steps))
         assert d.startswith("M") and d.count("L") == 2047
         scaled += root.find(SVG + "text") is not None
     assert 0 < scaled < steps + 1
