@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapes import Ellipse, _adjugate_product, _check_unit_det, _form_value, _shear, _stretch
+from .shapes import Ellipse, Mobius, _adjugate_product, _form_value, _shear, _stretch
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
@@ -26,62 +26,6 @@ from .supportfn import (
     from_ellipse,
 )
 from .lorentz import _graded_edges, _panel_mean, acosh1p, normalize
-
-DET_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Mobius:
-    """Element of PSL2(R): entries with ad - bc = 1, canonically signed.
-
-    The stored representative makes the first nonzero of (a, b, c, d)
-    positive, so equality of group elements is equality of fields.  The
-    determinant is checked to DET_TOL plus rounding, 16 eps (|ad| + |bc|).
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        vals = (float(self.a), float(self.b), float(self.c), float(self.d))
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("entries must be finite")
-        _check_unit_det(*vals, DET_TOL)
-        for v in vals:
-            if v != 0.0:
-                if v < 0.0:
-                    vals = tuple(-x for x in vals)
-                break
-        for name, v in zip(("a", "b", "c", "d"), vals):
-            object.__setattr__(self, name, v)
-
-    @property
-    def matrix(self):
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
-    @classmethod
-    def from_matrix(cls, m):
-        """Normalize a positive-determinant matrix into PSL2(R)."""
-        m = np.asarray(m, dtype=float)
-        det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        if det <= 0.0:
-            raise ValueError("matrix must have positive determinant, got %.17g" % det)
-        m = m / math.sqrt(det)
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-    @classmethod
-    def rotation(cls, phi):
-        return cls(math.cos(phi), -math.sin(phi), math.sin(phi), math.cos(phi))
-
-    @classmethod
-    def axial(cls, s):
-        """diag(e^{s/2}, e^{-s/2}): translation length s along the imaginary axis."""
-        return cls(math.exp(0.5 * s), 0.0, 0.0, math.exp(-0.5 * s))
-
-    def __matmul__(self, other):
-        return Mobius.from_matrix(self.matrix @ other.matrix)
 
 
 @dataclass(frozen=True)
@@ -103,13 +47,13 @@ def rho_act(m, h):
     """The isometric action on circle functions: |m^T u| h(angle(m^T u)).
 
     It is linear, so it moves each part of h.  The body moves by its
-    transform, which keeps its base and m: bodies moved by one element pair
-    exactly as their bases, at any shear.  The raw part is resampled at the
-    sheared angles by supportfn._interp, with a warning when its spectrum is
-    not resolved, since the action shears spectra.  Only the first M/2 grid
-    angles are evaluated, and that half is written twice: theta + pi keeps
-    |m^T u| and adds pi to the angle, so the result is exactly pi-periodic;
-    any odd-harmonic residue (at most EVEN_TOL) is dropped.
+    transform, which keeps its base and the element m @ g: bodies moved by
+    equal elements pair as their bases at any shear.  The raw part is
+    resampled at the sheared angles by supportfn._interp, with a warning when
+    its spectrum is not resolved, since the action shears spectra.  Only the
+    first M/2 grid angles are evaluated, and that half is written twice:
+    theta + pi keeps |m^T u| and adds pi to the angle, so the result is exactly
+    pi-periodic; any odd-harmonic residue (at most EVEN_TOL) is dropped.
     """
     t = h.raw
     if t is not None:
@@ -117,7 +61,7 @@ def rho_act(m, h):
         _warn_spectral_tail(t, why)
         w = m.matrix.T @ _grid_directions(h.grid)[:, : h.grid // 2]
         t = EvenFn(np.tile(np.hypot(w[0], w[1]) * _interp(t._coeffs, h.grid, np.arctan2(w[1], w[0])), 2))
-    return _from_shape(h.body.transform(m.matrix) if h.body is not None else None, h.grid, t)
+    return _from_shape(h.body.transform(m) if h.body is not None else None, h.grid, t)
 
 
 def halfplane_apply(m, z):

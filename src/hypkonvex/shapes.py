@@ -7,10 +7,10 @@ segments [-e_i/2, e_i/2] over its generators, the half edge fan e_1 ... e_k
 has one.  A third type, Sum, is a positive Minkowski combination of them, so
 the closed forms survive every nonnegative combination of bodies.  Each
 defines only its homogeneous support, its support point and its image under
-a group element; the support function, its derivative, the boundary, and the
-area a(K, K) and perimeter 2 a(K, disc) as mixed areas derive from these.
-Mixed areas between any two shapes are in closed form, free of grid error,
-and bodies moved by one group element pair as their bases, a(gK, gL) = a(K, L).
+a group element, a ``Mobius``; the support function, its derivative, the
+boundary, and the area a(K, K) and perimeter 2 a(K, disc) as mixed areas
+derive from these.  Mixed areas between any two shapes are in closed form,
+free of grid error, and bodies moved by equal elements pair as their bases.
 """
 
 import math
@@ -22,7 +22,8 @@ import numpy as np
 
 from .specfun import agm_KE_from_complement
 
-DET_TOL = 1e-9
+MOBIUS_DET_TOL = 1e-12  # elements: their determinant error reaches raw parts through rho_act
+ELLIPSE_DET_TOL = 1e-9  # ellipse documents: the closed forms only read them as unit-determinant
 SYM_TOL = 1e-12
 
 
@@ -70,6 +71,61 @@ def _adjugate_product(b, a):
     return (b22 * a11 - b12 * a21, b22 * a12 - b12 * a22, b11 * a21 - b21 * a11, b11 * a22 - b21 * a12)
 
 
+@dataclass(frozen=True)
+class Mobius:
+    """Element of PSL2(R): entries with ad - bc = 1, canonically signed.
+
+    The stored representative makes the first nonzero of (a, b, c, d)
+    positive, so equality of group elements is equality of fields.  The
+    determinant is checked to MOBIUS_DET_TOL plus rounding, 16 eps (|ad| + |bc|).
+    ``@`` composes elements, moved bodies' too; e @ g = g @ e = g in bits.
+    """
+
+    a: float
+    b: float
+    c: float
+    d: float
+
+    def __post_init__(self):
+        vals = (float(self.a), float(self.b), float(self.c), float(self.d))
+        if not all(math.isfinite(v) for v in vals):
+            raise ValueError("entries must be finite")
+        _check_unit_det(*vals, MOBIUS_DET_TOL)
+        sign = math.copysign(1.0, next(v for v in vals if v != 0.0))
+        for name, v in zip(("a", "b", "c", "d"), vals):
+            object.__setattr__(self, name, sign * v)
+
+    @property
+    def matrix(self):
+        return np.array([[self.a, self.b], [self.c, self.d]])
+
+    @classmethod
+    def from_matrix(cls, m):
+        """Normalize a positive-determinant matrix into PSL2(R)."""
+        m = np.asarray(m, dtype=float)
+        det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        if det <= 0.0:
+            raise ValueError("matrix must have positive determinant, got %.17g" % det)
+        return cls(*m.ravel() / math.sqrt(det))
+
+    @classmethod
+    def rotation(cls, phi):
+        return cls(math.cos(phi), -math.sin(phi), math.sin(phi), math.cos(phi))
+
+    @classmethod
+    def axial(cls, s):
+        """diag(e^{s/2}, e^{-s/2}): translation length s along the imaginary axis."""
+        return cls(math.exp(0.5 * s), 0.0, 0.0, math.exp(-0.5 * s))
+
+    def __matmul__(self, other):
+        if self == _IDENTITY or other == _IDENTITY:  # e·g = g·e = g in bits
+            return other if self == _IDENTITY else self
+        return Mobius.from_matrix(self.matrix @ other.matrix)
+
+
+_IDENTITY = Mobius(1.0, 0.0, 0.0, 1.0)
+
+
 def _freeze(arr):
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
@@ -88,19 +144,17 @@ class _Body:
 
     Everything else derives from these two: the support function, its
     derivative u_perp·x(u), the boundary, the area a(K, K) and the perimeter
-    2 a(K, disc), the last two once per body.  ``transform(m)`` takes m of unit
-    determinant (the Ellipse rule) and keeps the image's unmoved ``base`` and
-    composed element ``g``, both None on an unmoved body.
+    2 a(K, disc), the last two once per body.  ``transform(m)`` takes a
+    ``Mobius`` (a 2x2 array is checked as one) and keeps the image's unmoved
+    ``base`` and its element ``g``, m @ self.g, both None on an unmoved body.
     """
 
     base = g = None
 
     def transform(self, m):
-        return self._moved(Ellipse(m).matrix)
-
-    def _moved(self, m):  # the image under a checked m; its rounding is not checked again
+        m = m if isinstance(m, Mobius) else Mobius(*np.ravel(m))
         image = self._image(m)
-        vars(image).update(base=self.base or self, g=m if self.g is None else _freeze(m @ self.g))
+        vars(image).update(base=self.base or self, g=m if self.g is None else m @ self.g)
         return image
 
     def support(self, theta):
@@ -127,7 +181,7 @@ class _Body:
 class Ellipse(_Body):
     """The body A·D, the image of the closed unit disc under ``matrix``.
 
-    ad - bc must be 1 to ``DET_TOL`` plus the rounding of the entries,
+    ad - bc must be 1 to ``ELLIPSE_DET_TOL`` plus the rounding of the entries,
     16 eps (|ad| + |bc|), and the area is pi by that contract.  Every other
     invariant depends only on the largest singular value of the matrix, its
     stretch.
@@ -139,7 +193,7 @@ class Ellipse(_Body):
         m = _freeze(self.matrix)
         if m.shape != (2, 2) or not np.all(np.isfinite(m)):
             raise ValueError("ellipse matrix must be a finite 2x2 array")
-        _check_unit_det(*m.ravel(), DET_TOL)
+        _check_unit_det(*m.ravel(), ELLIPSE_DET_TOL)
         object.__setattr__(self, "matrix", m)
 
     def hsupport(self, w):
@@ -155,7 +209,7 @@ class Ellipse(_Body):
 
     def _image(self, m):
         image = object.__new__(Ellipse)
-        object.__setattr__(image, "matrix", _freeze(m @ self.matrix))
+        object.__setattr__(image, "matrix", _freeze(m.matrix @ self.matrix))
         if not np.isfinite(image.matrix).all():
             raise ValueError("ellipse matrix must be finite")
         return image
@@ -240,7 +294,7 @@ class Polygon(_Body):
         return 0.5 * (self.generators.T @ np.sign(self._dots(w)))
 
     def _image(self, m):
-        return _zonogon(self.generators @ m.T)
+        return _zonogon(self.generators @ m.matrix.T)
 
     @cached_property
     def _turned_fan(self):
@@ -291,7 +345,7 @@ class Sum(_Body):
         return sum(c * k.support_point(w) for c, k in self.terms)
 
     def _image(self, m):
-        return Sum(tuple((c, k._moved(m)) for c, k in self.terms))
+        return Sum(tuple((c, k.transform(m)) for c, k in self.terms))
 
 
 def minkowski_combination(terms):
@@ -345,8 +399,8 @@ def minkowski_sum(terms):
     generators concatenated, in canonical order, or g applied to the sum of
     their bases where one element g moved them all."""
     g = terms[0][1].g
-    if g is not None and all(np.array_equal(p.g, g) for _, p in terms):
-        return minkowski_sum([(c, p.base) for c, p in terms])._moved(g)
+    if g is not None and all(p.g == g for _, p in terms):
+        return minkowski_sum([(c, p.base) for c, p in terms]).transform(g)
     return _zonogon(np.concatenate([c * p.generators for c, p in terms]))
 
 
@@ -361,7 +415,8 @@ def mixed_area(a, b):
     B·D reduce to an ellipse against the disc, a(A·D, B·D) = a(B^{-1}A·D, D) =
     pi C(s0), with s0 the stretch of adj(B)·A and C the form value; it is NaN
     or inf when that product overflows.  First of all, bodies moved by equal
-    elements pair as their bases.  Areas and perimeters are cached.
+    elements pair as their bases, a(gK, gL) = a(K, L), and m1 @ m2 moves a
+    body to the same element as m2, then m1.  Areas and perimeters are cached.
     """
     if a is b:
         return a.area
@@ -373,7 +428,7 @@ def _terms(k):
 
 
 def _mixed_area(a, b):
-    if a.g is not None and np.array_equal(a.g, b.g):
+    if a.g is not None and a.g == b.g:
         return mixed_area(a.base, b.base)  # a(gK, gL) = a(K, L)
     if isinstance(a, Sum) or isinstance(b, Sum):
         # term pairs go through mixed_area, so that a term's area is its

@@ -478,7 +478,7 @@ def _ellipse_sum_suite(col, rng, grid):
         dig = _digest(e1.matrix, e2.matrix)
         col.add_lower("non-ellipse-energy", dig, energy, 1e-6)
         m = random_mobius(rng, 1.3)
-        moved = ellipse_sum_test(e1.transform(m.matrix), e2.transform(m.matrix), 1.0, 1.0, grid)
+        moved = ellipse_sum_test(e1.transform(m), e2.transform(m), 1.0, 1.0, grid)
         col.add_lower("verdict-invariance", dig, moved, 1e-6)
         done += 1
 

@@ -213,24 +213,70 @@ def _drawn_body(rng, kind):
     return from_segment(Segment(rng.uniform(0.2, 2.0) * np.array([math.cos(a), math.sin(a)])), M)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(_KINDS), st.sampled_from(_KINDS), st.integers(0, 2**32 - 1), _TURN, st.floats(0.0, 36.0), _TURN)
-@example("ellipse", "polygon", 81, 1.0, 20.0, 2.0)  # m·A misses DET_TOL here: only m is checked
-@example("sum", "segment", 28, 1.0, 28.0, 2.0)
-@example("polygon", "sum", 36, 0.5, 36.0, 2.5)
-def test_equal_elements_cancel_in_every_mixed_area(kind_k, kind_l, seed, phi, s, psi):
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(_KINDS),
+    st.sampled_from(_KINDS),
+    st.integers(0, 2**32 - 1),
+    _TURN,
+    st.floats(0.0, 36.0),
+    _TURN,
+    st.none() | _TURN,
+)
+@example("ellipse", "polygon", 81, 1.0, 20.0, 2.0, None)  # m·A misses ELLIPSE_DET_TOL here: only m is checked
+@example("sum", "segment", 28, 1.0, 28.0, 2.0, None)
+@example("polygon", "sum", 36, 0.5, 36.0, 2.5, None)
+@example("polygon", "polygon", 16, 0.3, 8.0, 2.9, 1.1)
+@example("ellipse", "ellipse", 16, 0.3, 16.0, 2.9, 1.1)
+@example("sum", "polygon", 16, 0.3, 24.0, 2.9, 1.1)
+@example("ellipse", "sum", 16, 0.3, 32.0, 2.9, 1.1)
+@example("sum", "sum", 16, 0.3, 36.0, 2.9, 1.1)
+def test_equal_elements_cancel_in_every_mixed_area(kind_k, kind_l, seed, phi, s, psi, chi):
     # rho(g) is an isometry, and for tagged bodies an exact one at every s:
     # a moved body keeps its base and g, and a(gK, gL) = a(K, L) pairs the
     # bases, so areas and distances of a pair moved by one g are its own.
+    # With chi, K moves by the product m1 m2 and L by m2 and then m1, each
+    # factor R·axial(s/2)·R: both store the one element m1 @ m2, so
+    # rho(m1 m2) = rho(m1) rho(m2) holds in bits.
     rng = np.random.default_rng(seed)
     k, l = _drawn_body(rng, kind_k), _drawn_body(rng, kind_l)
-    g = Mobius.rotation(phi) @ Mobius.axial(s) @ Mobius.rotation(psi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gk, gl = rho_act(g, k), rho_act(g, l)
+        if chi is None:
+            g = Mobius.rotation(phi) @ Mobius.axial(s) @ Mobius.rotation(psi)
+            gk, gl = rho_act(g, k), rho_act(g, l)
+        else:
+            m1 = Mobius.rotation(phi) @ Mobius.axial(0.5 * s) @ Mobius.rotation(chi)
+            m2 = Mobius.rotation(chi) @ Mobius.axial(0.5 * s) @ Mobius.rotation(psi)
+            gk, gl = rho_act(m1 @ m2, k), rho_act(m1, rho_act(m2, l))
+        # the identity keeps a moved body's element, and a raw matrix, here
+        # of the other sign, moves a body to the element of the equal Mobius
+        assert rho_act(Mobius(1.0, 0.0, 0.0, 1.0), gl).shape_tag.g == gl.shape_tag.g
+        r = Mobius.rotation(phi + psi)
+        assert gl.shape_tag.transform(-r.matrix).g == gl.shape_tag.transform(r).g
         assert mixed_area(gk.shape_tag, gl.shape_tag) == mixed_area(k.shape_tag, l.shape_tag)
         if k.shape_tag.area > 0.0 and l.shape_tag.area > 0.0:
             assert hyper_dist(normalize(gk), normalize(gl)) == hyper_dist(normalize(k), normalize(l))
+
+
+def _disc_distances(s):
+    """d(rho(g) disc, disc) for 100 draws g = R(phi)·axial(s)·R(psi), seed 3."""
+    rng, disc = np.random.default_rng(3), unit_disc(M)
+    return [hyper_dist(normalize(rho_act(_sheared(rng, s), disc)), normalize(disc)) for _ in range(100)]
+
+
+@pytest.mark.xfail(strict=True, reason="Mobius @ rescales by the root of a determinant formed by cancellation")
+def test_products_keep_their_translation_length_at_s30():
+    # the rescale adds about eps e^s relative to every product: 3.2e-5 here
+    want = iota_dist_closed(30.0)
+    assert all(d == pytest.approx(want, rel=1e-12, abs=0.0) for d in _disc_distances(30.0))
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="the determinant of a product rounds to <= 0 past s = 37")
+def test_products_are_never_refused_at_s40():
+    # the same cancellation: ad - bc of the raw product has absolute error
+    # eps e^s, so about 60 of 100 valid products are refused here
+    _disc_distances(40.0)
 
 
 def test_rho_act_form_invariance():
