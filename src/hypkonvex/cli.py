@@ -1,11 +1,12 @@
 """Command-line surface: distances, geodesic renders, suites, kernel tables.
 
-Exit codes: 0 success, 2 usage or parse error, 3 domain error (a body with
-no finite positive area, identical geodesic endpoints, a distance that
-breaks the reversed Cauchy-Schwarz bound or whose mixed area overflows,
-samples that are not a support function where a boundary is drawn), 4 suite
-failure.  Output is deterministic for a fixed (seed, grid); machine-readable
-floats are written with 17 significant digits.
+Exit codes: 0 success, 2 usage or parse error or an unwritable output (an
+--out that is not a directory), 3 domain error (a body with no finite
+positive area, identical geodesic endpoints, a distance that breaks the
+reversed Cauchy-Schwarz bound or whose mixed area overflows, samples that
+are not a support function where a boundary is drawn), 4 suite failure.
+Output is deterministic for a fixed (seed, grid); machine-readable floats
+are written with 17 significant digits.
 """
 
 import argparse
@@ -38,10 +39,13 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_SUITE = 4
-# --steps caps, checked before any work: geodesic writes a 33 kB SVG file per step and kernels one row of
-# quadratures, so a larger count would only exhaust disk, memory or time before it ends.
+# --steps, --grid and hdim --samples caps, checked before any work: geodesic writes a 33 kB SVG file per
+# step, kernels one row of quadratures, and a grid or a sample is 8 bytes in each of several arrays, so a
+# larger value would only exhaust disk, memory or time before it ends.
 MAX_GEODESIC_STEPS = 10_000
 MAX_KERNELS_STEPS = 100_000
+MAX_GRID = 1 << 20
+MAX_HDIM_SAMPLES = 10_000_000
 
 
 class CliError(Exception):
@@ -51,9 +55,9 @@ class CliError(Exception):
 
 
 def _grid(args):
-    """The --grid value, once it is a multiple of 4 and at least 64."""
-    if args.grid < 64 or args.grid % 4 != 0:
-        raise CliError("grid must be a multiple of 4 and at least 64", EXIT_USAGE)
+    """The --grid value, once it is a multiple of 4 from 64 to MAX_GRID."""
+    if not 64 <= args.grid <= MAX_GRID or args.grid % 4 != 0:
+        raise CliError("grid must be a multiple of 4 from 64 to %d" % MAX_GRID, EXIT_USAGE)
     return args.grid
 
 
@@ -177,6 +181,8 @@ def cmd_kernels(args):
 def cmd_hdim(args):
     if not (2 <= args.j_min < args.j_max <= 16):
         raise CliError("need 2 <= j_min < j_max <= 16", EXIT_USAGE)
+    if args.empirical and args.samples > MAX_HDIM_SAMPLES:
+        raise CliError("samples must be at most %d" % MAX_HDIM_SAMPLES, EXIT_USAGE)
     metric = "round" if args.control else "visual"
     slope, resid = hausdorff_dim_estimate(args.j_min, args.j_max, metric=metric)
     emp = {}
@@ -216,7 +222,7 @@ def build_parser():
     out.add_argument("--out", type=Path, default=Path("out"), help="output directory")
     # the commands that compute on a grid, where spectral warnings can fire
     spectral = argparse.ArgumentParser(add_help=False, parents=[out])
-    spectral.add_argument("--grid", type=int, default=DEFAULT_GRID, help="grid size M (multiple of 4, >= 64)")
+    spectral.add_argument("--grid", type=int, default=DEFAULT_GRID, help="grid size M (multiple of 4, 64 to 2^20)")
     spectral.add_argument("--strict", action="store_true", help="escalate spectral warnings to errors")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -259,6 +265,9 @@ def main(argv=None):
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
+    except OSError as exc:  # inputs are read in _load_pair, so this is an output
+        print("error: cannot write output: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE
     except (HyperbolicInvariantError, IsotropicVectorError, NotSupportFunctionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN

@@ -76,9 +76,11 @@ class Mobius:
     """Element of PSL2(R): entries with ad - bc = 1, canonically signed.
 
     The stored representative makes the first nonzero of (a, b, c, d)
-    positive, so equality of group elements is equality of fields.  The
-    determinant is checked to MOBIUS_DET_TOL plus rounding, 16 eps (|ad| + |bc|).
-    ``@`` composes elements, moved bodies' too; e @ g = g @ e = g in bits.
+    positive, so equality of group elements is equality of fields.  Entries
+    are checked where an element is built from them: finite, determinant 1
+    to MOBIUS_DET_TOL plus rounding, 16 eps (|ad| + |bc|).  ``@`` composes
+    elements, moved bodies' too, as the plain float product, signed and
+    checked finite only: det(AB) = det A det B = 1, so it is not rescaled.
     """
 
     a: float
@@ -87,26 +89,21 @@ class Mobius:
     d: float
 
     def __post_init__(self):
-        vals = (float(self.a), float(self.b), float(self.c), float(self.d))
+        self._signed((float(self.a), float(self.b), float(self.c), float(self.d)))
+        _check_unit_det(self.a, self.b, self.c, self.d, MOBIUS_DET_TOL)
+
+    def _signed(self, vals):
+        """Set the fields to the finite vals, the first nonzero made positive."""
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("entries must be finite")
-        _check_unit_det(*vals, MOBIUS_DET_TOL)
-        sign = math.copysign(1.0, next(v for v in vals if v != 0.0))
+        sign = math.copysign(1.0, next((v for v in vals if v != 0.0), 1.0))
         for name, v in zip(("a", "b", "c", "d"), vals):
             object.__setattr__(self, name, sign * v)
+        return self
 
     @property
     def matrix(self):
         return np.array([[self.a, self.b], [self.c, self.d]])
-
-    @classmethod
-    def from_matrix(cls, m):
-        """Normalize a positive-determinant matrix into PSL2(R)."""
-        m = np.asarray(m, dtype=float)
-        det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-        if det <= 0.0:
-            raise ValueError("matrix must have positive determinant, got %.17g" % det)
-        return cls(*m.ravel() / math.sqrt(det))
 
     @classmethod
     def rotation(cls, phi):
@@ -118,12 +115,7 @@ class Mobius:
         return cls(math.exp(0.5 * s), 0.0, 0.0, math.exp(-0.5 * s))
 
     def __matmul__(self, other):
-        if self == _IDENTITY or other == _IDENTITY:  # e·g = g·e = g in bits
-            return other if self == _IDENTITY else self
-        return Mobius.from_matrix(self.matrix @ other.matrix)
-
-
-_IDENTITY = Mobius(1.0, 0.0, 0.0, 1.0)
+        return object.__new__(Mobius)._signed((self.matrix @ other.matrix).ravel().tolist())
 
 
 def _freeze(arr):
@@ -145,14 +137,13 @@ class _Body:
     Everything else derives from these two: the support function, its
     derivative u_perp·x(u), the boundary, the area a(K, K) and the perimeter
     2 a(K, disc), the last two once per body.  ``transform(m)`` takes a
-    ``Mobius`` (a 2x2 array is checked as one) and keeps the image's unmoved
-    ``base`` and its element ``g``, m @ self.g, both None on an unmoved body.
+    ``Mobius`` alone and keeps the image's unmoved ``base`` and its element
+    ``g``, the product m @ self.g, both None on an unmoved body.
     """
 
     base = g = None
 
     def transform(self, m):
-        m = m if isinstance(m, Mobius) else Mobius(*np.ravel(m))
         image = self._image(m)
         vars(image).update(base=self.base or self, g=m if self.g is None else m @ self.g)
         return image

@@ -164,7 +164,7 @@ def test_each_polygonal_body_opens_one_support_span(bench_path):
     tracer = importlib.import_module("tracer")
     shapes = importlib.import_module("hypkonvex.shapes")
     square = shapes.Polygon(np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
-    moved = square.transform((Mobius.rotation(0.3) @ Mobius.axial(2.0)).matrix)
+    moved = square.transform(Mobius.rotation(0.3) @ Mobius.axial(2.0))
     namespaces = [importlib.import_module("hypkonvex")] + [importlib.import_module("hypkonvex." + m) for m in tracer.MODULES]
     before = [dict(vars(ns)) for ns in namespaces]
     supports = {name: getattr(shapes, name).support for name in tracer.SHAPE_CLASSES}

@@ -243,6 +243,53 @@ def test_steps_past_the_cap_exit_2_before_any_work(tmp_path, capsys, cmd, most):
     assert not load.called and not kernels.called and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "cmd, extra, flag, most",
+    [
+        ("dist", ["{a}", "{a}"], "--grid", 1 << 20),
+        ("geodesic", ["{a}", "{a}"], "--grid", 1 << 20),
+        ("verify", ["--suite", "kernels"], "--grid", 1 << 20),
+        ("hdim", ["--empirical"], "--samples", 10_000_000),
+    ],
+    ids=["dist", "geodesic", "verify", "hdim"],
+)
+def test_grid_and_samples_past_the_cap_exit_2_before_any_work(tmp_path, capsys, cmd, extra, flag, most):
+    # a samples document would be resampled to the grid, and hdim would draw
+    # its samples: each allocating function raises if it is reached
+    a = _write(tmp_path, "a.json", _SAMPLES_AT % "8")
+    argv = [cmd] + [arg.format(a=a) for arg in extra] + [flag, str(most + 4), "--out", str(tmp_path / "out")]
+    reached = AssertionError("reached past the cap")
+    with mock.patch("hypkonvex.shapedoc._resample", side_effect=reached), mock.patch(
+        "hypkonvex.cli.run_suite", side_effect=reached
+    ), mock.patch("hypkonvex.limits.sample_directions", side_effect=reached):
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s must be" % flag[2:]) and str(most) in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "{a}", "{a}", "--grid", "64", "--out", "{file}"],
+        ["geodesic", "{a}", "{b}", "--grid", "64", "--steps", "1", "--out", "{file}/sub"],
+        ["verify", "--suite", "kernels", "--out", "{file}"],
+        ["kernels", "--t-min", "1", "--t-max", "1", "--out", "{file}/sub"],
+        ["hdim", "--j-max", "6", "--out", "{file}"],
+    ],
+    ids=["dist", "geodesic", "verify", "kernels", "hdim"],
+)
+def test_an_out_that_is_not_a_directory_exits_2(tmp_path, capsys, argv):
+    # --out names a file, or a directory below one: writing fails with an
+    # OSError, which ends in an error line and not a traceback
+    paths = {"a": _write(tmp_path, "a.json", DISC), "b": _write(tmp_path, "b.json", SQUARE)}
+    paths["file"] = _write(tmp_path, "afile", "")
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert (tmp_path / "afile").read_text() == ""
+
+
 def test_dist_zero_area_exits_3(tmp_path, capsys):
     a = _write(tmp_path, "a.json", DISC)
     # a segment has area 0; samples of 1e300 have an area that overflows
@@ -668,7 +715,7 @@ def test_a_traced_benchmark_run_records_the_geodesic_command(tmp_path):
     shutil.copytree(repo / "bench", tmp_path / "bench")
     (tmp_path / "src").symlink_to(repo / "src")
     argv = [sys.executable, str(tmp_path / "bench" / "run.py"), "--workload", "geodesic", "--seed", "1",
-            "--seconds", "4", "--trace", "1"]
+            "--seconds", "0", "--trace", "1"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["correct"]

@@ -429,7 +429,7 @@ def test_tagged_samples_are_the_support_of_the_tag(h1, h2, c1, c2, seed):
                 continue
             # a copy by the identity map holds the same generators e_i, and the
             # perimeter is the length of the edge fan +-e_i
-            copy, e = k.transform(np.eye(2)), k.generators
+            copy, e = k.transform(Mobius(1.0, 0.0, 0.0, 1.0)), k.generators
             if len(e) == 1:
                 assert k.area == 0.0
             else:

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from hypkonvex.shapes import (
     Ellipse,
+    Mobius,
     Polygon,
     Segment,
     Sum,
@@ -178,11 +179,11 @@ def test_mixed_area_ellipse_polygon_consistency():
 
 
 def test_transforms():
-    m = np.array([[1.0, 1.0], [0.0, 1.0]])
+    m = Mobius(1.0, 1.0, 0.0, 1.0)
     sq2 = SQUARE.transform(m)
     assert shoelace_area(sq2.vertices) == pytest.approx(4.0, rel=1e-14)
     e = Ellipse(np.eye(2)).transform(m)
-    assert np.allclose(e.matrix, m)
+    assert np.allclose(e.matrix, m.matrix)
 
 
 def test_convex_hull_drops_interior_and_collinear():
@@ -296,8 +297,8 @@ def test_sum_boundary_support_and_derivative_agree():
 
 
 def test_sum_transform_keeps_mixed_areas():
-    m = np.array([[1.2, 0.7], [0.1, 0.9]])
-    m /= math.sqrt(np.linalg.det(m))
+    raw = np.array([[1.2, 0.7], [0.1, 0.9]])
+    m = Mobius(*(raw / math.sqrt(np.linalg.det(raw))).ravel())
     body = minkowski_combination([(0.6, _tilted_ellipse()), (1.0, SQUARE)])
     moved = body.transform(m)
     assert isinstance(moved, Sum) and isinstance(moved.terms[1][1], Polygon)

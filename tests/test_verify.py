@@ -103,7 +103,7 @@ def test_ellipse_sum_examples():
     assert ellipse_sum_test(e1, ident, 1.0, 1.0, M) > 1e-6
     rng = np.random.default_rng(1)
     m = random_mobius(rng, 2.0)
-    moved = ellipse_sum_test(e1.transform(m.matrix), ident.transform(m.matrix), 1.0, 1.0, M)
+    moved = ellipse_sum_test(e1.transform(m), ident.transform(m), 1.0, 1.0, M)
     assert moved > 1e-6  # verdict survives the group action
 
 
