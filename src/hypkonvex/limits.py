@@ -96,7 +96,7 @@ def visual_dist_generic(p_seq, q_seq):
     p_seq, q_seq = list(p_seq), list(q_seq)
     if len(p_seq) != len(q_seq) or not p_seq:
         raise ValueError("need two nonempty sequences of equal length")
-    base = normalize(unit_disc(p_seq[0].fn.grid))
+    base = normalize(unit_disc())
     dp = [hyper_dist(p, base) for p in p_seq]
     dq = [hyper_dist(q, base) for q in q_seq]
     for seq in (dp, dq):

@@ -10,8 +10,8 @@ over K's surface-area measure, t read at K's normals by supportfn._interp
 like any off-grid read (_form_shape_raw); pi0 reads the parts too.  One
 form of signature (1, -, -, ...) on one space holding every operand, it
 keeps the reversed Cauchy-Schwarz inequality (the Minkowski inequality for
-bodies) for every pair, with no route to pick.  Operands on different grids
-are refused (supportfn._same_grid).
+bodies) for every pair, with no route to pick.  Only raw-raw pairings read a
+grid, and take the finer one (supportfn._on_grid).
 """
 
 import functools
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .shapes import Ellipse, _freeze, _stretch, _terms, mixed_area
-from .supportfn import EvenFn, _bandwidth, _interp, _parseval_counts, _same_grid, combine, scaled
+from .supportfn import EvenFn, _bandwidth, _interp, _on_grid, _parseval_counts, combine, scaled
 
 FORM_UNIT_TOL = 1e-10
 INVARIANT_TOL = 1e-9
@@ -49,7 +49,9 @@ def acosh1p(x):
 def _spectral_weights(M):
     # once per grid, read-only: every spectral form value on that grid reads it
     n = np.arange(M // 2 + 1, dtype=float)
-    return _freeze(_parseval_counts(M) * (1.0 - n**2))
+    w = _parseval_counts(M) * (1.0 - n**2)
+    w[-1] *= 0.5  # the Nyquist mode a_N cos(N x) of the interpolant has mean square a_N^2 / 2
+    return _freeze(w)
 
 
 def _parseval(c1, c2, M):
@@ -57,9 +59,10 @@ def _parseval(c1, c2, M):
 
 
 def form_A_spectral(h1, h2=None):
-    """The Parseval form of the samples: a0 a0' + (1/2) sum (1-n^2)(an an' + bn bn')."""
+    """The Parseval form of the interpolants on the finer grid: a0 a0' + (1/2) sum (1-n^2)(an an' + bn bn')."""
     h2 = h1 if h2 is None else h2
-    return _parseval(h1._coeffs, h2._coeffs, _same_grid(h1, h2))
+    M = max(h1.grid, h2.grid)
+    return _parseval(_on_grid(h1, M)._coeffs, _on_grid(h2, M)._coeffs, M)
 
 
 def _form_exact(k1, k2):
@@ -133,7 +136,6 @@ def form_A(h1, h2=None):
     """The Lorentzian area form A(h1, h2); A(h1) when h2 is omitted: the sum
     of the pairings of the operands' parts, each of its own closed form."""
     h2 = h1 if h2 is None else h2
-    _same_grid(h1, h2)
     (k1, t1), (k2, t2) = (h1.body, h1.raw), (h2.body, h2.raw)
     pairs = (_form_exact, k1, k2), (form_A_spectral, t1, t2), (_form_shape_raw, k1, t2), (_form_shape_raw, k2, t1)
     return sum(form(a, b) for form, a, b in pairs if a is not None and b is not None)
@@ -152,6 +154,7 @@ def h1_seminorms(h):
     c = h._coeffs
     n = np.arange(h.grid // 2 + 1, dtype=float)
     p = _parseval_counts(h.grid) * (c * np.conj(c)).real
+    p[-1] *= 0.5  # the interpolant's Nyquist mode, as in _spectral_weights
     l2 = 2.0 * math.pi * float(p.sum())
     dl2 = 2.0 * math.pi * float(np.dot(n**2, p))
     return l2, dl2
@@ -202,9 +205,10 @@ def hyper_dist(p, q, method="auto"):
 
     x = A(p, q)/sqrt(A(p)A(q)) is taken with its normalization (unity within
     the HPoint tolerance), so x >= 1 holds to rounding for any operands.  For
-    two raw operands x - 1 is -A(p/|p| - q/|q|)/2 on the coefficients, free of
-    the cancellation that floors small distances at sqrt(machine epsilon)
-    elsewhere (method="spectral" takes it on the grid samples of any operands).
+    two raw operands x - 1 is -A(p/|p| - q/|q|)/2 on the coefficients on the
+    finer grid, free of the cancellation that floors small distances at
+    sqrt(machine epsilon) elsewhere (method="spectral" takes it on the grid
+    samples of any operands, and recomputes their self-forms there).
     Values of x - 1 in [-INVARIANT_TOL, 0) are taken for round-off and give
     distance 0; anything below -INVARIANT_TOL (1e-9) is a real invariant
     violation and raises, and so does a NaN or infinite x, the trace of a
@@ -215,9 +219,10 @@ def hyper_dist(p, q, method="auto"):
     if method == "auto" and (p.fn.body is not None or q.fn.body is not None):
         xm1 = form_A(p.fn, q.fn) / math.sqrt(p.a * q.a) - 1.0  # _cosh_between, self-forms read off the points
     else:
-        M = _same_grid(p.fn, q.fn)
-        u = p.fn._coeffs / math.sqrt(form_A_spectral(p.fn))
-        v = q.fn._coeffs / math.sqrt(form_A_spectral(q.fn))
+        M = max(p.fn.grid, q.fn.grid)
+        f, g = _on_grid(p.fn, M), _on_grid(q.fn, M)
+        a, b = (p.a, q.a) if method == "auto" else (form_A_spectral(f), form_A_spectral(g))
+        u, v = f._coeffs / math.sqrt(a), g._coeffs / math.sqrt(b)
         xm1 = -0.5 * _parseval(u - v, u - v, M)
     if not -INVARIANT_TOL <= xm1 < math.inf:
         why = "< 1: reversed Cauchy-Schwarz violated" if xm1 < 0.0 else "is not finite: a mixed area overflowed"

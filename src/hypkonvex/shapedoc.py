@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .shapes import Ellipse, Polygon, Segment
-from .supportfn import EvenFn, SpectralTailWarning, _from_shape, _resample, _tail_share
+from .supportfn import EvenFn, SpectralTailWarning, _from_shape, _on_grid, _tail_share
 
 
 class ShapeDocError(ValueError):
@@ -65,7 +65,7 @@ def load_shapedoc(path):
 def to_even_fn(doc, M):
     """Realize a parsed document on an M-point grid.
 
-    Raw samples on another grid are moved by one irfft (supportfn._resample),
+    Raw samples on another grid are moved by one irfft (supportfn._on_grid),
     exactly onto a finer grid; onto a coarser one the harmonics at and above
     its Nyquist fold, with a SpectralTailWarning when their energy share
     exceeds rounding (1e-24).
@@ -73,12 +73,10 @@ def to_even_fn(doc, M):
     if isinstance(doc, (Ellipse, Polygon)):
         return _from_shape(doc, M)
     if isinstance(doc, EvenFn):
-        if doc.grid == M:
-            return doc
-        folded = _tail_share(doc, M // 2)
+        folded = _tail_share(doc, M // 2) if doc.grid > M else 0.0
         if folded > 1e-24:
             why = "resampling raw samples from grid %d to %d folds %.3g of their energy"
             warnings.warn(why % (doc.grid, M, folded), SpectralTailWarning)
-        return EvenFn(_resample(doc._coeffs, doc.grid, M))
+        return _on_grid(doc, M)
     raise ShapeDocError("cannot realize %r" % (doc,))
 

@@ -11,8 +11,8 @@ alone.  The spectral form is trigonometric interpolation (one
 irfft onto another uniform grid; at scattered angles _interp, the one off-grid
 evaluator: the direct sum for few angles times band, else a nonuniform FFT in
 O(M log M)) and rfft-based differentiation (_deriv_coeffs, the one place the
-Nyquist bin of a derivative is dropped).  Operations on two functions check
-one grid (_same_grid).
+Nyquist bin of a derivative is dropped).  A body reads no grid; a read of the
+samples of two functions puts both on the finer grid (_on_grid), exactly.
 """
 
 import math
@@ -38,10 +38,6 @@ class SpectralTailWarning(UserWarning):
     """A raw spectrum's top holds enough energy to distrust its derivatives, shear or coarser resampling."""
 
 
-class GridMismatchError(ValueError):
-    """Two grid functions with different sample counts were combined."""
-
-
 class NotSupportFunctionError(ValueError):
     """An operation that needs a support function got a non-convex input."""
 
@@ -49,13 +45,6 @@ class NotSupportFunctionError(ValueError):
 def _check_grid(M):
     if M < 8 or M % 4 != 0:
         raise ValueError("grid size must be a multiple of 4 and at least 8, got %r" % (M,))
-
-
-def _same_grid(h1, h2):
-    """The grid size of h1 and h2, once they agree (else GridMismatchError)."""
-    if h1.grid != h2.grid:
-        raise GridMismatchError("grids differ: %d vs %d" % (h1.grid, h2.grid))
-    return h1.grid
 
 
 def grid_angles(M):
@@ -170,7 +159,7 @@ def from_samples(values, M=None):
     """Wrap raw samples; M, when given, cross-checks the array length."""
     v = np.asarray(values, dtype=float)
     if M is not None and v.size != M:
-        raise GridMismatchError("expected %d samples, got %d" % (M, v.size))
+        raise ValueError("expected %d samples, got %d" % (M, v.size))
     return EvenFn(v)
 
 
@@ -200,12 +189,13 @@ def from_polygon(p, M=DEFAULT_GRID):
     return _from_shape(p if isinstance(p, Polygon) else Polygon(p), M)
 
 
-def _combination(pairs, M):
+def _combination(pairs):
     """The sum of c h over the (c, h) pairs, part by part: the bodies' Minkowski
     combination (a Sum keeps each coefficient, so no geometry is rebuilt) and
-    the raw parts' sum.  A zero coefficient drops its operand."""
+    the raw parts' sum on the finest grid.  A zero coefficient drops its operand."""
+    M = max(h.grid for _, h in pairs)
     bodies = [(c, h.body) for c, h in pairs if c != 0.0 and h.body is not None]
-    raws = [c * h.raw.samples for c, h in pairs if c != 0.0 and h.raw is not None]
+    raws = [c * _on_grid(h.raw, M).samples for c, h in pairs if c != 0.0 and h.raw is not None]
     if not (bodies or raws):
         return constant(0.0, M)
     raw = EvenFn(sum(raws[1:], raws[0])) if raws else None
@@ -217,7 +207,7 @@ def scaled(h, c):
     one-term Sum ((c, K),), a Sum multiplies its coefficients."""
     if c < 0.0:
         raise ValueError("scaling coefficient must be nonnegative")
-    return _combination([(c, h)], h.grid)
+    return _combination([(c, h)])
 
 
 def combine(c1, h1, c2, h2):
@@ -225,18 +215,17 @@ def combine(c1, h1, c2, h2):
 
     Adding support functions adds the bodies (Minkowski sum), so the body part
     is c1 K1 + c2 K2, built from the two bodies alone, and the raw part is the
-    sum of the raw samples.
+    sum of the raw samples, on the finer grid.
     """
-    _same_grid(h1, h2)
     if c1 < 0.0 or c2 < 0.0:
         raise ValueError("combination coefficients must be nonnegative")
-    return _combination([(c1, h1), (c2, h2)], h1.grid)
+    return _combination([(c1, h1), (c2, h2)])
 
 
 def signed_diff(h1, h2):
-    """h1 - h2, a general even function (support-function tags cannot survive)."""
-    _same_grid(h1, h2)
-    return EvenFn(h1.samples - h2.samples)
+    """h1 - h2 on the finer grid, a general even function (support-function tags cannot survive)."""
+    M = max(h1.grid, h2.grid)
+    return EvenFn(_on_grid(h1, M).samples - _on_grid(h2, M).samples)
 
 
 def _resample(coeffs, M, N):
@@ -252,6 +241,14 @@ def _resample(coeffs, M, N):
     bins, both = np.r_[n, -n[1:]] % N, np.r_[c, np.conj(c[1:])]
     folded = np.bincount(bins, both.real, N) + 1j * np.bincount(bins, both.imag, N)
     return np.fft.irfft(folded[: N // 2 + 1] * N, n=N)
+
+
+def _on_grid(h, N):
+    """h read on an N-point grid: the body re-tagged, the raw part's
+    interpolant moved by _resample, exactly onto a finer grid."""
+    if h.grid == N:
+        return h
+    return _from_shape(h.body, N, None if h.raw is None else EvenFn(_resample(h.raw._coeffs, h.grid, N)))
 
 
 def _bandwidth(coeffs):

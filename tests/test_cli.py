@@ -96,15 +96,16 @@ def test_dist_polygon_vs_its_own_samples(tmp_path, capsys):
     # The samples mean their trigonometric interpolant t, a body other than
     # the square P.  The square's edge normals fall on grid angles, where t is
     # the sample h, so A(P, t) = (1/2pi) 4 sqrt(pi) h = 1 = A(P), and the
-    # distance is acosh(1/sqrt(A(t))), A(t) the Parseval sum of t.  Two copies
-    # of the samples are at distance 0.
+    # distance is acosh(1/sqrt(A(t))), A(t) the Parseval sum of t, its Nyquist
+    # cosine at half the weight of the other harmonics.  Two copies of the
+    # samples are at distance 0.
     sq = _area_pi_square()
     samples = to_even_fn(parse_shapedoc(sq), 2048).samples
     a = _write(tmp_path, "a.json", sq)
     b = _write(tmp_path, "b.json", json.dumps({"type": "samples", "grid": 2048, "values": samples.tolist()}))
     assert main(["dist", a, b, "--out", str(tmp_path / "out")]) == 0
     c, n = np.fft.rfft(samples) / 2048, np.arange(1025)
-    weights = np.where((n == 0) | (n == 1024), 1.0, 2.0) * (1.0 - n**2)
+    weights = np.where(n == 0, 1.0, np.where(n == 1024, 0.5, 2.0)) * (1.0 - n**2)
     assert samples[::512] == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-15)
     oracle = math.acosh(1.0 / math.sqrt(float(weights @ np.abs(c) ** 2)))
     assert float(capsys.readouterr().out.strip()) == pytest.approx(oracle, rel=1e-10)
@@ -141,7 +142,7 @@ def test_dist_of_a_far_stretched_ellipse_and_samples_follows_the_orbit_asymptoti
     assert main(["dist", e, r, "--grid", "64", "--out", str(tmp_path / "out")]) == 0
     c, n = np.fft.rfft(values) / 64, np.arange(33)
     weights = np.where((n == 0) | (n == 32), 1.0, 2.0)
-    area = float(weights * (1.0 - n**2) @ np.abs(c) ** 2)
+    area = float(np.where(n == 32, 0.5, weights) * (1.0 - n**2) @ np.abs(c) ** 2)
     minor = a + 0.5 * math.pi
     t = float(weights @ (c * np.exp(1j * n * minor)).real)  # the interpolant, its Nyquist mode a cosine
     oracle = math.log(s0) + math.log(4.0 / math.pi * t / math.sqrt(area))
@@ -259,7 +260,7 @@ def test_grid_and_samples_past_the_cap_exit_2_before_any_work(tmp_path, capsys, 
     a = _write(tmp_path, "a.json", _SAMPLES_AT % "8")
     argv = [cmd] + [arg.format(a=a) for arg in extra] + [flag, str(most + 4), "--out", str(tmp_path / "out")]
     reached = AssertionError("reached past the cap")
-    with mock.patch("hypkonvex.shapedoc._resample", side_effect=reached), mock.patch(
+    with mock.patch("hypkonvex.supportfn._resample", side_effect=reached), mock.patch(
         "hypkonvex.cli.run_suite", side_effect=reached
     ), mock.patch("hypkonvex.limits.sample_directions", side_effect=reached):
         assert main(argv) == 2

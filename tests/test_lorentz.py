@@ -36,9 +36,11 @@ from hypkonvex.supportfn import (
     from_polygon,
     from_samples,
     from_segment,
+    fourier,
     grid_angles,
     scaled,
     unit_disc,
+    _on_grid,
 )
 from hypkonvex.verify import (
     SuiteReport,
@@ -552,6 +554,44 @@ def test_distance_of_points_with_a_body_evaluates_one_form(monkeypatch):
         d = hyper_dist(p, q)
         assert calls == [2]
         assert d == acosh1p(max(0.0, _cosh_between(p.fn, q.fn) - 1.0))
+
+
+def test_distance_of_two_raw_points_reads_their_self_forms(monkeypatch):
+    # A raw point's self-form is its Parseval sum, kept in p.a, so a raw-raw
+    # distance evaluates no Parseval sum of its own, and gives the float of
+    # the formula with both self-forms recomputed.
+    rng = np.random.default_rng(4)
+    p = normalize(random_support_fn(rng, M))
+    q = normalize(from_samples(from_polygon(random_polygon(rng), M).samples))
+    spectral, calls = lorentz.form_A_spectral, []
+    monkeypatch.setattr(lorentz, "form_A_spectral", lambda *args: calls.append(len(args)) or spectral(*args))
+    d = hyper_dist(p, q)
+    assert calls == []
+    u, v = p.fn._coeffs / math.sqrt(spectral(p.fn)), q.fn._coeffs / math.sqrt(spectral(q.fn))
+    assert d == acosh1p(max(0.0, -0.5 * lorentz._parseval(u - v, u - v, M)))
+
+
+@pytest.mark.parametrize("grid", [64, 256, 2048])
+def test_spectral_form_is_the_interpolants_fourier_formula(grid):
+    # a0 a0' + (1/2) sum (1 - n^2)(an an' + bn bn') over every harmonic of
+    # fourier, whose Nyquist mode a_N cos(N x) is the interpolant's
+    rng = np.random.default_rng(grid)
+    t1, t2 = (from_samples(from_polygon(random_polygon(rng), grid).samples) for _ in range(2))
+    (a1, b1), (a2, b2) = fourier(t1), fourier(t2)
+    w = 0.5 * (1.0 - np.arange(grid // 2 + 1) ** 2)
+    want = a1[0] * a2[0] + float(w[1:] @ (a1[1:] * a2[1:] + b1[1:] * b2[1:]))
+    assert form_A_spectral(t1, t2) == pytest.approx(want, rel=1e-14)
+
+
+def test_samples_and_their_interpolant_on_a_finer_grid_are_one_point():
+    # The area-pi square's samples t on 2048 points and the same interpolant
+    # on 4096 are one vector of the form, alone and added to an ellipse.
+    r = 0.5 * math.sqrt(math.pi)
+    t = from_samples(from_polygon(r * SQUARE.vertices, 2048).samples)
+    lift = _on_grid(t, 4096)
+    assert abs(_cosh_between(t, lift) - 1.0) <= 1e-15
+    e = from_ellipse(random_ellipse(np.random.default_rng(1)))
+    assert hyper_dist(normalize(combine(1.0, e, 1.0, t)), normalize(combine(1.0, e, 1.0, lift))) <= 1e-7
 
 
 def _band_limited(rng, grid, top):

@@ -19,7 +19,6 @@ from hypkonvex.shapedoc import to_even_fn
 from hypkonvex.supportfn import (
     EVEN_TOL,
     EvenFn,
-    GridMismatchError,
     NotSupportFunctionError,
     SpectralTailWarning,
     boundary_curve,
@@ -41,6 +40,7 @@ from hypkonvex.supportfn import (
     unit_disc,
     _grid_directions,
     _interp,
+    _on_grid,
     _resample,
 )
 from hypkonvex.verify import random_band_limited, random_ellipse, random_mobius, random_polygon, random_support_fn
@@ -169,8 +169,57 @@ _RAW = constant(1.0, M), EvenFn(from_ellipse(DIAG_2_HALF, 2 * M).samples)
     ],
 )
 def test_operands_on_different_grids_are_refused(pair, call):
-    with pytest.raises(GridMismatchError, match="grids differ: %d vs %d" % (M, 2 * M)):
-        call(*pair)
+    """Operands on grids M and 2M are not refused: they meet on 2M.  Bodies
+    read no grid, so they give the bits of the same bodies on one grid; raw
+    parts give their interpolants' values there to rounding."""
+    got = call(*pair)
+    want = call(*(_on_grid(h, 2 * M) for h in pair))
+    if isinstance(got, EvenFn):
+        assert got.grid == want.grid == 2 * M
+        got, want = got.samples, want.samples
+    if pair is _TAGGED:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(np.subtract(got, want)).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_from_samples_cross_checks_the_length():
+    with pytest.raises(ValueError, match="expected %d samples, got %d" % (2 * M, M)):
+        from_samples(THETA, 2 * M)
+
+
+_MIXED_GRIDS = [64, 96, 256, 1536, 2048]
+_OPERAND_KINDS = ["ellipse", "polygon", "sum", "band-limited", "polygon-samples"]
+
+
+def _operand(kind, grid, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "ellipse":
+        return from_ellipse(random_ellipse(rng), grid)
+    if kind == "polygon":
+        return from_polygon(random_polygon(rng), grid)
+    if kind == "sum":
+        return combine(0.5, from_ellipse(random_ellipse(rng), grid), 1.5, from_polygon(random_polygon(rng), grid))
+    return _raw_body(kind, grid, rng)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(_OPERAND_KINDS),
+    st.sampled_from(_MIXED_GRIDS),
+    st.sampled_from(_OPERAND_KINDS),
+    st.sampled_from(_MIXED_GRIDS),
+    st.integers(0, 1 << 16),
+)
+def test_the_form_is_symmetric_and_bilinear_across_grids(kind1, grid1, kind2, grid2, seed):
+    # A(h1 + h2) reads raw parts on the finer grid, A(h1) and A(h2) each on
+    # its own: they agree only if the form is the interpolants' on every grid,
+    # the Nyquist mode of kinked samples included.
+    h1, h2 = _operand(kind1, grid1, seed), _operand(kind2, grid2, seed + 1)
+    a11, a12, a22 = form_A(h1), form_A(h1, h2), form_A(h2)
+    scale = abs(a11) + 2.0 * abs(a12) + abs(a22)
+    assert abs(form_A(h2, h1) - a12) <= 1e-13 * scale
+    assert abs(form_A(combine(1.0, h1, 1.0, h2)) - (a11 + 2.0 * a12 + a22)) <= 1e-13 * scale
 
 
 def test_signed_diff():
