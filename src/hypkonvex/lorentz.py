@@ -4,14 +4,14 @@ form_A is the bilinear form (1/2pi) int (h1 h2 - h1' h2'); on support
 functions it is the mixed area divided by pi.  Bodies of area pi sit on the
 hyperboloid {A(h) = 1, pi0(h) > 0} and acosh of the form is their distance.
 An operand is a body part K plus a raw part t (supportfn.EvenFn), either
-absent, and form_A adds the exact pairings of the parts: mixed_area(K, L)/pi
-(_form_exact), the Parseval sum (form_A_spectral) and (1/2pi) int t dS_K
-over K's surface-area measure, t read at K's normals by supportfn._interp
-like any off-grid read (_form_shape_raw); pi0 reads the parts too.  One
-form of signature (1, -, -, ...) on one space holding every operand, it
-keeps the reversed Cauchy-Schwarz inequality (the Minkowski inequality for
-bodies) for every pair, with no route to pick.  Only raw-raw pairings read a
-grid, and take the finer one (supportfn._on_grid).
+absent, and form_A adds the exact pairings of the parts: the Parseval sum of
+two raw parts (form_A_spectral) and, for every pair with a body,
+shapes.mixed_area(K, L)/pi (_form_exact), L a body or a raw part t, which
+pairs as (1/2) int t dS_K; pi0 reads the parts too.  This module knows no
+shape kind.  One form of signature (1, -, -, ...) on one space holding every
+operand, it keeps the reversed Cauchy-Schwarz inequality (the Minkowski
+inequality for bodies) for every pair, with no route to pick.  Only raw-raw
+pairings read a grid, and take the finer one (supportfn._on_grid).
 """
 
 import functools
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .shapes import Ellipse, _freeze, _stretch, _terms, mixed_area
-from .supportfn import EvenFn, _bandwidth, _interp, _on_grid, _parseval_counts, combine, scaled
+from .shapes import _freeze, mixed_area
+from .supportfn import EvenFn, _on_grid, _parseval_counts, combine, scaled
 
 FORM_UNIT_TOL = 1e-10
 INVARIANT_TOL = 1e-9
@@ -47,15 +47,16 @@ def acosh1p(x):
 
 @functools.cache
 def _spectral_weights(M):
-    # once per grid, read-only: every spectral form value on that grid reads it
-    n = np.arange(M // 2 + 1, dtype=float)
-    w = _parseval_counts(M) * (1.0 - n**2)
-    w[-1] *= 0.5  # the Nyquist mode a_N cos(N x) of the interpolant has mean square a_N^2 / 2
-    return _freeze(w)
+    # once per grid, read-only: the weights of the rfft bins' c c' in the
+    # interpolant's mean square (its Nyquist mode a_N cos(N x) has a_N^2 / 2),
+    # and those times 1 - n^2, the form's; every spectral value reads them
+    w = np.array(_parseval_counts(M))
+    w[-1] *= 0.5
+    return _freeze(w), _freeze(w * (1.0 - np.arange(M // 2 + 1, dtype=float) ** 2))
 
 
 def _parseval(c1, c2, M):
-    return float(np.dot(_spectral_weights(M), (c1 * np.conj(c2)).real))
+    return float(np.dot(_spectral_weights(M)[1], (c1 * np.conj(c2)).real))
 
 
 def form_A_spectral(h1, h2=None):
@@ -69,75 +70,12 @@ def _form_exact(k1, k2):
     return mixed_area(k1, k2) / math.pi
 
 
-def _graded_edges(log2_width, end):
-    """Panel edges 0, w, 2w, 4w, ... up to ``end``, graded toward a peak of
-    width w = 2**log2_width at 0.
-
-    The width comes as a logarithm, so that no ratio of scales is formed and
-    any peak width works; edges that underflow to 0 are dropped.
-    """
-    grown = (2.0 ** (log2_width + k) for k in range(math.ceil(math.log2(end) - log2_width)))
-    return [0.0] + [e for e in grown if e > 0.0] + [end]
-
-
-@functools.cache
-def _gauss_legendre():  # on first use: numpy.polynomial costs every command 5 ms, 1 MB
-    return np.polynomial.legendre.leggauss(20)
-
-
-def _panel_mean(f, edges):
-    """Mean of f over [edges[0], edges[-1]] by 20-point Gauss-Legendre on
-    each panel between consecutive edges, on which f must be analytic.
-
-    On graded edges a singularity at distance ~w from 0 stays a panel width
-    or more from every panel, so all panels converge at one geometric rate.
-    """
-    nodes, weights = _gauss_legendre()
-    e = np.asarray(edges, dtype=float)
-    mid, rad = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
-    return float(rad @ (f(mid[:, None] + rad[:, None] * nodes) @ weights) / (e[-1] - e[0]))
-
-
-def _ellipse_pairing(e, t):
-    """(1/2pi) int t dS_E for E = R(a) diag(s0, 1/s0) D: dS_E, of density H_E^-3 in the
-    normal angle, is the arc length hypot(s0 sin p, cos p / s0) dp at normal angle
-    a +- atan2(s0 sin p, cos p / s0), p in [0, pi/2], on panels graded toward p = 0 (the
-    normal sweeps past the ends within 1/s0^2) and cut every 16/band of normal angle,
-    band t's (supportfn._bandwidth).  s0 and a come from _stretch and the singular
-    vectors, not from |M^T u|, whose minimum rounds to eps s0."""
-    s0 = _stretch(*e.matrix.ravel().tolist())
-    a, end = math.atan2(*np.linalg.svd(e.matrix)[0][::-1, 0]), 0.5 * math.pi  # the major axis
-    nu = np.arange(0.0, end, min(end, 16.0 / max(_bandwidth(t._coeffs), 1)))
-    edges = np.union1d(_graded_edges(-2.0 * math.log2(s0), end), np.arctan2(np.sin(nu) / s0, s0 * np.cos(nu)))
-
-    def f(p):
-        nu = np.arctan2(s0 * np.sin(p), np.cos(p) / s0)
-        v = _interp(t._coeffs, t.grid, a + np.stack([nu, -nu]))
-        return (v[0] + v[1]) * np.hypot(s0 * np.sin(p), np.cos(p) / s0)
-
-    return 0.5 * _panel_mean(f, edges)
-
-
-def _form_shape_raw(k, t):
-    """A(K, t) = (1/2pi) int t dS_K, term by term over a Sum; (1/2pi) sum l_i t(n_i)
-    over the turned edge fan (+-J e_i) for a polygon.  t is read at the normal
-    angles by supportfn._interp."""
-    total = 0.0
-    for w, shape in _terms(k):
-        if isinstance(shape, Ellipse):
-            total += w * _ellipse_pairing(shape, t)
-        else:
-            fan = np.concatenate([shape._turned_fan, -shape._turned_fan], axis=1)
-            total += w * float(np.hypot(*fan) @ _interp(t._coeffs, t.grid, np.arctan2(*fan[::-1]))) / (2.0 * math.pi)
-    return total
-
-
 def form_A(h1, h2=None):
     """The Lorentzian area form A(h1, h2); A(h1) when h2 is omitted: the sum
     of the pairings of the operands' parts, each of its own closed form."""
     h2 = h1 if h2 is None else h2
     (k1, t1), (k2, t2) = (h1.body, h1.raw), (h2.body, h2.raw)
-    pairs = (_form_exact, k1, k2), (form_A_spectral, t1, t2), (_form_shape_raw, k1, t2), (_form_shape_raw, k2, t1)
+    pairs = (_form_exact, k1, k2), (form_A_spectral, t1, t2), (_form_exact, k1, t2), (_form_exact, t1, k2)
     return sum(form(a, b) for form, a, b in pairs if a is not None and b is not None)
 
 
@@ -153,8 +91,7 @@ def h1_seminorms(h):
     """
     c = h._coeffs
     n = np.arange(h.grid // 2 + 1, dtype=float)
-    p = _parseval_counts(h.grid) * (c * np.conj(c)).real
-    p[-1] *= 0.5  # the interpolant's Nyquist mode, as in _spectral_weights
+    p = _spectral_weights(h.grid)[0] * (c * np.conj(c)).real
     l2 = 2.0 * math.pi * float(p.sum())
     dl2 = 2.0 * math.pi * float(np.dot(n**2, p))
     return l2, dl2

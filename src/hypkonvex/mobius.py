@@ -1,12 +1,12 @@
 """PSL2(R): action on the circle, on support functions, and on the half-plane.
 
 A Mobius element is a real 2x2 unit-determinant matrix up to sign.  It acts
-on bodies by the linear map, on circle functions by
-rho(A)h(x) = |A^T x| h(A^T x / |A^T x|), and on the Poincare upper half-plane
-by homography.  The orbit of the unit disc is the family of area-pi ellipses,
-giving an embedding iota of the hyperbolic plane into the hyperboloid of
-bodies whose extrinsic distance comes out in closed form through complete
-elliptic integrals.
+on bodies by the linear map, on circle functions by the homogeneous
+extension, rho(A)h(x) = |A^T x| h(A^T x / |A^T x|) (EvenFn.hsupport on raw
+samples), and on the Poincare upper half-plane by homography.  The orbit of
+the unit disc is the family of area-pi ellipses, giving an embedding iota of
+the hyperbolic plane into the hyperboloid of bodies whose extrinsic distance
+comes out in closed form through complete elliptic integrals.
 """
 
 import math
@@ -15,17 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shapes import Ellipse, Mobius, _adjugate_product, _form_value, _shear, _stretch
-from .supportfn import (
-    DEFAULT_GRID,
-    EvenFn,
-    _from_shape,
-    _grid_directions,
-    _interp,
-    _warn_spectral_tail,
-    from_ellipse,
-)
-from .lorentz import _graded_edges, _panel_mean, acosh1p, normalize
+from .shapes import Ellipse, Mobius, _adjugate_product, _form_value, _graded_edges, _panel_mean, _shear, _stretch
+from .supportfn import DEFAULT_GRID, EvenFn, _from_shape, _grid_directions, _warn_spectral_tail, from_ellipse
+from .lorentz import acosh1p, normalize
 
 
 @dataclass(frozen=True)
@@ -48,9 +40,9 @@ def rho_act(m, h):
 
     It is linear, so it moves each part of h.  The body moves by its
     transform, which keeps its base and the element m @ g: bodies moved by
-    equal elements pair as their bases at any shear.  The raw part is
-    resampled at the sheared angles by supportfn._interp, with a warning when
-    its spectrum is not resolved, since the action shears spectra.  Only the
+    equal elements pair as their bases at any shear.  The raw part t is read
+    as mixed_area reads it, t.hsupport(m^T u), with a warning when its
+    spectrum is not resolved, since the action shears spectra.  Only the
     first M/2 grid angles are evaluated, and that half is written twice:
     theta + pi keeps |m^T u| and adds pi to the angle, so the result is exactly
     pi-periodic; any odd-harmonic residue (at most EVEN_TOL) is dropped.
@@ -60,7 +52,7 @@ def rho_act(m, h):
         why = "input spectrum unresolved (top quarter holds %.2f%% energy); the sheared result will alias"
         _warn_spectral_tail(t, why)
         w = m.matrix.T @ _grid_directions(h.grid)[:, : h.grid // 2]
-        t = EvenFn(np.tile(np.hypot(w[0], w[1]) * _interp(t._coeffs, h.grid, np.arctan2(w[1], w[0])), 2))
+        t = EvenFn(np.tile(t.hsupport(w), 2))
     return _from_shape(h.body.transform(m) if h.body is not None else None, h.grid, t)
 
 
@@ -76,17 +68,16 @@ def mobius_from_halfplane(z):
     return Mobius(r, z.x / r, 0.0, 1.0 / r)
 
 
-def _translation_length(a, b, c, d):
-    """d(C i, i) = acosh(||C||_F^2 / 2) = 2 asinh(q/2) for a unit-determinant
-    C = [[a, b], [c, d]], with q = _shear(C): neither squared nor overflowing."""
-    return 2.0 * math.asinh(0.5 * _shear(a, b, c, d))
+def _h2_between(a, b):
+    """d(A i, B i) for unit-determinant 2x2 arrays A and B: the translation
+    length acosh(||C||_F^2 / 2) = 2 asinh(q/2) of C = adj(B)·A = B^{-1}A, with
+    q = _shear(C), neither squared nor overflowing."""
+    return 2.0 * math.asinh(0.5 * _shear(*_adjugate_product(b, a)))
 
 
 def dist_h2(z1, z2):
-    """Hyperbolic-plane distance, the translation length of B^{-1}A = adj(B)·A
-    for the sections A and B of z1 and z2."""
-    a, b = (mobius_from_halfplane(z).matrix for z in (z1, z2))
-    return _translation_length(*_adjugate_product(b, a))
+    """Hyperbolic-plane distance, _h2_between the sections of z1 and z2."""
+    return _h2_between(*(mobius_from_halfplane(z).matrix for z in (z1, z2)))
 
 
 def iota(z, M=DEFAULT_GRID):

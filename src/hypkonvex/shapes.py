@@ -10,13 +10,15 @@ defines only its homogeneous support, its support point and its image under
 a group element, a ``Mobius``; the support function, its derivative, the
 boundary, and the area a(K, K) and perimeter 2 a(K, disc) as mixed areas
 derive from these.  Mixed areas between any two shapes are in closed form,
-free of grid error, and bodies moved by equal elements pair as their bases.
+free of grid error, and bodies moved by equal elements pair as their bases;
+mixed_area, the one dispatcher, also pairs a shape with raw samples (a
+supportfn.EvenFn), read like a body through its homogeneous support.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -395,19 +397,71 @@ def minkowski_sum(terms):
     return _zonogon(np.concatenate([c * p.generators for c, p in terms]))
 
 
+def _graded_edges(log2_width, end):
+    """Panel edges 0, w, 2w, 4w, ... up to ``end``, graded toward a peak of
+    width w = 2**log2_width at 0.
+
+    The width comes as a logarithm, so that no ratio of scales is formed and
+    any peak width works; edges that underflow to 0 are dropped.
+    """
+    grown = (2.0 ** (log2_width + k) for k in range(math.ceil(math.log2(end) - log2_width)))
+    return [0.0] + [e for e in grown if e > 0.0] + [end]
+
+
+@cache
+def _gauss_legendre():  # on first use: numpy.polynomial costs every command 5 ms, 1 MB
+    return np.polynomial.legendre.leggauss(20)
+
+
+def _panel_mean(f, edges):
+    """Mean of f over [edges[0], edges[-1]] by 20-point Gauss-Legendre on
+    each panel between consecutive edges, on which f must be analytic.
+
+    On graded edges a singularity at distance ~w from 0 stays a panel width
+    or more from every panel, so all panels converge at one geometric rate.
+    """
+    nodes, weights = _gauss_legendre()
+    e = np.asarray(edges, dtype=float)
+    mid, rad = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
+    return float(rad @ (f(mid[:, None] + rad[:, None] * nodes) @ weights) / (e[-1] - e[0]))
+
+
+def _ellipse_pairing(e, t):
+    """(1/2pi) int t dS_E for E = R(a) diag(s0, 1/s0) D: dS_E, of density H_E^-3 in the
+    normal angle, is the arc length hypot(s0 sin p, cos p / s0) dp at normal angle
+    a +- atan2(s0 sin p, cos p / s0), p in [0, pi/2], on panels graded toward p = 0 (the
+    normal sweeps past the ends within 1/s0^2) and cut every 16/band of normal angle,
+    band t's (t.band).  s0 and a come from _stretch and the singular vectors,
+    not from |M^T u|, whose minimum rounds to eps s0."""
+    s0 = _stretch(*e.matrix.ravel().tolist())
+    a, end = math.atan2(*np.linalg.svd(e.matrix)[0][::-1, 0]), 0.5 * math.pi  # the major axis
+    nu = np.arange(0.0, end, min(end, 16.0 / max(t.band, 1)))
+    edges = np.union1d(_graded_edges(-2.0 * math.log2(s0), end), np.arctan2(np.sin(nu) / s0, s0 * np.cos(nu)))
+
+    def f(p):
+        nu = np.arctan2(s0 * np.sin(p), np.cos(p) / s0)
+        v = t.support(a + np.stack([nu, -nu]))
+        return (v[0] + v[1]) * np.hypot(s0 * np.sin(p), np.cos(p) / s0)
+
+    return 0.5 * _panel_mean(f, edges)
+
+
 def mixed_area(a, b):
-    """Mixed area a(K, L) of two shapes, in closed form; a(K, K) is the area.
+    """Mixed area a(K, L) of two shapes, in closed form, or of a shape and raw
+    samples t (a supportfn.EvenFn), (1/2) int t dS_K; a(K, K) is the area.
 
     A Sum expands by bilinearity.  Against a polygon L with generators e_j it
     is sum_j H_K(J e_j), half the sum over the edge fan +-e_j (H_K, the
-    homogeneous support, is even), J the quarter turn (x, y) -> (y, -x), so
-    two polygons pair as (1/2) sum_ij |e_i x f_j| and equal bodies pair by
-    the same float operations as a body with itself.  Two ellipses A·D and
-    B·D reduce to an ellipse against the disc, a(A·D, B·D) = a(B^{-1}A·D, D) =
-    pi C(s0), with s0 the stretch of adj(B)·A and C the form value; it is NaN
-    or inf when that product overflows.  First of all, bodies moved by equal
-    elements pair as their bases, a(gK, gL) = a(K, L), and m1 @ m2 moves a
-    body to the same element as m2, then m1.  Areas and perimeters are cached.
+    homogeneous support, is even; t's, |w| t(angle w), to EVEN_TOL), J the
+    quarter turn (x, y) -> (y, -x), so two polygons pair as (1/2) sum_ij
+    |e_i x f_j| and equal bodies pair by the same float operations as a body
+    with itself.  Two ellipses A·D and B·D reduce to an ellipse against the
+    disc, a(A·D, B·D) = a(B^{-1}A·D, D) = pi C(s0), with s0 the stretch of
+    adj(B)·A and C the form value; it is NaN or inf when that product
+    overflows.  An ellipse pairs with t by quadrature over half its normals
+    (_ellipse_pairing).  First of all, bodies moved by equal elements pair as
+    their bases, a(gK, gL) = a(K, L), and m1 @ m2 moves a body to the same
+    element as m2, then m1.  Areas and perimeters are cached.
     """
     if a is b:
         return a.area
@@ -429,4 +483,6 @@ def _mixed_area(a, b):
         return float(a.hsupport(b._turned_fan).sum())
     if isinstance(a, Polygon):
         return _mixed_area(b, a)
+    if not (isinstance(a, Ellipse) and isinstance(b, Ellipse)):  # an ellipse against a raw part
+        return math.pi * (_ellipse_pairing(a, b) if isinstance(a, Ellipse) else _ellipse_pairing(b, a))
     return math.pi * _form_value(_stretch(*_adjugate_product(b.matrix, a.matrix)))

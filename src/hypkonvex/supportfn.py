@@ -11,8 +11,10 @@ alone.  The spectral form is trigonometric interpolation (one
 irfft onto another uniform grid; at scattered angles _interp, the one off-grid
 evaluator: the direct sum for few angles times band, else a nonuniform FFT in
 O(M log M)) and rfft-based differentiation (_deriv_coeffs, the one place the
-Nyquist bin of a derivative is dropped).  A body reads no grid; a read of the
-samples of two functions puts both on the finer grid (_on_grid), exactly.
+Nyquist bin of a derivative is dropped).  A raw function answers the reads
+shapes.mixed_area makes of a body (support, hsupport, band, g), which pair it
+with a body.  A body reads no grid; a read of the samples of two functions
+puts both on the finer grid (_on_grid), exactly.
 """
 
 import math
@@ -130,6 +132,26 @@ class EvenFn:
         c = np.fft.rfft(self.samples) / self.grid
         c.setflags(write=False)
         return c
+
+    # What shapes.mixed_area reads of a body, for a raw function only: where
+    # there is a body, the interpolant of the grid samples is not the function.
+    g = None  # rho_act moves a raw part by resampling, never by a stored element
+
+    @property
+    def _raw_coeffs(self):
+        if self.body is not None:
+            raise TypeError("a function with a body is read part by part, not as one interpolant")
+        return self._coeffs
+
+    def support(self, theta):  # the interpolant at finite angles
+        return _interp(self._raw_coeffs, self.grid, theta)
+
+    def hsupport(self, w):  # the homogeneous extension |w| t(angle w) at (2, n) vectors w
+        return np.hypot(w[0], w[1]) * self.support(np.arctan2(w[1], w[0]))
+
+    @cached_property
+    def band(self):  # the highest harmonic _interp keeps
+        return _bandwidth(self._raw_coeffs)
 
 
 def _from_shape(shape, M, raw=None):

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .limits import empirical_dim_estimate, hausdorff_dim_estimate
-from .lorentz import _cosh_between, _graded_edges, _panel_mean, form_A, h1_seminorms, normalize
+from .lorentz import _cosh_between, form_A, h1_seminorms, normalize
 from .mobius import (
     BASEPOINT,
     HalfPlanePoint,
     Mobius,
-    _translation_length,
+    _h2_between,
     dist_h2,
     halfplane_apply,
     iota,
@@ -29,7 +29,7 @@ from .mobius import (
     iota_dist_quadrature,
     rho_act,
 )
-from .shapes import Ellipse, Polygon, _adjugate_product, _form_value, convex_hull
+from .shapes import Ellipse, Polygon, _form_value, _graded_edges, _panel_mean, convex_hull
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
@@ -430,12 +430,6 @@ def _equivariance_suite(col, rng, grid):
         done += 1
 
 
-def _ellipse_h2_dist(e1, e2):
-    """Hyperbolic-plane distance between the orbit points of two ellipses:
-    the translation length of adj(B)·A."""
-    return _translation_length(*_adjugate_product(e2.matrix, e1.matrix))
-
-
 def _add_gram_signature(col, digest, g):
     """Record that the Gram matrix g of n+1 bodies has the form's signature (1, n): its eigenvalues
     l0 >= l1 >= ... have min(l0, -l1) above (n+1) 1e-12 max|g|.  That floor is the most by which
@@ -451,7 +445,7 @@ def _gram_rank_suite(col, rng, grid):
             mats = []
             while len(mats) < n + 1:
                 e = random_ellipse(rng)
-                if all(_ellipse_h2_dist(e, o) > 0.7 for o in mats):
+                if all(_h2_between(e.matrix, o.matrix) > 0.7 for o in mats):
                     mats.append(e)
             fns = [from_ellipse(e, grid) for e in mats]
             g = np.array([[form_A(a, b) for b in fns] for a in fns])
@@ -472,7 +466,7 @@ def _ellipse_sum_suite(col, rng, grid):
     done = 0
     while done < 20:
         e1, e2 = random_ellipse(rng, 1.2), random_ellipse(rng, 1.2)
-        if _ellipse_h2_dist(e1, e2) < 0.6:
+        if _h2_between(e1.matrix, e2.matrix) < 0.6:
             continue
         energy = ellipse_sum_test(e1, e2, 1.0, 1.0, grid)
         dig = _digest(e1.matrix, e2.matrix)

@@ -26,8 +26,9 @@ from hypkonvex.lorentz import (
     pi0,
 )
 from hypkonvex.mobius import Mobius, iota_dist_closed, iota_dist_quadrature, rho_act
-from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, _form_value, _stretch, mixed_area
+from hypkonvex.shapes import Ellipse, Polygon, Segment, Sum, _form_value, _stretch, minkowski_combination, mixed_area
 from hypkonvex.supportfn import (
+    EVEN_TOL,
     EvenFn,
     combine,
     constant,
@@ -524,7 +525,7 @@ def test_each_part_pairing_calls_its_own_form(monkeypatch):
     for a, b, want in [
         (tagged, from_ellipse(random_ellipse(rng), M), {"exact": 1, "spectral": 0}),
         (raw, random_support_fn(rng, M), {"exact": 0, "spectral": 1}),
-        (tagged, raw, {"exact": 0, "spectral": 0}),
+        (tagged, raw, {"exact": 1, "spectral": 0}),  # a body pairs with raw samples by shapes.mixed_area
     ]:
         calls.update(exact=0, spectral=0)
         form_A(a, b)
@@ -613,14 +614,17 @@ def _polygon_oracle(vertices, t):
     return sum(math.hypot(x, y) * float(t(math.atan2(-x, y))) for x, y in e) / (2.0 * math.pi)
 
 
-def _ellipse_oracle(s, a, t):
+def _ellipse_oracle(s, a, t, band=0):
     # (1/pi) int over a period of t H^-3 for R(a) diag(e^{s/2}, e^{-s/2}) R(b),
     # split at the minor normal a + pi/2 and taken in the offset d from it,
-    # where H = hypot(s0 sin d, cos d / s0) is evaluated without cancellation
+    # where H = hypot(s0 sin d, cos d / s0) is evaluated without cancellation;
+    # each half is cut into 1 + band/8 panels, so that quad resolves a t of
+    # band harmonics (polygon samples on grid 2048 reach 1024)
     s0, minor = math.exp(0.5 * s), a + 0.5 * math.pi
     f = lambda d: float(t(minor + d)) / math.hypot(s0 * math.sin(d), math.cos(d) / s0) ** 3  # noqa: E731
     kw = dict(epsabs=0.0, epsrel=2e-14, limit=2000)
-    return (quad(f, -0.5 * math.pi, 0.0, **kw)[0] + quad(f, 0.0, 0.5 * math.pi, **kw)[0]) / math.pi
+    halves = [np.linspace(lo, lo + 0.5 * math.pi, 2 + band // 8) for lo in (-0.5 * math.pi, 0.0)]
+    return sum(quad(f, e[0], e[-1], points=e[1:-1] if e.size > 2 else None, **kw)[0] for e in halves) / math.pi
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -662,3 +666,59 @@ def test_tagged_bodies_pair_with_raw_samples_by_their_own_closed_form(kind, grid
         p, q = normalize(body), normalize(raw)
         r = geodesic_point(p, q, tau)
         assert hyper_dist(p, r) + hyper_dist(r, q) == pytest.approx(hyper_dist(p, q), abs=1e-9)
+
+
+def _dense(raw):
+    """The direct sum of raw's interpolant, the Nyquist mode a cosine: the oracle's t."""
+    half = raw.grid // 2
+    c = np.array(raw._coeffs)
+    c[half] = c[half].real
+    wc = np.r_[1.0, np.full(half - 1, 2.0), 1.0] * c
+    n = np.arange(half + 1)
+    return lambda x: (np.exp(1j * n * np.asarray(x, dtype=float)[..., None]) @ wc).real
+
+
+def _body_oracle(k, t, band):
+    """(1/2pi) int t dS_K term by term: the edge sum for a polygon, quad for an ellipse."""
+    if isinstance(k, Sum):
+        return sum(c * _body_oracle(term, t, band) for c, term in k.terms)
+    if isinstance(k, Polygon):
+        return _polygon_oracle(k.vertices, t)
+    u, sv, _ = np.linalg.svd(k.matrix)
+    return _ellipse_oracle(2.0 * math.log(sv[0]), math.atan2(u[1, 0], u[0, 0]), t, band)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["ellipse", "polygon", "sum", "moved"]),
+    st.sampled_from(["band-limited", "polygon-samples"]),
+    st.sampled_from([64, 128, 256, 512, 1024, 2048]),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_body_pairs_with_raw_samples_through_mixed_area(kind, raw_kind, grid, seed):
+    # One dispatcher pairs a body with raw samples t, in either order to the
+    # same float, and agrees with the edge-sum and quad oracles.  A polygon
+    # reads t at its k turned generators J e_i, where the fan sum over +-J e_i
+    # would read both normals: the two differ by half the sum of |e_i| times
+    # t's odd residue, here raised to 0.4 of EVEN_TOL (1 + max|t|).
+    rng = np.random.default_rng(seed)
+    if raw_kind == "band-limited":
+        raw, t = _band_limited(rng, grid, int(rng.integers(2, grid // 4 + 1)))
+    else:
+        raw = from_samples(from_polygon(random_polygon(rng), grid).samples)
+        t = _dense(raw)
+    shapes = {"ellipse": lambda: random_ellipse(rng, 8.0), "polygon": lambda: random_polygon(rng)}
+    shapes["sum"] = lambda: minkowski_combination([(0.7, shapes["polygon"]()), (1.3, shapes["ellipse"]())])
+    body = shapes[rng.choice(["ellipse", "polygon", "sum"]) if kind == "moved" else kind]()
+    if kind == "moved":
+        body = body.transform(random_mobius(rng))
+    assert mixed_area(body, raw) == mixed_area(raw, body)
+    assert mixed_area(body, raw) / math.pi == pytest.approx(_body_oracle(body, t, raw.band), rel=1e-12)
+    top = 1.0 + float(np.abs(raw.samples).max())
+    odd = from_samples(raw.samples + 0.4 * EVEN_TOL * top * np.cos(grid_angles(grid)))
+    for _, p in body.terms if isinstance(body, Sum) else ((1.0, body),):
+        if isinstance(p, Polygon):
+            fan = np.concatenate([p._turned_fan, -p._turned_fan], axis=1)
+            both = 0.5 * float(np.hypot(*fan) @ odd.support(np.arctan2(*fan[::-1])))
+            bound = 0.5 * float(np.hypot(*p._turned_fan).sum()) * EVEN_TOL * (1.0 + float(np.abs(odd.samples).max()))
+            assert abs(mixed_area(p, odd) - both) <= bound
