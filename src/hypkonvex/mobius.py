@@ -2,11 +2,12 @@
 
 A Mobius element is a real 2x2 unit-determinant matrix up to sign.  It acts
 on bodies by the linear map, on circle functions by the homogeneous
-extension, rho(A)h(x) = |A^T x| h(A^T x / |A^T x|) (EvenFn.hsupport on raw
-samples), and on the Poincare upper half-plane by homography.  The orbit of
-the unit disc is the family of area-pi ellipses, giving an embedding iota of
-the hyperbolic plane into the hyperboloid of bodies whose extrinsic distance
-comes out in closed form through complete elliptic integrals.
+extension, rho(A)h(x) = |A^T x| h(A^T x / |A^T x|), each part by its own
+transform (EvenFn.transform for raw samples), and on the Poincare upper
+half-plane by homography.  The orbit of the unit disc is the family of
+area-pi ellipses, giving an embedding iota of the hyperbolic plane into the
+hyperboloid of bodies whose extrinsic distance comes out in closed form
+through complete elliptic integrals.
 """
 
 import math
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shapes import Ellipse, Mobius, _adjugate_product, _form_value, _graded_edges, _panel_mean, _shear, _stretch
-from .supportfn import DEFAULT_GRID, EvenFn, _from_shape, _grid_directions, _warn_spectral_tail, from_ellipse
+from .supportfn import DEFAULT_GRID, _from_shape, from_ellipse
 from .lorentz import acosh1p, normalize
 
 
@@ -38,22 +39,11 @@ BASEPOINT = HalfPlanePoint(0.0, 1.0)
 def rho_act(m, h):
     """The isometric action on circle functions: |m^T u| h(angle(m^T u)).
 
-    It is linear, so it moves each part of h.  The body moves by its
-    transform, which keeps its base and the element m @ g: bodies moved by
-    equal elements pair as their bases at any shear.  The raw part t is read
-    as mixed_area reads it, t.hsupport(m^T u), with a warning when its
-    spectrum is not resolved, since the action shears spectra.  Only the
-    first M/2 grid angles are evaluated, and that half is written twice:
-    theta + pi keeps |m^T u| and adds pi to the angle, so the result is exactly
-    pi-periodic; any odd-harmonic residue (at most EVEN_TOL) is dropped.
+    It is linear, so each part of h moves by its own transform: a body's keeps
+    its base and the element m @ g, a raw part's (EvenFn.transform) resamples.
     """
-    t = h.raw
-    if t is not None:
-        why = "input spectrum unresolved (top quarter holds %.2f%% energy); the sheared result will alias"
-        _warn_spectral_tail(t, why)
-        w = m.matrix.T @ _grid_directions(h.grid)[:, : h.grid // 2]
-        t = EvenFn(np.tile(t.hsupport(w), 2))
-    return _from_shape(h.body.transform(m) if h.body is not None else None, h.grid, t)
+    raw, body = (None if part is None else part.transform(m) for part in (h.raw, h.body))
+    return _from_shape(body, h.grid, raw)
 
 
 def halfplane_apply(m, z):

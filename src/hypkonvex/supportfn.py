@@ -7,14 +7,14 @@ operation adds K's closed form to t's spectral form, so a body suffers no
 interpolation error and costs per generator, not per grid point; scaling
 and nonnegative combination act part by part.  The samples (K's support
 plus t's samples, computed on first read) serve the operations on samples
-alone.  The spectral form is trigonometric interpolation (one
-irfft onto another uniform grid; at scattered angles _interp, the one off-grid
-evaluator: the direct sum for few angles times band, else a nonuniform FFT in
-O(M log M)) and rfft-based differentiation (_deriv_coeffs, the one place the
-Nyquist bin of a derivative is dropped).  A raw function answers the reads
-shapes.mixed_area makes of a body (support, hsupport, band, g), which pair it
-with a body.  A body reads no grid; a read of the samples of two functions
-puts both on the finer grid (_on_grid), exactly.
+alone.  The spectral form is trigonometric interpolation (one irfft onto another
+uniform grid; at scattered angles _interp, the one off-grid evaluator: the direct
+sum for few angles times band, else a nonuniform FFT in O(M log M)) and rfft-based
+differentiation (_deriv_coeffs, the one place the Nyquist bin of a derivative is
+dropped).  A raw function answers a body's whole protocol (support, support_deriv,
+hsupport, band, g, transform): mixed_area, eval_at, eval_deriv and rho_act read
+and move both parts alike.  A body reads no grid; a read of the samples of two
+functions puts both on the finer grid (_on_grid), exactly.
 """
 
 import math
@@ -133,9 +133,9 @@ class EvenFn:
         c.setflags(write=False)
         return c
 
-    # What shapes.mixed_area reads of a body, for a raw function only: where
-    # there is a body, the interpolant of the grid samples is not the function.
-    g = None  # rho_act moves a raw part by resampling, never by a stored element
+    # The body protocol, for a raw function only: where there is a body,
+    # the interpolant of the grid samples is not the function.
+    g = None  # transform moves a raw part by resampling, never by a stored element
 
     @property
     def _raw_coeffs(self):
@@ -146,12 +146,24 @@ class EvenFn:
     def support(self, theta):  # the interpolant at finite angles
         return _interp(self._raw_coeffs, self.grid, theta)
 
+    def support_deriv(self, theta):  # the interpolant's derivative at finite angles
+        return _interp(_deriv_coeffs(self._raw_coeffs), self.grid, theta)
+
     def hsupport(self, w):  # the homogeneous extension |w| t(angle w) at (2, n) vectors w
         return np.hypot(w[0], w[1]) * self.support(np.arctan2(w[1], w[0]))
 
     @cached_property
     def band(self):  # the highest harmonic _interp keeps
         return _bandwidth(self._raw_coeffs)
+
+    def transform(self, m):
+        """rho(m) t = |m^T u| t(angle m^T u), by hsupport as mixed_area reads t, warning when t's spectrum,
+        which the action shears, is unresolved.  Only the first M/2 grid angles are read, and written
+        twice (theta + pi keeps |m^T u| and adds pi to the angle): exactly pi-periodic, t's odd residue dropped."""
+        why = "input spectrum unresolved (top quarter holds %.2f%% energy); the sheared result will alias"
+        self._raw_coeffs  # the guard, before the tail check reads any sample
+        _warn_spectral_tail(self, why)
+        return EvenFn(np.tile(self.hsupport(m.matrix.T @ _grid_directions(self.grid)[:, : self.grid // 2]), 2))
 
 
 def _from_shape(shape, M, raw=None):
@@ -168,11 +180,11 @@ def _from_shape(shape, M, raw=None):
     return h
 
 
-def _partwise(h, theta, closed, spectral):
-    """closed(h.body) + spectral(h.raw) at the finite angles theta, over the parts h has."""
+def _partwise(h, theta, read):
+    """read(h.body) + read(h.raw) at the finite angles theta, over the parts h has."""
     if not np.all(np.isfinite(theta)):
         raise ValueError("angles must be finite")
-    terms = [form(part) for form, part in ((closed, h.body), (spectral, h.raw)) if part is not None]
+    terms = [read(part) for part in (h.body, h.raw) if part is not None]
     v = terms[0] + terms[1] if len(terms) == 2 else terms[0]
     return float(v) if np.ndim(theta) == 0 else v
 
@@ -337,20 +349,19 @@ def _interp(coeffs, M, theta):
 
 
 def eval_at(h, theta):
-    """Value of h at arbitrary angles: the body's closed form plus the
-    trigonometric interpolant of the raw part."""
-    return _partwise(h, theta, lambda k: k.support(theta), lambda t: _interp(t._coeffs, h.grid, theta))
+    """Value of h at arbitrary angles, part by part: the body's closed form plus the raw part's interpolant."""
+    return _partwise(h, theta, lambda part: part.support(theta))
 
 
 def eval_deriv(h, theta):
     """dh/dtheta at arbitrary angles, by parts as in eval_at."""
-    return _partwise(h, theta, lambda k: k.support_deriv(theta), lambda t: _interp(_deriv_coeffs(t), h.grid, theta))
+    return _partwise(h, theta, lambda part: part.support_deriv(theta))
 
 
-def _deriv_coeffs(h):
-    """The rfft/M coefficients i n c_n of h', the Nyquist bin zeroed: the
-    sawtooth mode has no consistent odd derivative."""
-    return np.append(1j * np.arange(h.grid // 2) * h._coeffs[:-1], 0.0)
+def _deriv_coeffs(coeffs):
+    """The rfft/M coefficients i n c_n of h', from h's c_n, the Nyquist bin
+    zeroed: the sawtooth mode has no consistent odd derivative."""
+    return np.append(1j * np.arange(coeffs.size - 1) * coeffs[:-1], 0.0)
 
 
 def fourier(h):
@@ -365,9 +376,7 @@ def fourier(h):
     a[1:half] = 2.0 * c[1:half].real
     b[1:half] = -2.0 * c[1:half].imag
     a[half] = c[half].real
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
+    return _freeze(a), _freeze(b)
 
 
 def _curvature_density(h):
@@ -470,9 +479,9 @@ def boundary_curve(h, n_points=DEFAULT_GRID):
 
     def spectral(t):
         vals = _resample(t._coeffs, t.grid, n_points)
-        dvals = _resample(_deriv_coeffs(t), t.grid, n_points)
+        dvals = _resample(_deriv_coeffs(t._coeffs), t.grid, n_points)
         c, s = _grid_directions(n_points)
         return np.stack([vals * c - dvals * s, vals * s + dvals * c], axis=1)
 
     theta = grid_angles(n_points)
-    return _partwise(h, theta, lambda k: k.boundary(theta), spectral)
+    return _partwise(h, theta, lambda part: spectral(part) if part is h.raw else part.boundary(theta))

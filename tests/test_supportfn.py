@@ -739,6 +739,32 @@ def test_rho_act_of_raw_input_is_the_sheared_interpolant(grid, kind):
     assert got[: grid // 2].tobytes() == got[grid // 2 :].tobytes()
 
 
+_RAW_READS = {
+    "support": lambda h: h.support(THETA[:5]),
+    "support_deriv": lambda h: h.support_deriv(THETA[:5]),
+    "hsupport": lambda h: h.hsupport(_grid_directions(M)[:, :5]),
+    "band": lambda h: h.band,
+    "transform": lambda h: h.transform(Mobius.axial(0.5)),
+}
+
+
+@pytest.mark.parametrize("read", sorted(_RAW_READS))
+@pytest.mark.parametrize("kind", ["tagged", "body-plus-raw"])
+def test_a_function_with_a_body_refuses_the_raw_protocol_before_reading_a_sample(read, kind):
+    # the interpolant of its samples is not the function, so each member of
+    # the body protocol a raw part answers refuses it first: no warning (the
+    # raw part's spectrum would warn on a shear) and no sample computed
+    k = from_polygon(SQUARE, M)
+    spike = EvenFn(2.0 + 0.5 * np.cos((M // 2 - 2) * THETA))
+    h = k if kind == "tagged" else combine(1.0, k, 1.0, spike)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TypeError):
+            _RAW_READS[read](h)
+    assert caught == []
+    assert "samples" not in vars(h)
+
+
 def test_tagged_samples_are_the_support_at_the_grid_angles():
     rng = np.random.default_rng(17)
     for grid in (8, 64, 2048):

@@ -99,11 +99,11 @@ def test_minkowski_extended_examples():
 def test_ellipse_sum_examples():
     e1 = Ellipse(np.diag([2.0, 0.5]))
     ident = Ellipse(np.eye(2))
-    assert ellipse_sum_test(e1, e1, 1.0, 1.7, M) < 1e-12  # homothetic
-    assert ellipse_sum_test(e1, ident, 1.0, 1.0, M) > 1e-6
+    assert ellipse_sum_test(e1, e1, 1.7, M) < 1e-12  # homothetic
+    assert ellipse_sum_test(e1, ident, 1.0, M) > 1e-6
     rng = np.random.default_rng(1)
     m = random_mobius(rng, 2.0)
-    moved = ellipse_sum_test(e1.transform(m), ident.transform(m), 1.0, 1.0, M)
+    moved = ellipse_sum_test(e1.transform(m), ident.transform(m), 1.0, M)
     assert moved > 1e-6  # verdict survives the group action
 
 
