@@ -3,26 +3,24 @@
 form_A is the bilinear form (1/2pi) int (h1 h2 - h1' h2'); on support
 functions it is the mixed area divided by pi.  Bodies of area pi sit on the
 hyperboloid {A(h) = 1, pi0(h) > 0} and acosh of the form is their distance.
-An operand is a body part K plus a raw part t (supportfn.EvenFn), either
-absent, and form_A adds the exact pairings of the parts: the Parseval sum of
-two raw parts (form_A_spectral) and, for every pair with a body,
-shapes.mixed_area(K, L)/pi (_form_exact), L a body or a raw part t, which
-pairs as (1/2) int t dS_K; pi0 reads the parts too.  This module knows no
-shape kind.  One form of signature (1, -, -, ...) on one space holding every
+An operand is one body (supportfn.EvenFn), and form_A is
+shapes.mixed_area(K, L)/pi (_form_exact), the one pairing of any two bodies,
+raw terms among them; pi0 is the perimeter over 2 pi.  This module knows no
+body kind.  One form of signature (1, -, -, ...) on one space holding every
 operand, it keeps the reversed Cauchy-Schwarz inequality (the Minkowski
-inequality for bodies) for every pair, with no route to pick.  Only raw-raw
-pairings read a grid, and take the finer one (supportfn._on_grid).
+inequality for bodies) for every pair, with no route to pick.
+form_A_spectral is the Parseval form of two functions' samples on the finer
+grid (supportfn._on_grid), which hyper_dist's method="spectral" reads.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .shapes import _freeze, mixed_area
-from .supportfn import EvenFn, _on_grid, _parseval_counts, combine, scaled
+from .shapes import mixed_area
+from .supportfn import EvenFn, _on_grid, _parseval, _spectral_weights, combine, scaled
 
 FORM_UNIT_TOL = 1e-10
 INVARIANT_TOL = 1e-9
@@ -45,20 +43,6 @@ def acosh1p(x):
     return math.log1p(x + math.sqrt(2.0 * x + x * x))
 
 
-@functools.cache
-def _spectral_weights(M):
-    # once per grid, read-only: the weights of the rfft bins' c c' in the
-    # interpolant's mean square (its Nyquist mode a_N cos(N x) has a_N^2 / 2),
-    # and those times 1 - n^2, the form's; every spectral value reads them
-    w = np.array(_parseval_counts(M))
-    w[-1] *= 0.5
-    return _freeze(w), _freeze(w * (1.0 - np.arange(M // 2 + 1, dtype=float) ** 2))
-
-
-def _parseval(c1, c2, M):
-    return float(np.dot(_spectral_weights(M)[1], (c1 * np.conj(c2)).real))
-
-
 def form_A_spectral(h1, h2=None):
     """The Parseval form of the interpolants on the finer grid: a0 a0' + (1/2) sum (1-n^2)(an an' + bn bn')."""
     h2 = h1 if h2 is None else h2
@@ -71,17 +55,13 @@ def _form_exact(k1, k2):
 
 
 def form_A(h1, h2=None):
-    """The Lorentzian area form A(h1, h2); A(h1) when h2 is omitted: the sum
-    of the pairings of the operands' parts, each of its own closed form."""
-    h2 = h1 if h2 is None else h2
-    (k1, t1), (k2, t2) = (h1.body, h1.raw), (h2.body, h2.raw)
-    pairs = (_form_exact, k1, k2), (form_A_spectral, t1, t2), (_form_exact, k1, t2), (_form_exact, t1, k2)
-    return sum(form(a, b) for form, a, b in pairs if a is not None and b is not None)
+    """The Lorentzian area form A(h1, h2); A(h1) when h2 is omitted: the mixed area of the bodies over pi."""
+    return _form_exact(h1.body, (h1 if h2 is None else h2).body)
 
 
 def pi0(h):
-    """Mean of h over the circle, A(h, 1): its body's perimeter/(2 pi) plus its raw samples' mean."""
-    return (h.body.perimeter / (2.0 * math.pi) if h.body else 0.0) + (float(h.raw.samples.mean()) if h.raw else 0.0)
+    """Mean of h over the circle, A(h, 1): its body's perimeter/(2 pi)."""
+    return h.body.perimeter / (2.0 * math.pi)
 
 
 def h1_seminorms(h):
@@ -141,11 +121,13 @@ def hyper_dist(p, q, method="auto"):
     """Hyperbolic distance acosh A(p, q) between hyperboloid points.
 
     x = A(p, q)/sqrt(A(p)A(q)) is taken with its normalization (unity within
-    the HPoint tolerance), so x >= 1 holds to rounding for any operands.  For
-    two raw operands x - 1 is -A(p/|p| - q/|q|)/2 on the coefficients on the
-    finer grid, free of the cancellation that floors small distances at
-    sqrt(machine epsilon) elsewhere (method="spectral" takes it on the grid
-    samples of any operands, and recomputes their self-forms there).
+    the HPoint tolerance), so x >= 1 holds to rounding for any operands.
+    Operands moved by one element g are read as their bases,
+    d(gK, gL) = d(K, L).  For two bare raw terms (bodies with a grid) x - 1
+    is -A(p/|p| - q/|q|)/2 on the coefficients on the finer grid, free of the
+    cancellation that floors small distances at sqrt(machine epsilon)
+    elsewhere (method="spectral" takes it on the grid samples of any
+    operands, and recomputes their self-forms there).
     Values of x - 1 in [-INVARIANT_TOL, 0) are taken for round-off and give
     distance 0; anything below -INVARIANT_TOL (1e-9) is a real invariant
     violation and raises, and so does a NaN or infinite x, the trace of a
@@ -153,11 +135,14 @@ def hyper_dist(p, q, method="auto"):
     """
     if method not in ("auto", "spectral"):
         raise ValueError("unknown method %r" % (method,))
-    if method == "auto" and (p.fn.body is not None or q.fn.body is not None):
-        xm1 = form_A(p.fn, q.fn) / math.sqrt(p.a * q.a) - 1.0  # _cosh_between, self-forms read off the points
+    f, g = p.fn, q.fn
+    if f.body.g is not None and f.body.g == g.body.g:
+        f, g = EvenFn(f.body.base, f.grid), EvenFn(g.body.base, g.grid)
+    if method == "auto" and not (f.body.grid and g.body.grid):
+        xm1 = form_A(f, g) / math.sqrt(p.a * q.a) - 1.0  # _cosh_between, self-forms read off the points
     else:
-        M = max(p.fn.grid, q.fn.grid)
-        f, g = _on_grid(p.fn, M), _on_grid(q.fn, M)
+        M = max(f.grid, g.grid)
+        f, g = _on_grid(f, M), _on_grid(g, M)
         a, b = (p.a, q.a) if method == "auto" else (form_A_spectral(f), form_A_spectral(g))
         u, v = f._coeffs / math.sqrt(a), g._coeffs / math.sqrt(b)
         xm1 = -0.5 * _parseval(u - v, u - v, M)

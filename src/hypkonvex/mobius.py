@@ -2,12 +2,12 @@
 
 A Mobius element is a real 2x2 unit-determinant matrix up to sign.  It acts
 on bodies by the linear map, on circle functions by the homogeneous
-extension, rho(A)h(x) = |A^T x| h(A^T x / |A^T x|), each part by its own
-transform (EvenFn.transform for raw samples), and on the Poincare upper
-half-plane by homography.  The orbit of the unit disc is the family of
-area-pi ellipses, giving an embedding iota of the hyperbolic plane into the
-hyperboloid of bodies whose extrinsic distance comes out in closed form
-through complete elliptic integrals.
+extension, rho(A)h(x) = |A^T x| h(A^T x / |A^T x|), as the body's transform,
+which keeps the element (a raw term's image is sampled on first read), and
+on the Poincare upper half-plane by homography.  The orbit of the unit disc
+is the family of area-pi ellipses, giving an embedding iota of the hyperbolic
+plane into the hyperboloid of bodies whose extrinsic distance comes out in
+closed form through complete elliptic integrals.
 """
 
 import math
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shapes import Ellipse, Mobius, _adjugate_product, _form_value, _graded_edges, _panel_mean, _shear, _stretch
-from .supportfn import DEFAULT_GRID, _from_shape, from_ellipse
+from .supportfn import DEFAULT_GRID, EvenFn, from_ellipse
 from .lorentz import acosh1p, normalize
 
 
@@ -37,13 +37,9 @@ BASEPOINT = HalfPlanePoint(0.0, 1.0)
 
 
 def rho_act(m, h):
-    """The isometric action on circle functions: |m^T u| h(angle(m^T u)).
-
-    It is linear, so each part of h moves by its own transform: a body's keeps
-    its base and the element m @ g, a raw part's (EvenFn.transform) resamples.
-    """
-    raw, body = (None if part is None else part.transform(m) for part in (h.raw, h.body))
-    return _from_shape(body, h.grid, raw)
+    """The isometric action on circle functions, |m^T u| h(angle(m^T u)): h's
+    body moved by its transform, which keeps its base and the element m @ g."""
+    return EvenFn(h.body.transform(m), h.grid)
 
 
 def halfplane_apply(m, z):

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .shapes import Ellipse, Polygon, Segment
-from .supportfn import EvenFn, SpectralTailWarning, _from_shape, _on_grid, _tail_share
+from .supportfn import EvenFn, SpectralTailWarning, _on_grid, _tail_share
 
 
 class ShapeDocError(ValueError):
@@ -71,7 +71,7 @@ def to_even_fn(doc, M):
     exceeds rounding (1e-24).
     """
     if isinstance(doc, (Ellipse, Polygon)):
-        return _from_shape(doc, M)
+        return EvenFn(doc, M)
     if isinstance(doc, EvenFn):
         folded = _tail_share(doc, M // 2) if doc.grid > M else 0.0
         if folded > 1e-24:

@@ -4,15 +4,15 @@ Two shape families carry closed forms: ellipses (linear images of the unit
 disc) and symmetric convex polygons, each held as the zonogon sum of the
 segments [-e_i/2, e_i/2] over its generators, the half edge fan e_1 ... e_k
 (Bolker 1969, Trans. AMS 145:323; Schneider, Convex Bodies, 3.5); a segment
-has one.  A third type, Sum, is a positive Minkowski combination of them, so
-the closed forms survive every nonnegative combination of bodies.  Each
-defines only its homogeneous support, its support point and its image under
-a group element, a ``Mobius``; the support function, its derivative, the
-boundary, and the area a(K, K) and perimeter 2 a(K, disc) as mixed areas
-derive from these.  Mixed areas between any two shapes are in closed form,
-free of grid error, and bodies moved by equal elements pair as their bases;
-mixed_area, the one dispatcher, also pairs a shape with raw samples (a
-supportfn.EvenFn), read like a body through its homogeneous support.
+has one.  A Sum is a positive Minkowski combination of bodies, so the closed
+forms survive every nonnegative combination.  A raw term (supportfn.Raw,
+the interpolant of grid samples) is the one more body kind, the only one
+with a ``grid``.  Each defines only its homogeneous support, its support
+point and its image under a group element, a ``Mobius``; the support
+function, its derivative, the boundary, and the area a(K, K) and perimeter
+2 a(K, disc) as mixed areas derive from these.  mixed_area, the one pairing,
+is in closed form between shapes, free of grid error, and pairs bodies moved
+by equal elements, raw terms too, as their bases.
 """
 
 import math
@@ -24,7 +24,7 @@ import numpy as np
 
 from .specfun import agm_KE_from_complement
 
-MOBIUS_DET_TOL = 1e-12  # elements: their determinant error reaches raw parts through rho_act
+MOBIUS_DET_TOL = 1e-12  # elements: their determinant error reaches raw terms through rho_act
 ELLIPSE_DET_TOL = 1e-9  # ellipse documents: the closed forms only read them as unit-determinant
 SYM_TOL = 1e-12
 
@@ -120,6 +120,10 @@ class Mobius:
     def __matmul__(self, other):
         return object.__new__(Mobius)._signed((self.matrix @ other.matrix).ravel().tolist())
 
+    def adjugate(self):
+        """adj(m) = m^{-1} in PSL2(R), exactly: m's entries swapped and negated."""
+        return object.__new__(Mobius)._signed((self.d, -self.b, -self.c, self.a))
+
 
 def _freeze(arr):
     out = np.array(arr, dtype=float)
@@ -141,10 +145,11 @@ class _Body:
     derivative u_perp·x(u), the boundary, the area a(K, K) and the perimeter
     2 a(K, disc), the last two once per body.  ``transform(m)`` takes a
     ``Mobius`` alone and keeps the image's unmoved ``base`` and its element
-    ``g``, the product m @ self.g, both None on an unmoved body.
+    ``g``, the product m @ self.g, both None on an unmoved body.  ``grid``
+    is None but on a raw term, the one body read through grid samples.
     """
 
-    base = g = None
+    base = g = grid = None
 
     def transform(self, m):
         image = self._image(m)
@@ -316,24 +321,32 @@ class Segment(Polygon):
 
 @dataclass(frozen=True, eq=False)
 class Sum(_Body):
-    """The Minkowski combination sum c_i K_i of shapes, every c_i > 0.
+    """The Minkowski combination sum c_i K_i of bodies other than sums, every c_i > 0.
 
     Build it with ``minkowski_combination``, which keeps it canonical: every
-    term keeps its coefficient, and two or more polygons are summed into one
-    polygon term of coefficient 1.  A scaled polygon P is the one-term Sum
-    ((c, P),).  Support values, support points and images go term by term.
+    term keeps its coefficient, and two or more polygons, or raw terms, are
+    summed into one term of coefficient 1.  A scaled polygon P is the
+    one-term Sum ((c, P),).  Support values (at angles too, which a raw term
+    reads itself), support points and images go term by term.
     """
 
     terms: tuple
 
     def __post_init__(self):
         terms = tuple((float(c), k) for c, k in self.terms)
-        if not terms or not all(math.isfinite(c) and c > 0.0 and isinstance(k, (Ellipse, Polygon)) for c, k in terms):
-            raise ValueError("a Sum needs one or more (c > 0, Ellipse | Polygon) terms")
+        bodies = all(isinstance(k, _Body) and not isinstance(k, Sum) for _, k in terms)
+        if not (terms and bodies and all(math.isfinite(c) and c > 0.0 for c, _ in terms)):
+            raise ValueError("a Sum needs one or more (c > 0, body other than a Sum) terms")
         object.__setattr__(self, "terms", terms)
 
     def hsupport(self, w):
         return sum(c * k.hsupport(w) for c, k in self.terms)
+
+    def support(self, theta):
+        return sum(c * k.support(theta) for c, k in self.terms)
+
+    def support_deriv(self, theta):
+        return sum(c * k.support_deriv(theta) for c, k in self.terms)
 
     def support_point(self, w):
         return sum(c * k.support_point(w) for c, k in self.terms)
@@ -346,8 +359,10 @@ def minkowski_combination(terms):
     """The body sum c_i K_i of (c_i, K_i) pairs with c_i > 0, in canonical form.
 
     Sums among the K_i are expanded and every term keeps its coefficient;
-    two or more polygon terms are summed into one by ``minkowski_sum``.  A
-    lone term with coefficient 1 is returned bare; anything else is a Sum.
+    two or more polygon terms are summed into one by ``minkowski_sum``, and
+    raw terms into one last term by their own ``_fold``, which takes the
+    coefficients into the samples.  A lone term with coefficient 1 is
+    returned bare; anything else is a Sum.
     """
     flat = []
     for c, k in terms:
@@ -360,6 +375,9 @@ def minkowski_combination(terms):
     polygons = [(c, k) for c, k in flat if isinstance(k, Polygon)]
     if len(polygons) > 1:
         flat = [(c, k) for c, k in flat if not isinstance(k, Polygon)] + [(1.0, minkowski_sum(polygons))]
+    raws = [(c, k) for c, k in flat if k.grid]
+    if raws:
+        flat = [(c, k) for c, k in flat if not k.grid] + [(1.0, raws[0][1]._fold(raws))]
     if len(flat) == 1 and flat[0][0] == 1.0:
         return flat[0][1]
     return Sum(flat)
@@ -448,21 +466,23 @@ def _ellipse_pairing(e, t):
 
 
 def mixed_area(a, b):
-    """Mixed area a(K, L) of two shapes, in closed form, or of a shape and raw
-    samples t (a supportfn.EvenFn), (1/2) int t dS_K; a(K, K) is the area.
+    """Mixed area a(K, L) of two bodies, in closed form between shapes; for
+    a shape K and a raw term t, (1/2) int t dS_K; a(K, K) is the area.
 
-    A Sum expands by bilinearity.  Against a polygon L with generators e_j it
-    is sum_j H_K(J e_j), half the sum over the edge fan +-e_j (H_K, the
-    homogeneous support, is even; t's, |w| t(angle w), to EVEN_TOL), J the
-    quarter turn (x, y) -> (y, -x), so two polygons pair as (1/2) sum_ij
-    |e_i x f_j| and equal bodies pair by the same float operations as a body
-    with itself.  Two ellipses A·D and B·D reduce to an ellipse against the
-    disc, a(A·D, B·D) = a(B^{-1}A·D, D) = pi C(s0), with s0 the stretch of
-    adj(B)·A and C the form value; it is NaN or inf when that product
-    overflows.  An ellipse pairs with t by quadrature over half its normals
-    (_ellipse_pairing).  First of all, bodies moved by equal elements pair as
-    their bases, a(gK, gL) = a(K, L), and m1 @ m2 moves a body to the same
-    element as m2, then m1.  Areas and perimeters are cached.
+    Bodies moved by equal elements pair as their bases, a(gK, gL) = a(K, L)
+    (m1 @ m2 moves a body to the same element as m2, then m1), and a Sum
+    expands by bilinearity.  Two raw terms pair by their own Parseval sum; a
+    raw term moved by g pairs with a body as a(t, adj(g) K).  Against a
+    polygon L with generators e_j it is sum_j H_K(J e_j), half the sum over
+    the edge fan +-e_j (H_K, the homogeneous support, is even; t's,
+    |w| t(angle w), to EVEN_TOL), J the quarter turn (x, y) -> (y, -x), so
+    two polygons pair as (1/2) sum_ij |e_i x f_j| and equal bodies pair by
+    the same float operations as a body with itself.  Two ellipses A·D and
+    B·D reduce to an ellipse against the disc, a(A·D, B·D) = a(B^{-1}A·D, D)
+    = pi C(s0), with s0 the stretch of adj(B)·A and C the form value; it is
+    NaN or inf when that product overflows.  An ellipse pairs with t by
+    quadrature over half its normals (_ellipse_pairing).  Areas and
+    perimeters are cached.
     """
     if a is b:
         return a.area
@@ -480,10 +500,16 @@ def _mixed_area(a, b):
         # term pairs go through mixed_area, so that a term's area is its
         # cached a(K, K), the same float as its pairing with an equal copy
         return sum(c * d * mixed_area(k, l) for c, k in _terms(a) for d, l in _terms(b))
+    if a.grid and b.grid:
+        return a._paired(b)
+    if b.grid and b.g:  # a body against a moved raw term: a(K, gt) = a(adj(g) K, t)
+        return mixed_area(a.transform(b.g.adjugate()), b.base)
+    if a.grid and a.g:
+        return _mixed_area(b, a)
     if isinstance(b, Polygon):
         return float(a.hsupport(b._turned_fan).sum())
     if isinstance(a, Polygon):
         return _mixed_area(b, a)
-    if not (isinstance(a, Ellipse) and isinstance(b, Ellipse)):  # an ellipse against a raw part
+    if a.grid or b.grid:  # an ellipse against a raw term
         return math.pi * (_ellipse_pairing(a, b) if isinstance(a, Ellipse) else _ellipse_pairing(b, a))
     return math.pi * _form_value(_stretch(*_adjugate_product(b.matrix, a.matrix)))

@@ -1,30 +1,30 @@
-"""Even circle functions on a uniform grid: a body part plus a raw part.
+"""Even circle functions on a uniform grid: one body on a grid.
 
-An EvenFn on M grid angles is the support function of a body K (an ellipse,
-polygon or Sum, kept as its shape) plus the trigonometric interpolant t of
-raw samples, either part absent; raw samples are their own raw part.  Every
-operation adds K's closed form to t's spectral form, so a body suffers no
-interpolation error and costs per generator, not per grid point; scaling
-and nonnegative combination act part by part.  The samples (K's support
-plus t's samples, computed on first read) serve the operations on samples
-alone.  The spectral form is trigonometric interpolation (one irfft onto another
-uniform grid; at scattered angles _interp, the one off-grid evaluator: the direct
-sum for few angles times band, else a nonuniform FFT in O(M log M)) and rfft-based
-differentiation (_deriv_coeffs, the one place the Nyquist bin of a derivative is
-dropped).  A raw function answers a body's whole protocol (support, support_deriv,
-hsupport, band, g, transform): mixed_area, eval_at, eval_deriv and rho_act read
-and move both parts alike.  A body reads no grid; a read of the samples of two
-functions puts both on the finer grid (_on_grid), exactly.
+An EvenFn on M grid angles is the support function of one body: a shape (an
+ellipse, polygon or Sum), a raw term (Raw, the trigonometric interpolant t
+of raw samples) or a Sum of both, read through the body protocol, so a shape
+suffers no interpolation error and costs per generator, not per grid point.
+Scaling and nonnegative combination are the bodies' Minkowski combination,
+which folds raw terms into one; a raw term moves as every body does, keeping
+its base and element.  The samples (computed on first read) serve the
+operations on samples alone.  The spectral form is trigonometric
+interpolation (one irfft onto another uniform grid; at scattered angles
+_interp, the one off-grid evaluator: the direct sum for few angles times
+band, else a nonuniform FFT in O(M log M)) and rfft-based differentiation
+(_deriv_coeffs, the one place the Nyquist bin of a derivative is dropped).
+A shape reads no grid; a read of the samples of two functions puts both on
+the finer grid (_on_grid), exactly.
 """
 
 import math
 import sys
 import warnings
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
-from .shapes import Ellipse, Polygon, Segment, Sum, _freeze, _unit_vectors, minkowski_combination
+from .shapes import Ellipse, Polygon, Segment, Sum, _Body, _freeze, _terms, _unit_vectors, minkowski_combination
 
 DEFAULT_GRID = 2048
 EVEN_TOL = 1e-12
@@ -64,6 +64,20 @@ def _parseval_counts(M):
 
 
 @cache
+def _spectral_weights(M):
+    # once per grid, read-only: the weights of the rfft bins' c c' in the
+    # interpolant's mean square (its Nyquist mode a_N cos(N x) has a_N^2 / 2),
+    # and those times 1 - n^2, the form's; every spectral value reads them
+    w = np.array(_parseval_counts(M))
+    w[-1] *= 0.5
+    return _freeze(w), _freeze(w * (1.0 - np.arange(M // 2 + 1, dtype=float) ** 2))
+
+
+def _parseval(c1, c2, M):
+    return float(np.dot(_spectral_weights(M)[1], (c1 * np.conj(c2)).real))
+
+
+@cache
 def _grid_directions(M):
     # once per grid, read-only: (cos, sin) at the grid angles, as (2, M) vectors
     return _freeze(_unit_vectors(grid_angles(M)))
@@ -81,112 +95,125 @@ def _checked(s):
     return s
 
 
-class _Itself:
-    """A raw function's raw part, itself; a non-data descriptor, so functions with a body keep theirs."""
-
-    def __get__(self, h, owner=None):
-        return h
-
-
-class EvenFn:
-    """A pi-periodic function at angles 2*pi*j/M, j = 0..M-1: body + raw.
-
-    ``body`` is a shape or None, ``raw`` a function of raw samples or None;
-    ``EvenFn(samples)`` wraps raw samples and is its own raw part.  A function
-    with a body stores only its parts and ``grid``; its ``samples`` are
-    computed on first read and pass the same finite and pi-periodic check as
-    raw ones.  ``shape_tag`` is the body when there is no raw part, else None.
-    Instances are immutable.
+@dataclass(frozen=True, eq=False, init=False)
+class Raw(_Body):
+    """A raw term: the trigonometric interpolant t of samples at the M grid
+    angles, checked once (finite, pi-periodic within EVEN_TOL), its perimeter
+    2 pi times their mean.  A move keeps base and element, as for every body,
+    warning when the base's spectrum, which it shears, is unresolved; the
+    image is sampled on first read, |g^T u| t(angle g^T u) at the first M/2
+    grid angles written twice (exactly pi-periodic, t's odd residue dropped).
     """
-
-    raw = _Itself()
 
     def __init__(self, samples):
         s = np.array(samples, dtype=float)
         if s.ndim != 1:
             raise ValueError("samples must be a finite 1-d array")
         _check_grid(s.size)
-        object.__setattr__(self, "grid", s.size)
-        object.__setattr__(self, "body", None)
-        object.__setattr__(self, "samples", _checked(s))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EvenFn is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("EvenFn is immutable")
-
-    @property
-    def shape_tag(self):
-        return self.body if self.raw is None else None
+        vars(self).update(grid=s.size, samples=_checked(s))
 
     @cached_property
-    def samples(self):
-        # reached only by functions with a body: raw ones hold their samples
-        s = self.body.hsupport(_grid_directions(self.grid))
-        return _checked(s if self.raw is None else s + self.raw.samples)
+    def samples(self):  # reached only by a moved term: an unmoved one holds its samples
+        M = self.grid
+        return _checked(np.tile(self.base.hsupport(self.g.matrix.T @ _grid_directions(M)[:, : M // 2]), 2))
 
     @cached_property
-    def _coeffs(self):
-        # rfft/M; the cache is populated once, re-computation is idempotent.
+    def _coeffs(self):  # rfft/M; the cache is populated once, re-computation is idempotent
         c = np.fft.rfft(self.samples) / self.grid
         c.setflags(write=False)
         return c
 
-    # The body protocol, for a raw function only: where there is a body,
-    # the interpolant of the grid samples is not the function.
-    g = None  # transform moves a raw part by resampling, never by a stored element
-
-    @property
-    def _raw_coeffs(self):
-        if self.body is not None:
-            raise TypeError("a function with a body is read part by part, not as one interpolant")
-        return self._coeffs
-
     def support(self, theta):  # the interpolant at finite angles
-        return _interp(self._raw_coeffs, self.grid, theta)
+        return _interp(self._coeffs, self.grid, theta)
 
     def support_deriv(self, theta):  # the interpolant's derivative at finite angles
-        return _interp(_deriv_coeffs(self._raw_coeffs), self.grid, theta)
+        return _interp(_deriv_coeffs(self._coeffs), self.grid, theta)
 
-    def hsupport(self, w):  # the homogeneous extension |w| t(angle w) at (2, n) vectors w
+    def hsupport(self, w):  # the homogeneous extension at (2, n) vectors w
         return np.hypot(w[0], w[1]) * self.support(np.arctan2(w[1], w[0]))
 
     @cached_property
     def band(self):  # the highest harmonic _interp keeps
-        return _bandwidth(self._raw_coeffs)
+        return _bandwidth(self._coeffs)
 
-    def transform(self, m):
-        """rho(m) t = |m^T u| t(angle m^T u), by hsupport as mixed_area reads t, warning when t's spectrum,
-        which the action shears, is unresolved.  Only the first M/2 grid angles are read, and written
-        twice (theta + pi keeps |m^T u| and adds pi to the angle): exactly pi-periodic, t's odd residue dropped."""
+    @cached_property
+    def perimeter(self):  # a moved term pairs the disc through its base, never reading its image
+        return super().perimeter if self.g else 2.0 * math.pi * float(self.samples.mean())
+
+    def _paired(self, other):  # the mixed area with a raw term: pi times the Parseval form on the finer grid
+        M = max(self.grid, other.grid)
+        return math.pi * _parseval(_lift(self, M)._coeffs, _lift(other, M)._coeffs, M)
+
+    def _image(self, m):
         why = "input spectrum unresolved (top quarter holds %.2f%% energy); the sheared result will alias"
-        self._raw_coeffs  # the guard, before the tail check reads any sample
-        _warn_spectral_tail(self, why)
-        return EvenFn(np.tile(self.hsupport(m.matrix.T @ _grid_directions(self.grid)[:, : self.grid // 2]), 2))
+        _warn_spectral_tail(self.base or self, why)
+        return _moved(self.base or self, m)
+
+    @staticmethod
+    def _fold(terms):  # sum c t as one raw term on one grid, an element all share kept: c g t = g (c t)
+        g = terms[0][1].g
+        if g is not None and all(t.g == g for _, t in terms):
+            return _moved(Raw._fold([(c, t.base) for c, t in terms]), g)
+        raws = [c * t.samples for c, t in terms]
+        return Raw(sum(raws[1:], raws[0]))
 
 
-def _from_shape(shape, M, raw=None):
-    """The support function of ``shape`` plus ``raw`` (or ``raw`` alone) on an M-point grid; no sample is computed."""
-    if shape is None:
-        return raw
-    if not isinstance(shape, (Ellipse, Polygon, Sum)):
-        raise TypeError("shape tag must be an Ellipse, Polygon, or Sum")
-    _check_grid(M)
-    h = EvenFn.__new__(EvenFn)
-    object.__setattr__(h, "grid", M)
-    object.__setattr__(h, "body", shape)
-    object.__setattr__(h, "raw", raw)
-    return h
+def _moved(base, g):  # the image of the unmoved raw term base under g, not yet sampled
+    image = object.__new__(Raw)
+    vars(image).update(grid=base.grid, base=base, g=g)
+    return image
 
 
-def _partwise(h, theta, read):
-    """read(h.body) + read(h.raw) at the finite angles theta, over the parts h has."""
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("angles must be finite")
-    terms = [read(part) for part in (h.body, h.raw) if part is not None]
-    v = terms[0] + terms[1] if len(terms) == 2 else terms[0]
-    return float(v) if np.ndim(theta) == 0 else v
+def _lift(k, N):
+    """The body k on an N-point grid: a raw term's interpolant moved by _resample
+    (a moved term's base's, moved again), a Sum's raw term lifted; a shape reads no grid."""
+    if isinstance(k, Sum) and _holds_raw(k):
+        return Sum(tuple((c, _lift(t, N)) for c, t in k.terms))
+    if not k.grid or k.grid == N:
+        return k
+    return _moved(_lift(k.base, N), k.g) if k.g else Raw(_resample(k._coeffs, k.grid, N))
+
+
+def _termwise(body, read):  # sum c read(k) over a Sum's terms (c, k), or read(body)
+    return sum(c * read(k) for c, k in body.terms) if isinstance(body, Sum) else read(body)
+
+
+def _holds_raw(body):
+    return any(k.grid for _, k in _terms(body))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class EvenFn:
+    """A pi-periodic function at angles 2*pi*j/M, j = 0..M-1: one body on a grid.
+
+    ``EvenFn(samples)`` wraps raw samples as a bare raw term on their grid;
+    ``EvenFn(body, M)`` puts a body (a shape, a raw term on the M-point grid,
+    or a Sum of them) on the M-point grid.  ``samples`` are computed on first
+    read (a bare raw term's are its own) and pass the same finite and
+    pi-periodic check as raw ones.  ``shape_tag`` is the body when it holds
+    no raw term, else None.  Instances are immutable.
+    """
+
+    def __init__(self, samples, grid=None):
+        body = samples if isinstance(samples, _Body) else Raw(samples)
+        grid = body.grid if grid is None else grid
+        _check_grid(grid)
+        vars(self).update(body=body, grid=grid)
+
+    @property
+    def shape_tag(self):
+        return None if _holds_raw(self.body) else self.body
+
+    @cached_property
+    def samples(self):  # a bare raw term's own, else the body's support at the grid angles, term by term
+        M, u = self.grid, _grid_directions(self.grid)
+        if self.body.grid == M:
+            return self.body.samples
+        return _checked(_termwise(_lift(self.body, M), lambda k: k.samples if k.grid else k.hsupport(u)))
+
+    @cached_property
+    def _coeffs(self):
+        return (self.body if self.body.grid == self.grid else Raw(self.samples))._coeffs
 
 
 def from_samples(values, M=None):
@@ -210,46 +237,42 @@ def from_ellipse(e, M=DEFAULT_GRID):
     """Support samples |A^T u| of the ellipse e = A·D."""
     if not isinstance(e, Ellipse):
         e = Ellipse(e)
-    return _from_shape(e, M)
+    return EvenFn(e, M)
 
 
 def from_segment(s, M=DEFAULT_GRID):
     """Support samples |<u, v>| of the segment [-v, v] (endpoint v, or its one-generator Polygon)."""
-    return _from_shape(s if isinstance(s, Polygon) and len(s.generators) == 1 else Segment(s), M)
+    return EvenFn(s if isinstance(s, Polygon) and len(s.generators) == 1 else Segment(s), M)
 
 
 def from_polygon(p, M=DEFAULT_GRID):
     """Support samples of a symmetric convex polygon (its vertices, or a Polygon)."""
-    return _from_shape(p if isinstance(p, Polygon) else Polygon(p), M)
+    return EvenFn(p if isinstance(p, Polygon) else Polygon(p), M)
 
 
 def _combination(pairs):
-    """The sum of c h over the (c, h) pairs, part by part: the bodies' Minkowski
-    combination (a Sum keeps each coefficient, so no geometry is rebuilt) and
-    the raw parts' sum on the finest grid.  A zero coefficient drops its operand."""
+    """The sum of c h over the (c, h) pairs, on the finest grid: the bodies'
+    Minkowski combination (a Sum keeps each coefficient, so no geometry is
+    rebuilt; raw terms fold into one).  A zero coefficient drops its operand."""
     M = max(h.grid for _, h in pairs)
-    bodies = [(c, h.body) for c, h in pairs if c != 0.0 and h.body is not None]
-    raws = [c * _on_grid(h.raw, M).samples for c, h in pairs if c != 0.0 and h.raw is not None]
-    if not (bodies or raws):
-        return constant(0.0, M)
-    raw = EvenFn(sum(raws[1:], raws[0])) if raws else None
-    return _from_shape(minkowski_combination(bodies) if bodies else None, M, raw)
+    terms = [(c, _on_grid(h, M).body) for c, h in pairs if c != 0.0]
+    return EvenFn(minkowski_combination(terms), M) if terms else constant(0.0, M)
 
 
 def scaled(h, c):
-    """c*h for c >= 0, part by part (_combination): a body K becomes the
-    one-term Sum ((c, K),), a Sum multiplies its coefficients."""
+    """c*h for c >= 0 (_combination): a shape K becomes the one-term Sum
+    ((c, K),), a Sum multiplies its coefficients, a raw term its samples."""
     if c < 0.0:
         raise ValueError("scaling coefficient must be nonnegative")
     return _combination([(c, h)])
 
 
 def combine(c1, h1, c2, h2):
-    """The nonnegative combination c1*h1 + c2*h2, part by part (_combination).
+    """The nonnegative combination c1*h1 + c2*h2 (_combination).
 
-    Adding support functions adds the bodies (Minkowski sum), so the body part
-    is c1 K1 + c2 K2, built from the two bodies alone, and the raw part is the
-    sum of the raw samples, on the finer grid.
+    Adding support functions adds the bodies (Minkowski sum), so the result
+    is the body c1 K1 + c2 K2, built from the two bodies alone, its raw term
+    the sum of the raw terms' samples, on the finer grid.
     """
     if c1 < 0.0 or c2 < 0.0:
         raise ValueError("combination coefficients must be nonnegative")
@@ -278,11 +301,8 @@ def _resample(coeffs, M, N):
 
 
 def _on_grid(h, N):
-    """h read on an N-point grid: the body re-tagged, the raw part's
-    interpolant moved by _resample, exactly onto a finer grid."""
-    if h.grid == N:
-        return h
-    return _from_shape(h.body, N, None if h.raw is None else EvenFn(_resample(h.raw._coeffs, h.grid, N)))
+    """h read on an N-point grid: its raw term lifted (_lift), exactly onto a finer grid."""
+    return h if h.grid == N else EvenFn(_lift(h.body, N), N)
 
 
 def _bandwidth(coeffs):
@@ -348,14 +368,21 @@ def _interp(coeffs, M, theta):
     return out.reshape(theta.shape) if theta.ndim else float(out[0])
 
 
+def _at(read, theta):
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("angles must be finite")
+    v = read(theta)
+    return float(v) if np.ndim(theta) == 0 else v
+
+
 def eval_at(h, theta):
-    """Value of h at arbitrary angles, part by part: the body's closed form plus the raw part's interpolant."""
-    return _partwise(h, theta, lambda part: part.support(theta))
+    """Value of h at finite angles: its body's support (a Sum's term by term, a raw term's interpolant)."""
+    return _at(h.body.support, theta)
 
 
 def eval_deriv(h, theta):
-    """dh/dtheta at arbitrary angles, by parts as in eval_at."""
-    return _partwise(h, theta, lambda part: part.support_deriv(theta))
+    """dh/dtheta at finite angles, from the body as in eval_at."""
+    return _at(h.body.support_deriv, theta)
 
 
 def _deriv_coeffs(coeffs):
@@ -453,10 +480,11 @@ def support_split(h):
 def boundary_curve(h, n_points=DEFAULT_GRID):
     """Boundary of the body with support function h as an (n, 2) polyline.
 
-    Points are c(t) = h(t) u(t) + h'(t) u_perp(t), linear in h: the body's
-    closed-form boundary plus that map of the raw part's interpolant.  With a
-    raw part, the whole function's samples must pass the chord convexity gate
-    (a body alone is convex), else NotSupportFunctionError is raised: a
+    Points are c(t) = h(t) u(t) + h'(t) u_perp(t), linear in h: term by
+    term, a shape's closed-form boundary or that map of a raw term's
+    interpolant.  With a raw term, the whole function's samples must pass the
+    chord convexity gate (a shape is convex), else NotSupportFunctionError is
+    raised: a
     chord convexity defect below
     -(CONVEXITY_TOL (1 + max|h|) + c eps max|h| / (2 - 2cos d)), d = 2 pi/M.
 
@@ -471,7 +499,7 @@ def boundary_curve(h, n_points=DEFAULT_GRID):
     3 eps max|h|.
     """
     _check_grid(n_points)
-    if h.raw is not None:
+    if _holds_raw(h.body):
         top = float(np.abs(h.samples).max())
         floor = _CHORD_ROUNDING * sys.float_info.epsilon * top / (2.0 - 2.0 * math.cos(2.0 * math.pi / h.grid))
         if chord_convexity_defect(h) < -(CONVEXITY_TOL * (1.0 + top) + floor):
@@ -484,4 +512,4 @@ def boundary_curve(h, n_points=DEFAULT_GRID):
         return np.stack([vals * c - dvals * s, vals * s + dvals * c], axis=1)
 
     theta = grid_angles(n_points)
-    return _partwise(h, theta, lambda part: spectral(part) if part is h.raw else part.boundary(theta))
+    return _termwise(h.body, lambda k: spectral(k) if k.grid else k.boundary(theta))

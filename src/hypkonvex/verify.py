@@ -408,12 +408,12 @@ def _equivariance_suite(col, rng, grid):
         diff = float(np.abs(lhs.samples - rhs.samples).max())
         col.add("iota-equivariance", _digest(m.matrix, [z.x, z.y]), diff, 1e-10)
     for _ in range(100):
-        # Each factor bounded by sqrt(3) keeps the composition within norm 3, which
-        # grids of 1024 and more resolve (not 512); a second shear multiplies spectra.
+        # Each factor bounded by sqrt(3) keeps the composition within norm 3, which grids of
+        # 256 and more resolve; the inner image is sampled, so that rhs shears twice.
         m1, m2 = random_mobius(rng, math.sqrt(3.0)), random_mobius(rng, math.sqrt(3.0))
         h = random_band_limited(rng, grid, mean=1.5)
         lhs = rho_act(m1 @ m2, h)
-        rhs = rho_act(m1, rho_act(m2, h))
+        rhs = rho_act(m1, EvenFn(rho_act(m2, h).samples))
         diff = float(np.abs(lhs.samples - rhs.samples).max())
         col.add("group-law", _digest(m1.matrix, m2.matrix, h.samples), diff, 1e-9)
     phi = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -428,6 +428,11 @@ def _equivariance_suite(col, rng, grid):
         move = float(np.abs(rho_act(rot, p.fn).samples - p.fn.samples).max())
         col.add_lower("nonconstant-moves", _digest(p.fn.samples), move, 1e-6)
         done += 1
+    for _ in range(100):  # two elements: the sampled images pair
+        m = random_mobius(rng, math.sqrt(3.0))
+        h1, h2 = random_band_limited(rng, grid, mean=1.5), random_band_limited(rng, grid, mean=1.5)
+        diff = form_A(rho_act(m, h1), h2) - form_A(h1, rho_act(m.adjugate(), h2))
+        col.add("cross-element", _digest(m.matrix, h1.samples, h2.samples), diff, 1e-10)
 
 
 def _add_gram_signature(col, digest, g):

@@ -117,8 +117,8 @@ def test_shape_tag_is_the_body_exactly_when_there_is_no_raw_part(bench_path):
     # worker.py picks its dist route from mid.fn.shape_tag, and the tracer
     # counts supportfn.combine.tagged from result.shape_tag.
     from hypkonvex.mobius import Mobius, rho_act
-    from hypkonvex.shapes import Ellipse, Polygon
-    from hypkonvex.supportfn import combine, from_ellipse, from_polygon, from_samples, scaled
+    from hypkonvex.shapes import Ellipse, Polygon, _terms
+    from hypkonvex.supportfn import Raw, combine, from_ellipse, from_polygon, from_samples, scaled
 
     tagged = importlib.import_module("tracer").COUNTERS["supportfn.combine"]
     M = 64
@@ -129,12 +129,17 @@ def test_shape_tag_is_the_body_exactly_when_there_is_no_raw_part(bench_path):
     combined += [combine(2.0, square, 0.0, raw), combine(0.0, square, 2.0, raw)]
     made = [disc, square, raw] + combined + [scaled(h, 2.0) for h in combined[:3]]
     made += [rho_act(Mobius.rotation(0.3) @ Mobius.axial(0.5), h) for h in made]
+
+    def parts(h):  # (a shape term, a raw term) in h's one body
+        raw = [isinstance(k, Raw) for _, k in _terms(h.body)]
+        return not all(raw), any(raw)
+
     for h in made:
-        assert h.shape_tag is (h.body if h.raw is None else None)
-        assert (h.body, h.raw) != (None, None)
+        assert h.shape_tag is (None if parts(h)[1] else h.body)
+        assert parts(h) != (False, False)
     for h in combined:
-        assert tagged((), {}, h) == {"supportfn.combine.tagged": int(h.raw is None)}
-    assert {(h.body is not None, h.raw is not None) for h in made} == {(True, False), (False, True), (True, True)}
+        assert tagged((), {}, h) == {"supportfn.combine.tagged": int(not parts(h)[1])}
+    assert {parts(h) for h in made} == {(True, False), (False, True), (True, True)}
 
 
 def test_no_module_of_the_package_reads_shape_tag():

@@ -34,7 +34,7 @@ from hypkonvex.supportfn import (
     grid_angles,
     unit_disc,
 )
-from hypkonvex.verify import random_ellipse, random_polygon
+from hypkonvex.verify import random_ellipse, random_polygon, random_support_fn
 
 M = 1024
 THETA = grid_angles(M)
@@ -321,13 +321,14 @@ def test_rho_act_warns_on_unresolved_spectrum():
         rho_act(Mobius.axial(0.5), spike)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 11: rho_act aliases kinked raw samples")
 @pytest.mark.parametrize("grid", [512, 2048])
 @pytest.mark.parametrize("s", [0.0, 0.1, 1.0, 3.0])
 def test_rho_act_on_polygon_samples_keeps_distances_or_refuses(grid, s):
-    # Kinked samples reach the Nyquist bin, so even the rotation (s = 0) moves
-    # energy the grid cannot hold; every warning is raised as an error, and
-    # the one refusal allowed is a documented error (a ValueError)
+    # Kinked samples reach the Nyquist bin, so a resample by even the
+    # rotation (s = 0) moves energy the grid cannot hold; two operands moved
+    # by one element pair through their bases and read no image.  Every
+    # warning is raised as an error, and the one refusal allowed is a
+    # documented error (a ValueError)
     t, u = (from_samples(from_polygon(random_polygon(np.random.default_rng(seed)), grid).samples) for seed in (5, 6))
     g = Mobius.rotation(0.3) @ Mobius.axial(s) @ Mobius.rotation(1.1)
     with warnings.catch_warnings():
@@ -338,6 +339,38 @@ def test_rho_act_on_polygon_samples_keeps_distances_or_refuses(grid, s):
         except ValueError:
             return
     assert moved == pytest.approx(d, rel=1e-10, abs=0.0)
+
+
+_RAW_KINDS = st.sampled_from(["band-limited", "polygon-samples"])
+_RAW_GRIDS = st.sampled_from([64, 128, 256, 512, 1024, 2048])
+
+
+def _drawn_raw(rng, kind, grid):
+    if kind == "band-limited":
+        return random_support_fn(rng, grid)
+    return from_samples(from_polygon(random_polygon(rng), grid).samples)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    _RAW_KINDS, _RAW_KINDS, _RAW_GRIDS, _RAW_GRIDS, st.integers(0, 2**32 - 1), _TURN, st.floats(0.0, 36.0), _TURN, _TURN
+)
+def test_raw_terms_moved_by_one_element_pair_in_bits(kind_t, kind_u, grid_t, grid_u, seed, phi, s, chi, psi):
+    # A moved raw term keeps its base and element, as a body does: t moved by
+    # m1 m2 and u by m2 and then m1 store one element and pair through their
+    # bases, and a moved term pairs with a body K as A(g t, K) = A(t, adj(g) K),
+    # so no image is sampled, however far the shear aliases on the grid.
+    rng = np.random.default_rng(seed)
+    t, u = _drawn_raw(rng, kind_t, grid_t), _drawn_raw(rng, kind_u, grid_u)
+    m1 = Mobius.rotation(phi) @ Mobius.axial(0.5 * s) @ Mobius.rotation(chi)
+    m2 = Mobius.rotation(chi) @ Mobius.axial(0.5 * s) @ Mobius.rotation(psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTailWarning)
+        gt, gu = rho_act(m1 @ m2, t), rho_act(m1, rho_act(m2, u))
+        k = _drawn_body(rng, rng.choice(_KINDS))
+        assert form_A(gt, k) == form_A(t, rho_act((m1 @ m2).adjugate(), k))
+        assert hyper_dist(normalize(gt), normalize(gu)) == hyper_dist(normalize(t), normalize(u))
+    assert "samples" not in vars(gt.body) and "samples" not in vars(gu.body)
 
 
 def test_rotation_fixes_only_the_disc():
