@@ -13,6 +13,7 @@ greedy covering of sampled directions.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,24 +151,35 @@ def hausdorff_dim_estimate(j_min, j_max, metric="visual", lam=1.0):
 
 
 def sample_directions(n):
-    """Low-discrepancy directions on [0, pi) (golden rotation), sorted."""
-    pts = (np.arange(n) / GOLDEN) % 1.0
-    return np.sort(pts * math.pi)
+    """Low-discrepancy directions on [0, pi) (golden rotation), sorted, built in one buffer."""
+    pts = np.arange(n, dtype=float)
+    pts /= GOLDEN
+    pts %= 1.0
+    pts *= math.pi
+    pts.sort()
+    return pts
 
 
 def greedy_cover_count(points, halfwidth):
     """Arcs of angular width 2*halfwidth needed to cover sorted directions.
 
-    Sweeps once around the circle starting from the first point; within one
-    arc of the optimal circular covering.
+    One sweep from the first point, within one arc of the optimal circular covering;
+    each arc is one bisect of a zero-copy view of the points, O(N log n) for N arcs.
     """
-    pts = np.asarray(points, dtype=float)
-    ext = np.concatenate([pts, pts + math.pi])
-    limit = pts[0] + math.pi
+    if not (math.isfinite(halfwidth) and halfwidth >= 0.0):
+        raise ValueError("halfwidth must be finite and nonnegative, got %r" % (halfwidth,))
+    arr = np.ascontiguousarray(points, dtype=float)
+    if arr.size == 0:
+        return 0
+    # NaN fails >= too, so sorted with finite ends means finite throughout
+    if arr.ndim != 1 or not (np.isfinite(arr[[0, -1]]).all() and (arr[1:] >= arr[:-1]).all()):
+        raise ValueError("points must be a finite sorted 1-D array")
+    pts, step = memoryview(arr), 2.0 * float(halfwidth)
+    stop = bisect_left(pts, pts[0] + math.pi)
     i, count = 0, 0
-    while i < pts.size and ext[i] < limit:
+    while i < stop:
         count += 1
-        i = int(np.searchsorted(ext, ext[i] + 2.0 * halfwidth, side="right"))
+        i = bisect_right(pts, pts[i] + step, i)
     return count
 
 

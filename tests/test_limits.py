@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypkonvex.limits import (
     BoundaryDir,
@@ -21,6 +22,7 @@ from hypkonvex.lorentz import form_A, pi0
 from hypkonvex.shapes import Segment
 from hypkonvex.supportfn import from_segment, grid_angles
 
+from cover_oracle import greedy_cover_count_oracle, sample_directions_oracle
 from visual_oracle import visual_dist_isotropic
 
 M = 512
@@ -162,6 +164,73 @@ def test_empirical_dim_estimate():
     analytic, _ = hausdorff_dim_estimate(4, 12)
     assert abs(slope - analytic) < 0.1
     assert all(b > a for a, b in zip(counts, counts[1:]))
+
+
+@st.composite
+def _sorted_directions(draw):
+    """Sorted clusters of 1 to 5000 points in [0, 7], tight or spread, with
+    duplicates, and up to three more at or one ulp around pts[0] + pi."""
+    n = draw(st.integers(1, 5000))
+    centers = draw(st.lists(st.floats(0.0, 7.0), min_size=1, max_size=5))
+    spread = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.choice(centers, n) + spread * rng.standard_normal(n)
+    pts = np.clip(np.round(pts, draw(st.sampled_from([3, 9, 17]))), 0.0, 7.0)  # rounding makes duplicates
+    wrap = pts.min() + math.pi
+    near = [np.nextafter(wrap, 0.0), wrap, np.nextafter(wrap, 11.0)]
+    extra = draw(st.lists(st.sampled_from(near), max_size=3))
+    return np.sort(np.concatenate([pts, extra]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_sorted_directions(), st.floats(0.0, 3.0))
+@example(np.array([0.0, math.pi]), 0.0)
+@example(np.array([1.0, 1.0, 1.0, 1.0 + math.pi, 7.0]), 0.5 * math.pi)
+@example(np.array([0.0, 0.5, 1.0]), 0.25)  # arcs are closed: 0.5 lies on the first
+@example(np.array([0.0, np.nextafter(0.5, 1.0), 0.9, 1.4]), 0.25)  # one ulp past it does not
+def test_greedy_cover_count_matches_the_doubled_searchsorted_walk(pts, halfwidth):
+    count = greedy_cover_count(pts, halfwidth)
+    assert type(count) is int
+    assert count == greedy_cover_count_oracle(pts, halfwidth)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 100_000, 101_065])
+def test_sample_directions_is_bit_identical_to_the_sorted_expression(n):
+    pts = sample_directions(n)
+    assert pts.dtype == np.float64 and pts.shape == (n,)
+    assert pts.tobytes() == sample_directions_oracle(n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "points, halfwidth",
+    [
+        ([0.0, 1.0, 2.0], -1.0),  # an arc of negative width never advances
+        ([2.0, 1.0, 0.0], 0.1),  # one sweep from 2.0 would count 1 where 3 arcs are needed
+        ([0.0, 1.0, 2.0], math.nan),
+        ([0.0, math.nan, 2.0], 0.1),
+        ([0.0, 1.0, math.inf], 0.1),
+        ([-math.inf, 1.0, 2.0], 0.1),
+        ([0.0, 1.0, 2.0], math.inf),
+        ([[0.0, 1.0], [2.0, 3.0]], 0.1),
+    ],
+)
+def test_greedy_cover_count_refuses_what_it_cannot_count(points, halfwidth):
+    with pytest.raises(ValueError):
+        greedy_cover_count(points, halfwidth)
+
+
+def test_greedy_cover_count_of_no_points_is_zero():
+    assert greedy_cover_count([], 0.1) == 0
+    assert greedy_cover_count(np.empty(0), 0.0) == 0
+
+
+def test_empirical_dim_estimate_at_a_million_samples():
+    # scale j = 8 enters only past n = 404 260, which no other test reaches
+    assert empirical_dim_estimate(4, 12, 1_000_000) == (
+        1.989486675714587,
+        [4, 5, 6, 7, 8],
+        [316, 1263, 5042, 19864, 78674],
+    )
 
 
 def test_class_angle_folding():
