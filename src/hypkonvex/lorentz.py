@@ -144,8 +144,8 @@ def hyper_dist(p, q, method="auto"):
         M = max(f.grid, g.grid)
         f, g = _on_grid(f, M), _on_grid(g, M)
         a, b = (p.a, q.a) if method == "auto" else (form_A_spectral(f), form_A_spectral(g))
-        u, v = f._coeffs / math.sqrt(a), g._coeffs / math.sqrt(b)
-        xm1 = -0.5 * _parseval(u - v, u - v, M)
+        d = f._coeffs / math.sqrt(a) - g._coeffs / math.sqrt(b)
+        xm1 = -0.5 * _parseval(d, d, M)
     if not -INVARIANT_TOL <= xm1 < math.inf:
         why = "< 1: reversed Cauchy-Schwarz violated" if xm1 < 0.0 else "is not finite: a mixed area overflowed"
         raise HyperbolicInvariantError("A(p, q) = %.17g %s" % (1.0 + xm1, why))

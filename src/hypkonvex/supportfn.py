@@ -6,14 +6,15 @@ of raw samples) or a Sum of both, read through the body protocol, so a shape
 suffers no interpolation error and costs per generator, not per grid point.
 Scaling and nonnegative combination are the bodies' Minkowski combination,
 which folds raw terms into one; a raw term moves as every body does, keeping
-its base and element.  The samples (computed on first read) serve the
-operations on samples alone.  The spectral form is trigonometric
-interpolation (one irfft onto another uniform grid; at scattered angles
-_interp, the one off-grid evaluator: the direct sum for few angles times
-band, else a nonuniform FFT in O(M log M)) and rfft-based differentiation
-(_deriv_coeffs, the one place the Nyquist bin of a derivative is dropped).
-A shape reads no grid; a read of the samples of two functions puts both on
-the finer grid (_on_grid), exactly.
+its base and element.  A raw term built as a linear image of raw terms (a
+fold, a lift, h + c, h1 - h2) carries the same map of their rfft
+coefficients; the samples (computed on first read) serve the operations on
+samples alone.  The spectral form is trigonometric interpolation (one irfft
+onto another uniform grid; at scattered angles _interp, the one off-grid
+evaluator: the direct sum for few angles times band, else a nonuniform FFT
+in O(M log M)) and rfft-based differentiation (_deriv_coeffs, the one place
+the Nyquist bin of a derivative is dropped).  A shape reads no grid; a read of
+the samples of two functions puts both on the finer grid (_on_grid), exactly.
 """
 
 import math
@@ -85,32 +86,37 @@ def _grid_directions(M):
 
 def _checked(s):
     """s, made read-only, once it is finite and pi-periodic within EVEN_TOL."""
-    if not np.all(np.isfinite(s)):
+    top = float(np.abs(s).max())  # NaN or inf exactly when some sample is
+    if not math.isfinite(top):
         raise ValueError("samples must be a finite 1-d array")
-    half = s.size // 2
-    top = 1.0 + float(np.abs(s).max())
-    if np.abs(s[:half] - s[half:]).max() > EVEN_TOL * top:
+    if np.abs(s[: s.size // 2] - s[s.size // 2 :]).max() > EVEN_TOL * (1.0 + top):
         raise ValueError("samples are not pi-periodic within tolerance")
-    s.setflags(write=False)
-    return s
+    return _read_only(s)
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Raw(_Body):
-    """A raw term: the trigonometric interpolant t of samples at the M grid
-    angles, checked once (finite, pi-periodic within EVEN_TOL), its perimeter
-    2 pi times their mean.  A move keeps base and element, as for every body,
-    warning when the base's spectrum, which it shears, is unresolved; the
-    image is sampled on first read, |g^T u| t(angle g^T u) at the first M/2
-    grid angles written twice (exactly pi-periodic, t's odd residue dropped).
+    """A raw term: the trigonometric interpolant t of samples at the M grid angles,
+    checked once (finite, pi-periodic within EVEN_TOL), with rfft/M coefficients c taken
+    on first read or carried in (``coeffs``) and perimeter 2 pi c_0.  A move keeps base
+    and element, as for every body, warning when the base's spectrum, which it shears,
+    is unresolved; the image is sampled on first read, |g^T u| t(angle g^T u) at the
+    first M/2 grid angles written twice (exactly pi-periodic, t's odd residue dropped).
     """
 
-    def __init__(self, samples):
+    def __init__(self, samples, coeffs=None):
         s = np.array(samples, dtype=float)
         if s.ndim != 1:
             raise ValueError("samples must be a finite 1-d array")
         _check_grid(s.size)
         vars(self).update(grid=s.size, samples=_checked(s))
+        if coeffs is not None:
+            vars(self).update(_coeffs=_read_only(np.asarray(coeffs, dtype=complex)))
 
     @cached_property
     def samples(self):  # reached only by a moved term: an unmoved one holds its samples
@@ -118,10 +124,8 @@ class Raw(_Body):
         return _checked(np.tile(self.base.hsupport(self.g.matrix.T @ _grid_directions(M)[:, : M // 2]), 2))
 
     @cached_property
-    def _coeffs(self):  # rfft/M; the cache is populated once, re-computation is idempotent
-        c = np.fft.rfft(self.samples) / self.grid
-        c.setflags(write=False)
-        return c
+    def _coeffs(self):  # rfft/M, unless carried in; the cache is populated once, re-computation is idempotent
+        return _read_only(np.fft.rfft(self.samples) / self.grid)
 
     def support(self, theta):  # the interpolant at finite angles
         return _interp(self._coeffs, self.grid, theta)
@@ -138,7 +142,7 @@ class Raw(_Body):
 
     @cached_property
     def perimeter(self):  # a moved term pairs the disc through its base, never reading its image
-        return super().perimeter if self.g else 2.0 * math.pi * float(self.samples.mean())
+        return super().perimeter if self.g else 2.0 * math.pi * float(self._coeffs[0].real)
 
     def _paired(self, other):  # the mixed area with a raw term: pi times the Parseval form on the finer grid
         M = max(self.grid, other.grid)
@@ -154,8 +158,9 @@ class Raw(_Body):
         g = terms[0][1].g
         if g is not None and all(t.g == g for _, t in terms):
             return _moved(Raw._fold([(c, t.base) for c, t in terms]), g)
-        raws = [c * t.samples for c, t in terms]
-        return Raw(sum(raws[1:], raws[0]))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _checked
+            raws = [c * t.samples for c, t in terms]
+            return Raw(sum(raws[1:], raws[0]), sum(c * t._coeffs for c, t in terms))
 
 
 def _moved(base, g):  # the image of the unmoved raw term base under g, not yet sampled
@@ -165,13 +170,16 @@ def _moved(base, g):  # the image of the unmoved raw term base under g, not yet 
 
 
 def _lift(k, N):
-    """The body k on an N-point grid: a raw term's interpolant moved by _resample
-    (a moved term's base's, moved again), a Sum's raw term lifted; a shape reads no grid."""
+    """The body k on an N-point grid: a raw term's interpolant, its spectrum put there by
+    _spectrum_on (a moved term's base's, moved again), a Sum's raw term lifted; a shape reads no grid."""
     if isinstance(k, Sum) and _holds_raw(k):
         return Sum(tuple((c, _lift(t, N)) for c, t in k.terms))
     if not k.grid or k.grid == N:
         return k
-    return _moved(_lift(k.base, N), k.g) if k.g else Raw(_resample(k._coeffs, k.grid, N))
+    if k.g:
+        return _moved(_lift(k.base, N), k.g)
+    c = _spectrum_on(k._coeffs, k.grid, N)
+    return Raw(np.fft.irfft(c * N, n=N), c)
 
 
 def _termwise(body, read):  # sum c read(k) over a Sum's terms (c, k), or read(body)
@@ -213,7 +221,7 @@ class EvenFn:
 
     @cached_property
     def _coeffs(self):
-        return (self.body if self.body.grid == self.grid else Raw(self.samples))._coeffs
+        return self.body._coeffs if self.body.grid == self.grid else _read_only(np.fft.rfft(self.samples) / self.grid)
 
 
 def from_samples(values, M=None):
@@ -281,23 +289,28 @@ def combine(c1, h1, c2, h2):
 
 def signed_diff(h1, h2):
     """h1 - h2 on the finer grid, a general even function (support-function tags cannot survive)."""
-    M = max(h1.grid, h2.grid)
-    return EvenFn(_on_grid(h1, M).samples - _on_grid(h2, M).samples)
+    f, g = (_on_grid(h, max(h1.grid, h2.grid)) for h in (h1, h2))
+    return EvenFn(Raw(f.samples - g.samples, f._coeffs - g._coeffs))
 
 
-def _resample(coeffs, M, N):
-    """The trigonometric interpolant with rfft/M coefficients ``coeffs``
-    (harmonics 0.. up to M/2, the Nyquist mode M/2 a cosine) at the N grid
-    angles 2*pi*j/N, by one irfft: harmonic n lands in bin n mod N, so a
-    finer grid is zero-padded and a coarser one folded, exactly.
+def _spectrum_on(coeffs, M, N):
+    """The rfft/N coefficients of the trigonometric interpolant with rfft/M
+    coefficients ``coeffs`` (harmonics 0.. up to M/2, the Nyquist mode M/2 a
+    cosine) on the N-point grid: harmonic n lands in bin n mod N, so a finer
+    grid is zero-padded and a coarser one folded, exactly.
     """
     c = np.array(coeffs, dtype=complex)
     if c.size > M // 2:
         c[M // 2] = 0.5 * c[M // 2].real  # split between +-M/2
     n = np.arange(c.size)
     bins, both = np.r_[n, -n[1:]] % N, np.r_[c, np.conj(c[1:])]
-    folded = np.bincount(bins, both.real, N) + 1j * np.bincount(bins, both.imag, N)
-    return np.fft.irfft(folded[: N // 2 + 1] * N, n=N)
+    folded = np.bincount(bins, both.real, N)[: N // 2 + 1] + 1j * np.bincount(bins, both.imag, N)[: N // 2 + 1]
+    folded[[0, -1]] = folded[[0, -1]].real  # DC and Nyquist: irfft reads only their real parts
+    return folded
+
+
+def _resample(coeffs, M, N):  # that interpolant at the N grid angles 2*pi*j/N, by one irfft
+    return np.fft.irfft(_spectrum_on(coeffs, M, N) * N, n=N)
 
 
 def _on_grid(h, N):
@@ -396,13 +409,8 @@ def fourier(h):
     is the mean.  Odd harmonics are at most EVEN_TOL (1 + max|h|), the
     pi-periodicity every EvenFn is checked to."""
     c = h._coeffs
-    half = h.grid // 2
-    a = np.empty(half + 1)
-    b = np.zeros(half + 1)
-    a[0] = c[0].real
-    a[1:half] = 2.0 * c[1:half].real
-    b[1:half] = -2.0 * c[1:half].imag
-    a[half] = c[half].real
+    a, b = 2.0 * c.real, -2.0 * c.imag
+    a[[0, -1]], b[[0, -1]] = c[[0, -1]].real, 0.0  # DC and Nyquist count once and are cosines
     return _freeze(a), _freeze(b)
 
 
@@ -472,7 +480,7 @@ def support_split(h):
     """
     _warn_spectral_tail(h, "top-quarter spectrum carries %.2f%% of the energy")
     c = max(0.0, -float(_curvature_density(h).min()))
-    s1 = EvenFn(h.samples + c)
+    s1 = EvenFn(Raw(h.samples + c, np.r_[h._coeffs[0] + c, h._coeffs[1:]]))
     s2 = constant(c, h.grid)
     return c, s1, s2
 

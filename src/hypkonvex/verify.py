@@ -33,6 +33,7 @@ from .shapes import Ellipse, Polygon, _form_value, _graded_edges, _panel_mean, c
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
+    Raw,
     _parseval_counts,
     from_ellipse,
     from_polygon,
@@ -155,14 +156,15 @@ def random_band_limited(rng, grid=DEFAULT_GRID, max_harmonic=16, mean=0.0):
     c = np.zeros(grid // 2 + 1, dtype=complex)
     c[0] = mean
     c[n] = 0.5 * (ab[:, 0] - 1j * ab[:, 1])
-    return EvenFn(np.fft.irfft(c * grid, n=grid))
+    return EvenFn(Raw(np.fft.irfft(c * grid, n=grid), c))
 
 
 def random_support_fn(rng, grid=DEFAULT_GRID):
     """Random smooth support function via the convexifying split, harmonics up to 16."""
     h = random_band_limited(rng, grid, 16, mean=rng.uniform(1.0, 2.0))
     _, s1, _ = support_split(h)
-    return EvenFn(s1.samples + 0.05 * (1.0 + float(np.abs(s1.samples).max())))
+    k = 0.05 * (1.0 + float(np.abs(s1.samples).max()))
+    return EvenFn(Raw(s1.samples + k, np.r_[s1._coeffs[0] + k, s1._coeffs[1:]]))
 
 
 def random_tagged_body(rng, grid=DEFAULT_GRID):

@@ -260,7 +260,7 @@ def test_grid_and_samples_past_the_cap_exit_2_before_any_work(tmp_path, capsys, 
     a = _write(tmp_path, "a.json", _SAMPLES_AT % "8")
     argv = [cmd] + [arg.format(a=a) for arg in extra] + [flag, str(most + 4), "--out", str(tmp_path / "out")]
     reached = AssertionError("reached past the cap")
-    with mock.patch("hypkonvex.supportfn._resample", side_effect=reached), mock.patch(
+    with mock.patch("hypkonvex.supportfn._spectrum_on", side_effect=reached), mock.patch(
         "hypkonvex.cli.run_suite", side_effect=reached
     ), mock.patch("hypkonvex.limits.sample_directions", side_effect=reached):
         assert main(argv) == 2
