@@ -65,7 +65,7 @@ def load_shapedoc(path):
 def to_even_fn(doc, M):
     """Realize a parsed document on an M-point grid.
 
-    Raw samples on another grid are moved by one irfft (supportfn._on_grid),
+    Raw samples on another grid are moved by their spectrum (supportfn._on_grid),
     exactly onto a finer grid; onto a coarser one the harmonics at and above
     its Nyquist fold, with a SpectralTailWarning when their energy share
     exceeds rounding (1e-24).

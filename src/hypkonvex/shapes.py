@@ -361,7 +361,7 @@ def minkowski_combination(terms):
     Sums among the K_i are expanded and every term keeps its coefficient;
     two or more polygon terms are summed into one by ``minkowski_sum``, and
     raw terms into one last term by their own ``_fold``, which takes the
-    coefficients into the samples.  A lone term with coefficient 1 is
+    coefficients into the spectrum.  A lone term with coefficient 1 is
     returned bare; anything else is a Sum.
     """
     flat = []

@@ -6,10 +6,10 @@ of raw samples) or a Sum of both, read through the body protocol, so a shape
 suffers no interpolation error and costs per generator, not per grid point.
 Scaling and nonnegative combination are the bodies' Minkowski combination,
 which folds raw terms into one; a raw term moves as every body does, keeping
-its base and element.  A raw term built as a linear image of raw terms (a
-fold, a lift, h + c, h1 - h2) carries the same map of their rfft
-coefficients; the samples (computed on first read) serve the operations on
-samples alone.  The spectral form is trigonometric interpolation (one irfft
+its base and element.  Raw samples are checked once, where they enter; a raw
+term built as a linear image of raw terms (a fold, a lift, h + c, h1 - h2) is
+the same map of their rfft/M coefficients alone, its samples one irfft on
+first read.  The spectral form is trigonometric interpolation (one irfft
 onto another uniform grid; at scattered angles _interp, the one off-grid
 evaluator: the direct sum for few angles times band, else a nonuniform FFT
 in O(M log M)) and rfft-based differentiation (_deriv_coeffs, the one place
@@ -84,48 +84,48 @@ def _grid_directions(M):
     return _freeze(_unit_vectors(grid_angles(M)))
 
 
-def _checked(s):
-    """s, made read-only, once it is finite and pi-periodic within EVEN_TOL."""
-    top = float(np.abs(s).max())  # NaN or inf exactly when some sample is
-    if not math.isfinite(top):
+def _finite(a):
+    """a, made read-only, once every entry is finite."""
+    if not np.isfinite(a).all():
         raise ValueError("samples must be a finite 1-d array")
-    if np.abs(s[: s.size // 2] - s[s.size // 2 :]).max() > EVEN_TOL * (1.0 + top):
-        raise ValueError("samples are not pi-periodic within tolerance")
-    return _read_only(s)
-
-
-def _read_only(a):
     a.setflags(write=False)
     return a
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Raw(_Body):
-    """A raw term: the trigonometric interpolant t of samples at the M grid angles,
-    checked once (finite, pi-periodic within EVEN_TOL), with rfft/M coefficients c taken
-    on first read or carried in (``coeffs``) and perimeter 2 pi c_0.  A move keeps base
-    and element, as for every body, warning when the base's spectrum, which it shears,
-    is unresolved; the image is sampled on first read, |g^T u| t(angle g^T u) at the
+    """A raw term: the trigonometric interpolant t at the M grid angles, rfft/M coefficients c,
+    perimeter 2 pi c_0.  Samples are checked once (finite, pi-periodic within EVEN_TOL) and
+    kept, c taken on first read; a linear image of raw terms (_spectral) is c alone.  A move
+    keeps base and element, as for every body, warning when the base's spectrum, which it
+    shears, is unresolved; the image is sampled on first read, |g^T u| t(angle g^T u) at the
     first M/2 grid angles written twice (exactly pi-periodic, t's odd residue dropped).
     """
 
-    def __init__(self, samples, coeffs=None):
+    def __init__(self, samples):
         s = np.array(samples, dtype=float)
         if s.ndim != 1:
             raise ValueError("samples must be a finite 1-d array")
         _check_grid(s.size)
-        vars(self).update(grid=s.size, samples=_checked(s))
-        if coeffs is not None:
-            vars(self).update(_coeffs=_read_only(np.asarray(coeffs, dtype=complex)))
+        top = float(np.abs(s).max())  # NaN or inf exactly when some sample is: one pass checks both
+        if not math.isfinite(top):
+            raise ValueError("samples must be a finite 1-d array")
+        with np.errstate(over="ignore"):  # halves more than the largest double apart are refused, not warned of
+            if np.abs(s[: s.size // 2] - s[s.size // 2 :]).max() > EVEN_TOL * (1.0 + top):
+                raise ValueError("samples are not pi-periodic within tolerance")
+        s.setflags(write=False)
+        vars(self).update(grid=s.size, samples=s)
 
     @cached_property
-    def samples(self):  # reached only by a moved term: an unmoved one holds its samples
+    def samples(self):  # reached only by an image: samples from outside are held
         M = self.grid
-        return _checked(np.tile(self.base.hsupport(self.g.matrix.T @ _grid_directions(M)[:, : M // 2]), 2))
+        if not self.g:  # a linear image: one irfft
+            return _finite(np.fft.irfft(self._coeffs, n=M, norm="forward"))
+        return _finite(np.tile(self.base.hsupport(self.g.matrix.T @ _grid_directions(M)[:, : M // 2]), 2))
 
     @cached_property
-    def _coeffs(self):  # rfft/M, unless carried in; the cache is populated once, re-computation is idempotent
-        return _read_only(np.fft.rfft(self.samples) / self.grid)
+    def _coeffs(self):  # rfft/M, unless an image's own; the cache is populated once, re-computation is idempotent
+        return _finite(np.fft.rfft(self.samples, norm="forward"))
 
     def support(self, theta):  # the interpolant at finite angles
         return _interp(self._coeffs, self.grid, theta)
@@ -151,22 +151,25 @@ class Raw(_Body):
     def _image(self, m):
         why = "input spectrum unresolved (top quarter holds %.2f%% energy); the sheared result will alias"
         _warn_spectral_tail(self.base or self, why)
-        return _moved(self.base or self, m)
+        return _raw(grid=self.grid)  # transform sets its base and element
 
     @staticmethod
     def _fold(terms):  # sum c t as one raw term on one grid, an element all share kept: c g t = g (c t)
         g = terms[0][1].g
         if g is not None and all(t.g == g for _, t in terms):
-            return _moved(Raw._fold([(c, t.base) for c, t in terms]), g)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _checked
-            raws = [c * t.samples for c, t in terms]
-            return Raw(sum(raws[1:], raws[0]), sum(c * t._coeffs for c, t in terms))
+            return _raw(grid=terms[0][1].grid, base=Raw._fold([(c, t.base) for c, t in terms]), g=g)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _spectral
+            return _spectral(sum(c * t._coeffs for c, t in terms))
 
 
-def _moved(base, g):  # the image of the unmoved raw term base under g, not yet sampled
-    image = object.__new__(Raw)
-    vars(image).update(grid=base.grid, base=base, g=g)
-    return image
+def _raw(**state):  # a raw term from its state alone, unchecked: a moved term's base and element, or an image's c
+    term = object.__new__(Raw)
+    vars(term).update(state)
+    return term
+
+
+def _spectral(c):  # the raw term with rfft/M coefficients c, a linear image of raw terms, refused if one overflowed
+    return _raw(grid=2 * c.size - 2, _coeffs=_finite(c))
 
 
 def _lift(k, N):
@@ -177,9 +180,8 @@ def _lift(k, N):
     if not k.grid or k.grid == N:
         return k
     if k.g:
-        return _moved(_lift(k.base, N), k.g)
-    c = _spectrum_on(k._coeffs, k.grid, N)
-    return Raw(np.fft.irfft(c * N, n=N), c)
+        return _raw(grid=N, base=_lift(k.base, N), g=k.g)
+    return _spectral(_spectrum_on(k._coeffs, k.grid, N))
 
 
 def _termwise(body, read):  # sum c read(k) over a Sum's terms (c, k), or read(body)
@@ -197,9 +199,9 @@ class EvenFn:
     ``EvenFn(samples)`` wraps raw samples as a bare raw term on their grid;
     ``EvenFn(body, M)`` puts a body (a shape, a raw term on the M-point grid,
     or a Sum of them) on the M-point grid.  ``samples`` are computed on first
-    read (a bare raw term's are its own) and pass the same finite and
-    pi-periodic check as raw ones.  ``shape_tag`` is the body when it holds
-    no raw term, else None.  Instances are immutable.
+    read (a bare raw term's are its own) and must be finite; raw samples were
+    checked where they entered.  ``shape_tag`` is the body when it holds no
+    raw term, else None.  Instances are immutable.
     """
 
     def __init__(self, samples, grid=None):
@@ -213,15 +215,13 @@ class EvenFn:
         return None if _holds_raw(self.body) else self.body
 
     @cached_property
-    def samples(self):  # a bare raw term's own, else the body's support at the grid angles, term by term
-        M, u = self.grid, _grid_directions(self.grid)
-        if self.body.grid == M:
-            return self.body.samples
-        return _checked(_termwise(_lift(self.body, M), lambda k: k.samples if k.grid else k.hsupport(u)))
+    def samples(self):  # the body's support at the grid angles, term by term (a bare raw term's own)
+        u = _grid_directions(self.grid)
+        return _finite(_termwise(_lift(self.body, self.grid), lambda k: k.samples if k.grid else k.hsupport(u)))
 
     @cached_property
     def _coeffs(self):
-        return self.body._coeffs if self.body.grid == self.grid else _read_only(np.fft.rfft(self.samples) / self.grid)
+        return self.body._coeffs if self.body.grid == self.grid else _finite(np.fft.rfft(self.samples, norm="forward"))
 
 
 def from_samples(values, M=None):
@@ -269,7 +269,7 @@ def _combination(pairs):
 
 def scaled(h, c):
     """c*h for c >= 0 (_combination): a shape K becomes the one-term Sum
-    ((c, K),), a Sum multiplies its coefficients, a raw term its samples."""
+    ((c, K),), a Sum multiplies its coefficients, a raw term its spectrum."""
     if c < 0.0:
         raise ValueError("scaling coefficient must be nonnegative")
     return _combination([(c, h)])
@@ -280,7 +280,7 @@ def combine(c1, h1, c2, h2):
 
     Adding support functions adds the bodies (Minkowski sum), so the result
     is the body c1 K1 + c2 K2, built from the two bodies alone, its raw term
-    the sum of the raw terms' samples, on the finer grid.
+    the sum of the raw terms' spectra, on the finer grid.
     """
     if c1 < 0.0 or c2 < 0.0:
         raise ValueError("combination coefficients must be nonnegative")
@@ -290,7 +290,7 @@ def combine(c1, h1, c2, h2):
 def signed_diff(h1, h2):
     """h1 - h2 on the finer grid, a general even function (support-function tags cannot survive)."""
     f, g = (_on_grid(h, max(h1.grid, h2.grid)) for h in (h1, h2))
-    return EvenFn(Raw(f.samples - g.samples, f._coeffs - g._coeffs))
+    return EvenFn(_spectral(f._coeffs - g._coeffs))
 
 
 def _spectrum_on(coeffs, M, N):
@@ -310,7 +310,7 @@ def _spectrum_on(coeffs, M, N):
 
 
 def _resample(coeffs, M, N):  # that interpolant at the N grid angles 2*pi*j/N, by one irfft
-    return np.fft.irfft(_spectrum_on(coeffs, M, N) * N, n=N)
+    return np.fft.irfft(_spectrum_on(coeffs, M, N), n=N, norm="forward")
 
 
 def _on_grid(h, N):
@@ -421,7 +421,7 @@ def _curvature_density(h):
     where the distributional h''+h has point masses.
     """
     n = np.arange(h.grid // 2 + 1, dtype=float)
-    return np.fft.irfft((1.0 - n**2) * h._coeffs * h.grid, n=h.grid)
+    return np.fft.irfft((1.0 - n**2) * h._coeffs, n=h.grid, norm="forward")
 
 
 def is_support_function(h):
@@ -480,9 +480,8 @@ def support_split(h):
     """
     _warn_spectral_tail(h, "top-quarter spectrum carries %.2f%% of the energy")
     c = max(0.0, -float(_curvature_density(h).min()))
-    s1 = EvenFn(Raw(h.samples + c, np.r_[h._coeffs[0] + c, h._coeffs[1:]]))
-    s2 = constant(c, h.grid)
-    return c, s1, s2
+    s1 = EvenFn(_spectral(np.r_[h._coeffs[0] + c, h._coeffs[1:]])) if c else h
+    return c, s1, constant(c, h.grid)
 
 
 def boundary_curve(h, n_points=DEFAULT_GRID):

@@ -33,8 +33,8 @@ from .shapes import Ellipse, Polygon, _form_value, _graded_edges, _panel_mean, c
 from .supportfn import (
     DEFAULT_GRID,
     EvenFn,
-    Raw,
     _parseval_counts,
+    _spectral,
     from_ellipse,
     from_polygon,
     scaled,
@@ -156,7 +156,7 @@ def random_band_limited(rng, grid=DEFAULT_GRID, max_harmonic=16, mean=0.0):
     c = np.zeros(grid // 2 + 1, dtype=complex)
     c[0] = mean
     c[n] = 0.5 * (ab[:, 0] - 1j * ab[:, 1])
-    return EvenFn(Raw(np.fft.irfft(c * grid, n=grid), c))
+    return EvenFn(_spectral(c))
 
 
 def random_support_fn(rng, grid=DEFAULT_GRID):
@@ -164,7 +164,7 @@ def random_support_fn(rng, grid=DEFAULT_GRID):
     h = random_band_limited(rng, grid, 16, mean=rng.uniform(1.0, 2.0))
     _, s1, _ = support_split(h)
     k = 0.05 * (1.0 + float(np.abs(s1.samples).max()))
-    return EvenFn(Raw(s1.samples + k, np.r_[s1._coeffs[0] + k, s1._coeffs[1:]]))
+    return EvenFn(_spectral(np.r_[s1._coeffs[0] + k, s1._coeffs[1:]]))
 
 
 def random_tagged_body(rng, grid=DEFAULT_GRID):
@@ -274,7 +274,7 @@ def ellipse_sum_test(e1, e2, c2=1.0, grid=DEFAULT_GRID):
     certifies that the Minkowski sum is not an ellipse.
     """
     h = from_ellipse(e1, grid).samples + c2 * from_ellipse(e2, grid).samples
-    c = np.fft.rfft(h * h) / grid
+    c = np.fft.rfft(h * h, norm="forward")
     power = _parseval_counts(grid) * np.abs(c) ** 2
     return float(power[4:].sum() / power.sum())
 

@@ -1,5 +1,6 @@
-"""A raw term carries its spectrum: linear images reuse their operands' rfft
-coefficients, and the samples are still checked, in one pass."""
+"""A raw term is its spectrum: a linear image of raw terms holds the same map of
+their rfft coefficients alone, and samples are checked once, in one pass, where
+they enter."""
 
 import math
 import sys
@@ -19,9 +20,11 @@ from hypkonvex.supportfn import (
     from_ellipse,
     from_polygon,
     from_samples,
+    grid_angles,
     scaled,
     signed_diff,
     support_split,
+    unit_disc,
 )
 from hypkonvex.verify import random_band_limited, random_ellipse, random_polygon, random_support_fn
 
@@ -64,7 +67,7 @@ def test_a_dist_query_on_two_sample_bodies_takes_two_rffts(fft_calls):
 def test_the_seminorms_of_a_band_limited_draw_take_no_rfft(fft_calls):
     h = random_band_limited(np.random.default_rng(33), 2048, max_harmonic=24)
     l2, dl2 = h1_seminorms(h)
-    assert fft_calls == {"rfft": 0, "irfft": 1}  # the samples, from the coefficients it drew
+    assert fft_calls == {"rfft": 0, "irfft": 0}  # nothing reads the samples of the coefficients it drew
     assert 0.0 < 4.0 * l2 <= dl2
 
 
@@ -208,3 +211,41 @@ def test_a_combination_whose_samples_overflow_is_refused_without_a_warning(build
     with pytest.raises(ValueError) as exc:
         build(h).samples
     assert str(exc.value) == FINITE
+
+
+def test_a_combination_whose_spectrum_overflows_is_refused_as_it_is_built():
+    # refused by its coefficients, before anything reads its samples
+    h = from_samples(np.full(16, 1e300))
+    for build in (lambda: combine(1e10, h, 1.0, h), lambda: scaled(h, 1e10)):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == FINITE
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_halves_a_double_range_apart_are_refused_without_a_warning():
+    # their difference overflows to inf, which the periodicity check refuses
+    with pytest.raises(ValueError) as exc:
+        from_samples([1.7e308] * 8 + [-1.7e308] * 8)
+    assert str(exc.value) == PERIODIC
+
+
+def test_images_of_accepted_samples_are_not_checked_again():
+    # t is s at scale 1e6 with a periodicity defect of 0.9 tolerances: both are
+    # accepted, and so are their sum with 1 - s and their difference, whose
+    # scale, about 1, makes the same defect about 5e5 tolerances
+    M = 16
+    s = 1e6 * (1.5 + 0.25 * np.cos(2.0 * grid_angles(M)))
+    t = s.copy()
+    t[11] += 0.9 * EVEN_TOL * (1.0 + 1e6)
+    a, b, c = from_samples(t), from_samples(1.0 - s), from_samples(s)
+    total, diff = combine(1.0, a, 1.0, b), signed_diff(a, c)
+    assert np.array_equal(total._coeffs, a._coeffs + b._coeffs)
+    assert np.array_equal(diff._coeffs, a._coeffs - c._coeffs)
+    # the samples are one irfft of those coefficients, within the operands' rounding
+    top = float(np.abs(t).max())
+    assert np.abs(total.samples - (t + (1.0 - s))).max() <= EPS * top
+    assert np.abs(diff.samples - (t - s)).max() <= EPS * top
+    # a shape beside the image: the sum's samples are not checked for periodicity either
+    with_disc = combine(1.0, total, 1.0, unit_disc(M))
+    assert np.abs(with_disc.samples - (total.samples + 1.0)).max() <= EPS * top
