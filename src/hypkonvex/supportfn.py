@@ -6,13 +6,13 @@ of raw samples) or a Sum of both, read through the body protocol, so a shape
 suffers no interpolation error and costs per generator, not per grid point.
 Scaling and nonnegative combination are the bodies' Minkowski combination,
 which folds raw terms into one; a raw term moves as every body does, keeping
-its base and element.  Raw samples are checked once, where they enter; a raw
-term built as a linear image of raw terms (a fold, a lift, h + c, h1 - h2) is
-the same map of their rfft/M coefficients alone, its samples one irfft on
-first read.  The spectral form is trigonometric interpolation (one irfft
-onto another uniform grid; at scattered angles _interp, the one off-grid
-evaluator: the direct sum for few angles times band, else a nonuniform FFT
-in O(M log M)) and rfft-based differentiation (_deriv_coeffs, the one place
+its base and element.  Raw samples are checked once, where they enter, and
+keep their rfft/M coefficients; a linear image of raw terms (a fold, a lift,
+h + c, h1 - h2) is the same map of those alone, its samples one irfft on first
+read.  Every array kept is computed and refused in _finite, so an overflow is
+refused, not warned of.  The spectral form is trigonometric interpolation (one
+irfft onto another uniform grid; _interp, the one off-grid evaluator, at
+scattered angles) and rfft-based differentiation (_deriv_coeffs, the one place
 the Nyquist bin of a derivative is dropped).  A shape reads no grid; a read of
 the samples of two functions puts both on the finer grid (_on_grid), exactly.
 """
@@ -84,10 +84,12 @@ def _grid_directions(M):
     return _freeze(_unit_vectors(grid_angles(M)))
 
 
-def _finite(a):
-    """a, made read-only, once every entry is finite."""
+def _finite(compute):
+    """The array compute() returns, made read-only once every entry is finite; run without numpy's warnings, an overflow is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = compute()
     if not np.isfinite(a).all():
-        raise ValueError("samples must be a finite 1-d array")
+        raise ValueError("samples and their spectrum must be finite")
     a.setflags(write=False)
     return a
 
@@ -95,37 +97,36 @@ def _finite(a):
 @dataclass(frozen=True, eq=False, init=False)
 class Raw(_Body):
     """A raw term: the trigonometric interpolant t at the M grid angles, rfft/M coefficients c,
-    perimeter 2 pi c_0.  Samples are checked once (finite, pi-periodic within EVEN_TOL) and
-    kept, c taken on first read; a linear image of raw terms (_spectral) is c alone.  A move
-    keeps base and element, as for every body, warning when the base's spectrum, which it
-    shears, is unresolved; the image is sampled on first read, |g^T u| t(angle g^T u) at the
-    first M/2 grid angles written twice (exactly pi-periodic, t's odd residue dropped).
+    perimeter 2 pi c_0.  Outside samples are checked once (pi-periodic within EVEN_TOL) and kept
+    with c, taken then and refused with them unless finite (_finite); a linear image of raw terms
+    (_spectral) is c alone.  A move keeps base and element, warning when the base's spectrum, which
+    it shears, is unresolved; the image and its c are computed on first read, |g^T u| t(angle g^T u)
+    at the first M/2 grid angles written twice (exactly pi-periodic, t's odd residue dropped).
     """
 
     def __init__(self, samples):
         s = np.array(samples, dtype=float)
         if s.ndim != 1:
-            raise ValueError("samples must be a finite 1-d array")
+            raise ValueError("samples must be a 1-d array")
         _check_grid(s.size)
-        top = float(np.abs(s).max())  # NaN or inf exactly when some sample is: one pass checks both
-        if not math.isfinite(top):
-            raise ValueError("samples must be a finite 1-d array")
-        with np.errstate(over="ignore"):  # halves more than the largest double apart are refused, not warned of
-            if np.abs(s[: s.size // 2] - s[s.size // 2 :]).max() > EVEN_TOL * (1.0 + top):
-                raise ValueError("samples are not pi-periodic within tolerance")
         s.setflags(write=False)
-        vars(self).update(grid=s.size, samples=s)
+
+        def spectrum():  # a NaN or inf sample makes the tolerance NaN or inf: it passes here, and c is refused
+            if np.abs(s[: s.size // 2] - s[s.size // 2 :]).max() > EVEN_TOL * (1.0 + np.abs(s).max()):
+                raise ValueError("samples are not pi-periodic within tolerance")
+            return np.fft.rfft(s, norm="forward")
+        vars(self).update(grid=s.size, samples=s, _coeffs=_finite(spectrum))
 
     @cached_property
     def samples(self):  # reached only by an image: samples from outside are held
         M = self.grid
         if not self.g:  # a linear image: one irfft
-            return _finite(np.fft.irfft(self._coeffs, n=M, norm="forward"))
-        return _finite(np.tile(self.base.hsupport(self.g.matrix.T @ _grid_directions(M)[:, : M // 2]), 2))
+            return _finite(lambda: np.fft.irfft(self._coeffs, n=M, norm="forward"))
+        return _finite(lambda: np.tile(self.base.hsupport(self.g.matrix.T @ _grid_directions(M)[:, : M // 2]), 2))
 
     @cached_property
-    def _coeffs(self):  # rfft/M, unless an image's own; the cache is populated once, re-computation is idempotent
-        return _finite(np.fft.rfft(self.samples, norm="forward"))
+    def _coeffs(self):  # reached only by a moved term: every other holds its own
+        return _finite(lambda: np.fft.rfft(self.samples, norm="forward"))
 
     def support(self, theta):  # the interpolant at finite angles
         return _interp(self._coeffs, self.grid, theta)
@@ -158,8 +159,7 @@ class Raw(_Body):
         g = terms[0][1].g
         if g is not None and all(t.g == g for _, t in terms):
             return _raw(grid=terms[0][1].grid, base=Raw._fold([(c, t.base) for c, t in terms]), g=g)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by _spectral
-            return _spectral(sum(c * t._coeffs for c, t in terms))
+        return _spectral(lambda: sum(c * t._coeffs for c, t in terms))
 
 
 def _raw(**state):  # a raw term from its state alone, unchecked: a moved term's base and element, or an image's c
@@ -168,8 +168,9 @@ def _raw(**state):  # a raw term from its state alone, unchecked: a moved term's
     return term
 
 
-def _spectral(c):  # the raw term with rfft/M coefficients c, a linear image of raw terms, refused if one overflowed
-    return _raw(grid=2 * c.size - 2, _coeffs=_finite(c))
+def _spectral(compute):  # the raw term with rfft/M coefficients compute(), a linear image of raw terms (_finite)
+    c = _finite(compute)
+    return _raw(grid=2 * c.size - 2, _coeffs=c)
 
 
 def _lift(k, N):
@@ -181,7 +182,7 @@ def _lift(k, N):
         return k
     if k.g:
         return _raw(grid=N, base=_lift(k.base, N), g=k.g)
-    return _spectral(_spectrum_on(k._coeffs, k.grid, N))
+    return _spectral(lambda: _spectrum_on(k._coeffs, k.grid, N))
 
 
 def _termwise(body, read):  # sum c read(k) over a Sum's terms (c, k), or read(body)
@@ -215,13 +216,15 @@ class EvenFn:
         return None if _holds_raw(self.body) else self.body
 
     @cached_property
-    def samples(self):  # the body's support at the grid angles, term by term (a bare raw term's own)
+    def samples(self):  # a bare raw term's own, else the body's support at the grid angles, term by term
+        if self.body.grid == self.grid:
+            return self.body.samples
         u = _grid_directions(self.grid)
-        return _finite(_termwise(_lift(self.body, self.grid), lambda k: k.samples if k.grid else k.hsupport(u)))
+        return _finite(lambda: _termwise(_lift(self.body, self.grid), lambda k: k.samples if k.grid else k.hsupport(u)))
 
     @cached_property
     def _coeffs(self):
-        return self.body._coeffs if self.body.grid == self.grid else _finite(np.fft.rfft(self.samples, norm="forward"))
+        return self.body._coeffs if self.body.grid == self.grid else _finite(lambda: np.fft.rfft(self.samples, norm="forward"))
 
 
 def from_samples(values, M=None):
@@ -243,9 +246,7 @@ def unit_disc(M=DEFAULT_GRID):
 
 def from_ellipse(e, M=DEFAULT_GRID):
     """Support samples |A^T u| of the ellipse e = A·D."""
-    if not isinstance(e, Ellipse):
-        e = Ellipse(e)
-    return EvenFn(e, M)
+    return EvenFn(e if isinstance(e, Ellipse) else Ellipse(e), M)
 
 
 def from_segment(s, M=DEFAULT_GRID):
@@ -290,7 +291,7 @@ def combine(c1, h1, c2, h2):
 def signed_diff(h1, h2):
     """h1 - h2 on the finer grid, a general even function (support-function tags cannot survive)."""
     f, g = (_on_grid(h, max(h1.grid, h2.grid)) for h in (h1, h2))
-    return EvenFn(_spectral(f._coeffs - g._coeffs))
+    return EvenFn(_spectral(lambda: f._coeffs - g._coeffs))
 
 
 def _spectrum_on(coeffs, M, N):
@@ -480,8 +481,8 @@ def support_split(h):
     """
     _warn_spectral_tail(h, "top-quarter spectrum carries %.2f%% of the energy")
     c = max(0.0, -float(_curvature_density(h).min()))
-    s1 = EvenFn(_spectral(np.r_[h._coeffs[0] + c, h._coeffs[1:]])) if c else h
-    return c, s1, constant(c, h.grid)
+    s1 = EvenFn(_spectral(lambda: np.r_[h._coeffs[0] + c, h._coeffs[1:]])) if c else h
+    return c, s1, EvenFn(_spectral(lambda: np.r_[complex(c), np.zeros(h.grid // 2, complex)]))  # c, with no rfft
 
 
 def boundary_curve(h, n_points=DEFAULT_GRID):
@@ -491,8 +492,7 @@ def boundary_curve(h, n_points=DEFAULT_GRID):
     term, a shape's closed-form boundary or that map of a raw term's
     interpolant.  With a raw term, the whole function's samples must pass the
     chord convexity gate (a shape is convex), else NotSupportFunctionError is
-    raised: a
-    chord convexity defect below
+    raised: a chord convexity defect below
     -(CONVEXITY_TOL (1 + max|h|) + c eps max|h| / (2 - 2cos d)), d = 2 pi/M.
 
     The second term is the rounding floor of the defect's numerator, with

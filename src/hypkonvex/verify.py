@@ -156,7 +156,7 @@ def random_band_limited(rng, grid=DEFAULT_GRID, max_harmonic=16, mean=0.0):
     c = np.zeros(grid // 2 + 1, dtype=complex)
     c[0] = mean
     c[n] = 0.5 * (ab[:, 0] - 1j * ab[:, 1])
-    return EvenFn(_spectral(c))
+    return EvenFn(_spectral(lambda: c))
 
 
 def random_support_fn(rng, grid=DEFAULT_GRID):
@@ -164,7 +164,7 @@ def random_support_fn(rng, grid=DEFAULT_GRID):
     h = random_band_limited(rng, grid, 16, mean=rng.uniform(1.0, 2.0))
     _, s1, _ = support_split(h)
     k = 0.05 * (1.0 + float(np.abs(s1.samples).max()))
-    return EvenFn(_spectral(np.r_[s1._coeffs[0] + k, s1._coeffs[1:]]))
+    return EvenFn(_spectral(lambda: np.r_[s1._coeffs[0] + k, s1._coeffs[1:]]))
 
 
 def random_tagged_body(rng, grid=DEFAULT_GRID):

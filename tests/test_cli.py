@@ -34,8 +34,8 @@ SVG = "{http://www.w3.org/2000/svg}"
 DISC = '{"type":"ellipse","matrix":[[1.0,0.0],[0.0,1.0]]}'
 SQUARE = '{"type":"polygon","vertices":[[1,1],[-1,1],[-1,-1],[1,-1]]}'
 SEGMENT = '{"type":"segment","endpoint":[1.0,0.0]}'
-# ShapeDocs with a grid no integer equals, a NaN value, one value too few, or
-# nested past the JSON parser's depth
+# ShapeDocs with a grid no integer equals, a NaN value, one value too few,
+# finite values whose spectrum overflows, or nested past the JSON parser's depth
 _SAMPLES_AT = '{"type":"samples","grid":%s,"values":[1,1,1,1,1,1,1,1]}'
 MALFORMED = {
     "infinite_grid": _SAMPLES_AT % "Infinity",
@@ -43,6 +43,7 @@ MALFORMED = {
     "fractional_grid": _SAMPLES_AT % "8.9",
     "nan_value": '{"type":"samples","grid":8,"values":[1,1,1,NaN,1,1,1,1]}',
     "value_too_few": '{"type":"samples","grid":8,"values":[1,1,1,1,1,1,1]}',
+    "spectrum_overflow": json.dumps({"type": "samples", "grid": 64, "values": [1.7e308] * 64}),
     "deep_nesting": "[" * 200000,
 }
 # Frozen: acosh((2/pi) e^{1/2} E(sqrt(1 - e^{-2}))), scipy oracle
@@ -205,6 +206,7 @@ def test_geodesic_frames_from_a_square_to_smooth_samples_have_the_reported_perim
         ["geodesic", "{fractional_grid}", "{disc}"],
         ["dist", "{nan_value}", "{disc}"],
         ["geodesic", "{disc}", "{value_too_few}"],
+        ["dist", "{spectrum_overflow}", "{disc}", "--grid", "64"],
         ["dist", "{deep_nesting}", "{disc}"],
     ],
     ids=[
@@ -218,6 +220,7 @@ def test_geodesic_frames_from_a_square_to_smooth_samples_have_the_reported_perim
         "shapedoc-fractional-grid",
         "shapedoc-nan-value",
         "shapedoc-value-too-few",
+        "shapedoc-spectrum-overflow",
         "shapedoc-deep-nesting",
     ],
 )
@@ -232,6 +235,14 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_samples_whose_spectrum_overflows_exit_2_naming_the_cause(tmp_path, capsys):
+    # 64 finite samples of 1.7e308: their rfft overflows, and they are refused where they are read
+    a, b = _write(tmp_path, "big.json", MALFORMED["spectrum_overflow"]), _write(tmp_path, "disc.json", DISC)
+    assert main(["dist", a, b, "--grid", "64", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot read body from %s: invalid samples document: samples and their spectrum must be finite\n" % a
 
 
 @pytest.mark.parametrize("cmd, most", [("geodesic", 10_000), ("kernels", 100_000)])
@@ -470,10 +481,11 @@ def _shapedoc_json(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_shapedoc_json(), _shapedoc_json())
-# the derandomized draws reach no infinite grid, NaN value or short value list
+# the derandomized draws reach no infinite grid, NaN value, short value list or overflowing spectrum
 @example(DISC, MALFORMED["infinite_grid"])
 @example(MALFORMED["nan_value"], SQUARE)
 @example(DISC, MALFORMED["value_too_few"])
+@example(DISC, MALFORMED["spectrum_overflow"])
 def test_dist_and_geodesic_end_in_a_documented_exit_code(tmp_path_factory, doc_a, doc_b):
     tmp = tmp_path_factory.mktemp("docs")
     a, b = _write(tmp, "a.json", doc_a), _write(tmp, "b.json", doc_b)

@@ -1,6 +1,7 @@
 """A raw term is its spectrum: a linear image of raw terms holds the same map of
-their rfft coefficients alone, and samples are checked once, in one pass, where
-they enter."""
+their rfft coefficients alone, samples are checked once, where they enter, and
+every array a raw term or function keeps is refused, not warned of, when it
+overflows."""
 
 import math
 import sys
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypkonvex.lorentz import IsotropicVectorError, form_A, h1_seminorms, hyper_dist, normalize, pi0
+from hypkonvex.mobius import Mobius, rho_act
 from hypkonvex.shapes import _terms
 from hypkonvex.supportfn import (
     EVEN_TOL,
@@ -29,7 +31,7 @@ from hypkonvex.supportfn import (
 from hypkonvex.verify import random_band_limited, random_ellipse, random_polygon, random_support_fn
 
 EPS = sys.float_info.epsilon
-FINITE = "samples must be a finite 1-d array"
+FINITE = "samples and their spectrum must be finite"
 PERIODIC = "samples are not pi-periodic within tolerance"
 
 
@@ -163,6 +165,15 @@ def _three_pass_check(s):
         raise ValueError(PERIODIC)
 
 
+def _spectrum_check(s):
+    """The three passes, then the spectrum: samples whose rfft overflows are refused too."""
+    _three_pass_check(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.fft.rfft(s, norm="forward")
+    if not np.isfinite(spectrum).all():
+        raise ValueError(FINITE)
+
+
 def _verdict(check, s):
     try:
         check(s)
@@ -186,18 +197,19 @@ def _sample_sets():
             s = np.full(M, scale)
             s[M // 2 + 3] += delta * EVEN_TOL * (1.0 + scale) if scale < 1e300 else delta * EVEN_TOL * scale
             yield s
-    yield np.full(M, 1.7e308)
+    yield np.full(M, 1.7e308)  # finite, but its rfft overflows
     yield smooth
 
 
 def test_the_one_pass_check_refuses_exactly_what_the_three_passes_did():
+    # and, where they enter, samples whose spectrum overflows
     verdicts = []
     for s in _sample_sets():
-        want = _verdict(_three_pass_check, s)
+        want = _verdict(_spectrum_check, s)
         assert _verdict(lambda v: from_samples(v), s) == want
         verdicts.append(want)
     # every refusal and acceptance above is reached
-    assert verdicts.count(FINITE) == 12 and PERIODIC in verdicts and None in verdicts
+    assert verdicts.count(FINITE) == 13 and PERIODIC in verdicts and None in verdicts
 
 
 @pytest.mark.parametrize("build", [
@@ -249,3 +261,21 @@ def test_images_of_accepted_samples_are_not_checked_again():
     # a shape beside the image: the sum's samples are not checked for periodicity either
     with_disc = combine(1.0, total, 1.0, unit_disc(M))
     assert np.abs(with_disc.samples - (total.samples + 1.0)).max() <= EPS * top
+
+
+_SQUARE = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("read", [
+    lambda: pi0(from_samples(np.full(16, 1.7e308))),
+    lambda: scaled(from_ellipse(np.diag([1e300, 1e-300]), 16), 1e10).samples,
+    lambda: signed_diff(from_samples(np.full(16, 1e308)), from_samples(np.full(16, -1e308))),
+    lambda: from_polygon(1e307 * _SQUARE, 64)._coeffs,
+    lambda: rho_act(Mobius.axial(40.0), from_samples(np.full(16, 1e300))).samples,
+], ids=["outside-spectrum", "sum-samples", "diff-operands", "shape-spectrum", "moved-samples"])
+def test_every_kept_array_that_overflows_is_refused_without_a_warning(read):
+    # each array is computed with numpy's warnings off and refused once it is not finite
+    with pytest.raises(ValueError) as exc:
+        read()
+    assert str(exc.value) == FINITE

@@ -759,6 +759,29 @@ def test_rho_act_of_a_raw_function_computes_no_sample(kind):
     assert raw_term.g == (Mobius.axial(0.5) @ h.body.g if kind == "moved-raw" else Mobius.axial(0.5))
 
 
+@pytest.mark.parametrize("grid", [64, 256, 2048])
+def test_a_moved_raw_term_lifted_is_the_lifted_term_moved(grid):
+    # lifting a moved term lifts its base and keeps its element, so both
+    # orders sample one lifted base at the same directions
+    rng = np.random.default_rng(grid)
+    t, g = random_support_fn(rng, grid), random_mobius(rng)
+    lifted, moved = _on_grid(rho_act(g, t), 2 * grid), rho_act(g, _on_grid(t, 2 * grid))
+    assert lifted.body.g == g and lifted.body.base.grid == 2 * grid
+    assert lifted.samples.tobytes() == moved.samples.tobytes()
+
+
+def test_a_sum_holding_a_raw_term_answers_hsupport_term_by_term():
+    rng = np.random.default_rng(35)
+    p, t = random_polygon(rng), random_support_fn(rng, 64)
+    h = combine(0.6, EvenFn(p, 64), 1.4, t)
+    w = rng.normal(size=(2, 33))
+    (c, k), (one, r) = h.body.terms  # the raw term is folded into one of coefficient 1
+    assert (c, k, one) == (0.6, p, 1.0) and np.array_equal(r._coeffs, 1.4 * t._coeffs)
+    assert h.body.hsupport(w).tobytes() == (0.6 * p.hsupport(w) + r.hsupport(w)).tobytes()
+    r = np.hypot(w[0], w[1])
+    assert np.abs(h.body.hsupport(w) - r * eval_at(h, np.arctan2(w[1], w[0]))).max() <= 1e-13 * r.max() * np.abs(h.samples).max()
+
+
 def test_tagged_samples_are_the_support_at_the_grid_angles():
     rng = np.random.default_rng(17)
     for grid in (8, 64, 2048):
