@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 usage or parse error or an unwritable output (an
 --out that is not a directory), 3 domain error (a body with no finite
 positive area, identical geodesic endpoints, a distance that breaks the
-reversed Cauchy-Schwarz bound or whose mixed area overflows, samples that
-are not a support function where a boundary is drawn), 4 suite failure.
+reversed Cauchy-Schwarz bound or whose mixed area overflows, a samples
+document that is not a support function on its own grid, a drawn frame
+that fails the same verdict), 4 suite failure.
 Output is deterministic for a fixed (seed, grid); machine-readable floats
 are written with 17 significant digits.
 """
@@ -89,6 +90,8 @@ def _load_pair(args, grid):
     for path in (args.shape_a, args.shape_b):
         try:
             bodies.append(to_even_fn(load_shapedoc(path), grid))
+        except NotSupportFunctionError as exc:
+            raise CliError("%s: %s" % (path, exc), EXIT_DOMAIN)
         except (OSError, ShapeDocError, ValueError) as exc:
             raise CliError("cannot read body from %s: %s" % (path, exc), EXIT_USAGE)
     for label, h in zip(("shape_a", "shape_b"), bodies):

@@ -10,7 +10,10 @@ Four document types:
 Parsers reject ellipse matrices with determinant away from 1, asymmetric
 or non-convex polygons, and a samples grid that is not an integer.  Segments
 and polygons parse to a Polygon held as its generators, the edge vectors
-over half its boundary (2v for the segment [-v, v]).
+over half its boundary (2v for the segment [-v, v]).  Every document is a
+body: samples that pass their finiteness and pi-periodicity checks are then
+judged on their own grid by supportfn.is_support_function, the one convexity
+verdict, and refused with NotSupportFunctionError when they fail it.
 """
 
 import json
@@ -19,7 +22,7 @@ import warnings
 import numpy as np
 
 from .shapes import Ellipse, Polygon, Segment
-from .supportfn import EvenFn, SpectralTailWarning, _on_grid, _tail_share
+from .supportfn import EvenFn, NotSupportFunctionError, SpectralTailWarning, _on_grid, _tail_share, is_support_function
 
 
 class ShapeDocError(ValueError):
@@ -27,7 +30,7 @@ class ShapeDocError(ValueError):
 
 
 def parse_shapedoc(text):
-    """Parse a ShapeDoc JSON string into a shape or raw-sample description."""
+    """Parse a ShapeDoc JSON string into a shape or a body given by its samples."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -49,8 +52,13 @@ def parse_shapedoc(text):
             values = np.asarray(doc["values"], dtype=float)
             if values.size != grid:
                 raise ShapeDocError("grid %d does not match %d values" % (grid, values.size))
-            return EvenFn(values)
-    except ShapeDocError:
+            h = EvenFn(values)
+            body, defect = is_support_function(h)
+            if not body:
+                why = "samples are not a support function (chord convexity defect %.3g)"
+                raise NotSupportFunctionError(why % defect)
+            return h
+    except (ShapeDocError, NotSupportFunctionError):
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ShapeDocError("invalid %s document: %s" % (kind, exc)) from exc

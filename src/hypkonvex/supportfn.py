@@ -31,7 +31,7 @@ DEFAULT_GRID = 2048
 EVEN_TOL = 1e-12
 CONVEXITY_TOL = 1e-8
 # Rounding of the chord numerator of computed support samples, in units of
-# eps * max|h| (derived in boundary_curve).
+# eps * max|h| (derived in is_support_function).
 _CHORD_ROUNDING = 4.0 * (math.pi + math.sqrt(2.0) + 1.0) + 3.0
 
 _SPREAD = 16  # half-width of the Gaussian gathering stencil, in fine-grid points
@@ -236,7 +236,9 @@ def from_samples(values, M=None):
 
 
 def constant(value, M=DEFAULT_GRID):
-    return EvenFn(np.full(M, float(value)))
+    """The constant value on the M-point grid, from its exact spectrum (value, then zeros): no rfft."""
+    _check_grid(M)
+    return EvenFn(_spectral(lambda: np.r_[complex(value), np.zeros(M // 2, complex)]))
 
 
 def unit_disc(M=DEFAULT_GRID):
@@ -415,38 +417,34 @@ def fourier(h):
     return _freeze(a), _freeze(b)
 
 
-def _curvature_density(h):
-    """Grid values of h'' + h via the spectral multiplier (1 - n^2).
-
-    Machine-accurate for band-limited input; oscillatory on kinked input,
-    where the distributional h''+h has point masses.
-    """
-    n = np.arange(h.grid // 2 + 1, dtype=float)
-    return np.fft.irfft((1.0 - n**2) * h._coeffs, n=h.grid, norm="forward")
-
-
 def is_support_function(h):
-    """Convexity check: h is a support function iff h'' + h >= 0.
+    """The one convexity verdict: (flag, defect), defect = chord_convexity_defect(h).
 
-    Returns (flag, min of the spectrally computed h''+h over the grid).  The
-    spectral density is only meaningful for spectrally resolved functions;
-    kinked bodies (polygons, segments) should be judged by their tags or by
-    chord_convexity_defect.
+    The flag is set iff defect >= -(CONVEXITY_TOL + c eps / (2 - 2cos d)) max|h|,
+    d = 2 pi/M: the bound scales with h, so every positive multiple of h gets h's verdict.
+    The second term is the rounding floor of the defect's numerator, with
+    c = 4 (pi + sqrt 2 + 1) + 3, about 25.2.  A sample computed in double
+    precision as a polygon's support max_v <u, v> at a grid direction u is
+    off by at most (pi + sqrt 2 + 1) eps max|h|: the angle 2 pi j/M carries
+    pi eps, its cosine and sine sqrt 2 eps together, and the dot product
+    eps, each times the support's Lipschitz constant max|v| = max|h|
+    (ellipses and sums are alike).  The numerator weighs three samples by
+    1, 1 and 2cos d, at most 4 in all, and its own evaluation adds
+    3 eps max|h|.
     """
-    g = _curvature_density(h)
-    gmin = float(g.min())
-    tol = CONVEXITY_TOL * (1.0 + float(np.abs(h.samples).max()))
-    return gmin >= -tol, gmin
+    defect = chord_convexity_defect(h)
+    floor = _CHORD_ROUNDING * sys.float_info.epsilon / (2.0 - 2.0 * math.cos(2.0 * math.pi / h.grid))
+    return defect >= -(CONVEXITY_TOL + floor) * float(np.abs(h.samples).max()), defect
 
 
 def chord_convexity_defect(h):
     """Minimum of (h(t-d) + h(t+d) - 2cos(d)h(t)) / (2 - 2cos(d)) on the grid.
 
     Every support function satisfies the chord inequality exactly at any
-    grid spacing (sublinearity of the homogeneous extension), so this is a
-    kink-proof convexity gate; for smooth h it approximates min(h''+h).  The
-    division by 2 - 2cos(d), about d^2, magnifies the numerator's rounding
-    by M^2/(4 pi^2).
+    grid spacing (sublinearity of the homogeneous extension), so this is the
+    kink-proof measure is_support_function judges; for smooth h it
+    approximates min(h''+h).  The division by 2 - 2cos(d), about d^2,
+    magnifies the numerator's rounding by M^2/(4 pi^2).
     """
     s = h.samples
     d = 2.0 * np.pi / h.grid
@@ -473,16 +471,18 @@ def _warn_spectral_tail(h, message):
 def support_split(h):
     """Write h as a difference of support functions, h = s1 - s2.
 
-    Takes c = max(0, -min(h''+h)) so that s1 = h + c and s2 = c are both
+    Takes c = max(0, -min(h''+h)), h''+h at the grid angles through the
+    spectral multiplier 1 - n^2, so that s1 = h + c and s2 = c are both
     convex.  Warns with a SpectralTailWarning when the top quarter of the
     spectrum carries more than 1% of the energy, because the spectral h''
     is then untrustworthy; a warnings filter (the CLI's --strict) turns it
     into an error.
     """
     _warn_spectral_tail(h, "top-quarter spectrum carries %.2f%% of the energy")
-    c = max(0.0, -float(_curvature_density(h).min()))
+    n = np.arange(h.grid // 2 + 1, dtype=float)
+    c = max(0.0, -float(np.fft.irfft((1.0 - n**2) * h._coeffs, n=h.grid, norm="forward").min()))
     s1 = EvenFn(_spectral(lambda: np.r_[h._coeffs[0] + c, h._coeffs[1:]])) if c else h
-    return c, s1, EvenFn(_spectral(lambda: np.r_[complex(c), np.zeros(h.grid // 2, complex)]))  # c, with no rfft
+    return c, s1, constant(c, h.grid)
 
 
 def boundary_curve(h, n_points=DEFAULT_GRID):
@@ -490,27 +490,12 @@ def boundary_curve(h, n_points=DEFAULT_GRID):
 
     Points are c(t) = h(t) u(t) + h'(t) u_perp(t), linear in h: term by
     term, a shape's closed-form boundary or that map of a raw term's
-    interpolant.  With a raw term, the whole function's samples must pass the
-    chord convexity gate (a shape is convex), else NotSupportFunctionError is
-    raised: a chord convexity defect below
-    -(CONVEXITY_TOL (1 + max|h|) + c eps max|h| / (2 - 2cos d)), d = 2 pi/M.
-
-    The second term is the rounding floor of the defect's numerator, with
-    c = 4 (pi + sqrt 2 + 1) + 3, about 25.2.  A sample computed in double
-    precision as a polygon's support max_v <u, v> at a grid direction u is
-    off by at most (pi + sqrt 2 + 1) eps max|h|: the angle 2 pi j/M carries
-    pi eps, its cosine and sine sqrt 2 eps together, and the dot product
-    eps, each times the support's Lipschitz constant max|v| = max|h|
-    (ellipses and sums are alike).  The numerator weighs three samples by
-    1, 1 and 2cos d, at most 4 in all, and its own evaluation adds
-    3 eps max|h|.
+    interpolant.  With a raw term, the whole function (shape terms included)
+    must pass is_support_function, else NotSupportFunctionError is raised.
     """
     _check_grid(n_points)
-    if _holds_raw(h.body):
-        top = float(np.abs(h.samples).max())
-        floor = _CHORD_ROUNDING * sys.float_info.epsilon * top / (2.0 - 2.0 * math.cos(2.0 * math.pi / h.grid))
-        if chord_convexity_defect(h) < -(CONVEXITY_TOL * (1.0 + top) + floor):
-            raise NotSupportFunctionError("input is not a support function (h''+h < 0 somewhere)")
+    if _holds_raw(h.body) and not is_support_function(h)[0]:
+        raise NotSupportFunctionError("input is not a support function (h''+h < 0 somewhere)")
 
     def spectral(t):
         vals = _resample(t._coeffs, t.grid, n_points)

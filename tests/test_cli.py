@@ -495,6 +495,53 @@ def test_dist_and_geodesic_end_in_a_documented_exit_code(tmp_path_factory, doc_a
             assert main(argv + ["--grid", "64", "--out", str(tmp / "out")]) in (0, 2, 3)
 
 
+def _band_limited_doc(grid, scale, coeffs):
+    """A samples document of scale * (1 + sum over n = 2, 4, 6, 8 of (a_n cos nt + b_n sin nt) / (n^2 - 1))."""
+    theta = grid_angles(grid)
+    values = np.ones(grid)
+    for n, (a, b) in zip((2, 4, 6, 8), zip(coeffs[::2], coeffs[1::2])):
+        values += (a * np.cos(n * theta) + b * np.sin(n * theta)) / (n * n - 1)
+    return json.dumps({"type": "samples", "grid": grid, "values": (scale * values).tolist()})
+
+
+# 1 + 0.3 cos 4t: h'' + h = 1 - 4.5 cos 4t dips below 0, so it is no body
+COS4 = [0.0, 0.0, 4.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    grid=st.sampled_from([64, 256]),
+    scale=st.integers(-12, 12).map(lambda k: 10.0**k),
+    coeffs=st.lists(st.floats(-0.5, 0.5), min_size=8, max_size=8),
+)
+@example(grid=256, scale=1.0, coeffs=COS4)
+@example(grid=256, scale=1e-9, coeffs=COS4)
+def test_dist_and_geodesic_agree_on_band_limited_samples(tmp_path_factory, grid, scale, coeffs):
+    # h'' + h = 1 - sum (a_n cos nt + b_n sin nt) takes either sign.  Every operand
+    # is judged where it is read, so both commands accept the same documents.
+    # The other operand is an ellipse: a constant document normalizes to the
+    # disc, which geodesic refuses as an identical endpoint.
+    tmp = tmp_path_factory.mktemp("docs")
+    a = _write(tmp, "a.json", _band_limited_doc(grid, scale, coeffs))
+    b = _write(tmp, "b.json", _ellipse_doc(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SpectralTailWarning)
+        codes = [main(argv + ["--grid", str(grid), "--out", str(tmp / "out")])
+                 for argv in (["dist", a, b], ["geodesic", a, b, "--steps", "1"])]
+    assert codes[0] == codes[1]
+
+
+def test_a_samples_document_that_is_no_body_exits_3_naming_the_file(tmp_path, capsys):
+    disc = _write(tmp_path, "disc.json", DISC)
+    for scale in (1.0, 1e-9):
+        nc = _write(tmp_path, "nc.json", _band_limited_doc(256, scale, COS4))
+        for cmd in ("dist", "geodesic"):
+            assert main([cmd, nc, disc, "--grid", "256", "--out", str(tmp_path / "out")]) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("error: %s: samples are not a support function" % nc)
+    assert not (tmp_path / "out").exists()
+
+
 def _valid_or_not(valid, invalid):
     return st.one_of(st.sampled_from(valid), st.sampled_from(invalid))
 

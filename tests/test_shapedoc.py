@@ -39,7 +39,7 @@ def test_parse_rejects_asymmetric_polygon():
 
 
 def test_parse_samples_and_grid_mismatch():
-    vals = (2.0 + np.cos(2 * grid_angles(64))).tolist()
+    vals = (2.0 + 0.3 * np.cos(2 * grid_angles(64))).tolist()
     doc = parse_shapedoc(json.dumps({"type": "samples", "grid": 64, "values": vals}))
     assert isinstance(doc, EvenFn)
     with pytest.raises(ShapeDocError):
@@ -48,12 +48,12 @@ def test_parse_samples_and_grid_mismatch():
 
 def test_samples_resample_warns_and_is_accurate():
     # refining keeps the interpolant exactly, so it does not warn
-    vals = 2.0 + np.cos(2 * grid_angles(64))
+    vals = 2.0 + 0.3 * np.cos(2 * grid_angles(64))
     doc = parse_shapedoc(json.dumps({"type": "samples", "grid": 64, "values": vals.tolist()}))
     with warnings.catch_warnings():
         warnings.simplefilter("error", SpectralTailWarning)
         h = to_even_fn(doc, 256)
-    expect = 2.0 + np.cos(2 * grid_angles(256))
+    expect = 2.0 + 0.3 * np.cos(2 * grid_angles(256))
     assert np.abs(h.samples - expect).max() < 1e-13
 
 

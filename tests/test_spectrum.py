@@ -19,6 +19,7 @@ from hypkonvex.supportfn import (
     _on_grid,
     _spectral_weights,
     combine,
+    constant,
     from_ellipse,
     from_polygon,
     from_samples,
@@ -71,6 +72,17 @@ def test_the_seminorms_of_a_band_limited_draw_take_no_rfft(fft_calls):
     l2, dl2 = h1_seminorms(h)
     assert fft_calls == {"rfft": 0, "irfft": 0}  # nothing reads the samples of the coefficients it drew
     assert 0.0 < 4.0 * l2 <= dl2
+
+
+def test_constant_is_built_from_its_exact_spectrum(fft_calls):
+    grids = [8 << k for k in range(11)] + [1000]
+    for M in grids:
+        for v in (1.3, 0.0, -2.5, 1e300, math.pi):
+            assert constant(v, M).samples.tobytes() == np.full(M, v).tobytes()  # bit for bit
+    assert fft_calls["rfft"] == 0
+    for M in (6, 10):
+        with pytest.raises(ValueError, match="grid size"):
+            constant(1.0, M)
 
 
 # -- the carried spectrum against the samples' own ------------------------------

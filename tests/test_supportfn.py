@@ -298,8 +298,9 @@ def test_is_support_function_examples():
     flag, mn = is_support_function(constant(1.0, M))
     assert flag and mn == pytest.approx(1.0, abs=1e-12)
 
+    # the chord defect of cos 2t is -(1 + 2 cos d), d = 2 pi/M, where h'' + h = -3 cos 2t dips to -3
     flag, mn = is_support_function(EvenFn(np.cos(2 * THETA)))
-    assert not flag and mn == pytest.approx(-3.0, abs=1e-10)
+    assert not flag and mn == pytest.approx(-(1.0 + 2.0 * math.cos(2.0 * math.pi / M)), abs=1e-10)
 
     flag, _ = is_support_function(from_ellipse(DIAG_2_HALF, M))
     assert flag
@@ -413,6 +414,23 @@ def test_chord_gate_refuses_a_nonconvex_function_at_every_grid(grid):
     # h'' + h = 2.9 - 3 cos 2t dips to -0.1
     with pytest.raises(NotSupportFunctionError):
         boundary_curve(EvenFn(np.cos(2 * grid_angles(grid)) + 2.9), 64)
+
+
+VERDICT_SCALES = [10.0**k for k in range(-300, 301, 50)]
+
+
+@pytest.mark.parametrize("grid", [64, 256, 2048, 32768])
+def test_the_convexity_verdict_is_scale_free(grid):
+    # The bound scales with max|h|: 1 + 0.3 cos 4t (h'' + h = 1 - 4.5 cos 4t) is
+    # refused at every scale, and the exact samples of polygons and of
+    # 2 + 0.3 cos 2t (h'' + h >= 1.1) are accepted at every scale.
+    theta = grid_angles(grid)
+    polygons = [random_polygon(np.random.default_rng(seed)).vertices for seed in range(5)]
+    for scale in VERDICT_SCALES:
+        assert not is_support_function(EvenFn(scale * (1.0 + 0.3 * np.cos(4 * theta))))[0]
+        assert is_support_function(EvenFn(scale * (2.0 + 0.3 * np.cos(2 * theta))))[0]
+        for v in polygons:
+            assert is_support_function(EvenFn(from_polygon(Polygon(scale * v), grid).samples))[0]
 
 
 def polygon_mixed_area_oracle(p, q):
