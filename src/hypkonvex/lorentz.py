@@ -9,13 +9,13 @@ raw terms among them; pi0 is the perimeter over 2 pi.  This module knows no
 body kind.  One form of signature (1, -, -, ...) on one space holding every
 operand, it keeps the reversed Cauchy-Schwarz inequality (the Minkowski
 inequality for bodies) for every pair, with no route to pick.
-form_A_spectral is the Parseval form of two functions' samples on the finer
-grid (supportfn._on_grid), which hyper_dist's method="spectral" reads.
+form_A_spectral is the Parseval form on the finer grid (supportfn._on_grid);
+a body keeps its forms, a function its Parseval self-form, a point its fn alone.
 """
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,10 @@ def acosh1p(x):
 
 
 def form_A_spectral(h1, h2=None):
-    """The Parseval form of the interpolants on the finer grid: a0 a0' + (1/2) sum (1-n^2)(an an' + bn bn')."""
-    h2 = h1 if h2 is None else h2
+    """The Parseval form of the interpolants on the finer grid: a0 a0' + (1/2) sum (1-n^2)(an an' + bn bn');
+    with h2 omitted, h1's own, computed once and kept by h1."""
+    if h2 is None:
+        return h1._self_form
     M = max(h1.grid, h2.grid)
     return _parseval(_on_grid(h1, M)._coeffs, _on_grid(h2, M)._coeffs, M)
 
@@ -79,16 +81,14 @@ def h1_seminorms(h):
 
 @dataclass(frozen=True)
 class HPoint:
-    """A point of the hyperboloid: A(fn) = 1 and pi0(fn) >= 1; ``a`` keeps A(fn) as computed."""
+    """A point of the hyperboloid: A(fn) = 1 and pi0(fn) >= 1, read off fn's body, which keeps both."""
 
     fn: EvenFn
-    a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = form_A(self.fn)
         if abs(a - 1.0) > FORM_UNIT_TOL:
             raise ValueError("not normalized: A(fn) = %.17g" % a)
-        object.__setattr__(self, "a", a)
         p = pi0(self.fn)
         if p < 1.0 - INVARIANT_TOL:
             raise ValueError("pi0(fn) = %.17g < 1 breaks the hyperboloid invariant" % p)
@@ -123,11 +123,11 @@ def hyper_dist(p, q, method="auto"):
     x = A(p, q)/sqrt(A(p)A(q)) is taken with its normalization (unity within
     the HPoint tolerance), so x >= 1 holds to rounding for any operands.
     Operands moved by one element g are read as their bases,
-    d(gK, gL) = d(K, L).  For two bare raw terms (bodies with a grid) x - 1
-    is -A(p/|p| - q/|q|)/2 on the coefficients on the finer grid, free of the
-    cancellation that floors small distances at sqrt(machine epsilon)
-    elsewhere (method="spectral" takes it on the grid samples of any
-    operands, and recomputes their self-forms there).
+    d(gK, gL) = d(K, L).  For two raw terms (bodies with a grid), and for any
+    operands under method="spectral", x - 1 is -A(u - v)/2 on the coefficients
+    u, v on the finer grid, each over the root of its own Parseval form: points
+    of one hyperboloid however built, free of the cancellation that floors
+    small distances at sqrt(machine epsilon) elsewhere.
     Values of x - 1 in [-INVARIANT_TOL, 0) are taken for round-off and give
     distance 0; anything below -INVARIANT_TOL (1e-9) is a real invariant
     violation and raises, and so does a NaN or infinite x, the trace of a
@@ -139,12 +139,11 @@ def hyper_dist(p, q, method="auto"):
     if f.body.g is not None and f.body.g == g.body.g:
         f, g = EvenFn(f.body.base, f.grid), EvenFn(g.body.base, g.grid)
     if method == "auto" and not (f.body.grid and g.body.grid):
-        xm1 = form_A(f, g) / math.sqrt(p.a * q.a) - 1.0  # _cosh_between, self-forms read off the points
+        xm1 = _cosh_between(f, g) - 1.0
     else:
         M = max(f.grid, g.grid)
         f, g = _on_grid(f, M), _on_grid(g, M)
-        a, b = (p.a, q.a) if method == "auto" else (form_A_spectral(f), form_A_spectral(g))
-        d = f._coeffs / math.sqrt(a) - g._coeffs / math.sqrt(b)
+        d = f._coeffs / math.sqrt(form_A_spectral(f)) - g._coeffs / math.sqrt(form_A_spectral(g))
         xm1 = -0.5 * _parseval(d, d, M)
     if not -INVARIANT_TOL <= xm1 < math.inf:
         why = "< 1: reversed Cauchy-Schwarz violated" if xm1 < 0.0 else "is not finite: a mixed area overflowed"

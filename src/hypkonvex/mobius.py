@@ -18,7 +18,7 @@ import numpy as np
 
 from .shapes import Ellipse, Mobius, _adjugate_product, _form_value, _graded_edges, _panel_mean, _shear, _stretch
 from .supportfn import DEFAULT_GRID, EvenFn, from_ellipse
-from .lorentz import acosh1p, normalize
+from .lorentz import HPoint, acosh1p
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ def dist_h2(z1, z2):
 
 
 def iota(z, M=DEFAULT_GRID):
-    """Embed the hyperbolic plane: a half-plane point goes to its area-pi ellipse."""
-    return normalize(from_ellipse(Ellipse(mobius_from_halfplane(z).matrix), M))
+    """Embed the hyperbolic plane: a half-plane point goes to its ellipse, of area pi by Ellipse's contract."""
+    return HPoint(from_ellipse(Ellipse(mobius_from_halfplane(z).matrix), M))
 
 
 def _iota_dist(q, s0):

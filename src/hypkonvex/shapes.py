@@ -358,18 +358,18 @@ class Sum(_Body):
 def minkowski_combination(terms):
     """The body sum c_i K_i of (c_i, K_i) pairs with c_i > 0, in canonical form.
 
-    Sums among the K_i are expanded and every term keeps its coefficient;
-    two or more polygon terms are summed into one by ``minkowski_sum``, and
-    raw terms into one last term by their own ``_fold``, which takes the
-    coefficients into the spectrum.  A lone term with coefficient 1 is
-    returned bare; anything else is a Sum.
+    Sums among the K_i are expanded, every term keeping its coefficient (or
+    dropped if c c_i underflows to 0); two or more polygon terms are summed into
+    one by ``minkowski_sum``, and raw terms into one last term by their own
+    ``_fold``, which takes the coefficients into the spectrum.  A lone term with
+    coefficient 1 is returned bare, an empty sum as None; anything else a Sum.
     """
     flat = []
     for c, k in terms:
         if not (math.isfinite(c) and c > 0.0):
             raise ValueError("Minkowski coefficients must be positive, got %r" % (c,))
         if isinstance(k, Sum):
-            flat.extend((c * ci, ki) for ci, ki in k.terms)
+            flat.extend((c * ci, ki) for ci, ki in k.terms if c * ci > 0.0)
         else:
             flat.append((c, k))
     polygons = [(c, k) for c, k in flat if isinstance(k, Polygon)]
@@ -380,7 +380,7 @@ def minkowski_combination(terms):
         flat = [(c, k) for c, k in flat if not k.grid] + [(1.0, raws[0][1]._fold(raws))]
     if len(flat) == 1 and flat[0][0] == 1.0:
         return flat[0][1]
-    return Sum(flat)
+    return Sum(flat) if flat else None
 
 
 def convex_hull(points):

@@ -185,10 +185,6 @@ def _lift(k, N):
     return _spectral(lambda: _spectrum_on(k._coeffs, k.grid, N))
 
 
-def _termwise(body, read):  # sum c read(k) over a Sum's terms (c, k), or read(body)
-    return sum(c * read(k) for c, k in body.terms) if isinstance(body, Sum) else read(body)
-
-
 def _holds_raw(body):
     return any(k.grid for _, k in _terms(body))
 
@@ -220,11 +216,15 @@ class EvenFn:
         if self.body.grid == self.grid:
             return self.body.samples
         u = _grid_directions(self.grid)
-        return _finite(lambda: _termwise(_lift(self.body, self.grid), lambda k: k.samples if k.grid else k.hsupport(u)))
+        return _finite(lambda: sum(c * (k.samples if k.grid else k.hsupport(u)) for c, k in _terms(_lift(self.body, self.grid))))
 
     @cached_property
     def _coeffs(self):
         return self.body._coeffs if self.body.grid == self.grid else _finite(lambda: np.fft.rfft(self.samples, norm="forward"))
+
+    @cached_property
+    def _self_form(self):  # the Parseval self-form on the grid, kept for lorentz.form_A_spectral
+        return _parseval(self._coeffs, self._coeffs, self.grid)
 
 
 def from_samples(values, M=None):
@@ -264,10 +264,10 @@ def from_polygon(p, M=DEFAULT_GRID):
 def _combination(pairs):
     """The sum of c h over the (c, h) pairs, on the finest grid: the bodies'
     Minkowski combination (a Sum keeps each coefficient, so no geometry is
-    rebuilt; raw terms fold into one).  A zero coefficient drops its operand."""
+    rebuilt; raw terms fold into one).  A zero coefficient drops its operand; with none left, h is 0."""
     M = max(h.grid for _, h in pairs)
-    terms = [(c, _on_grid(h, M).body) for c, h in pairs if c != 0.0]
-    return EvenFn(minkowski_combination(terms), M) if terms else constant(0.0, M)
+    body = minkowski_combination([(c, _on_grid(h, M).body) for c, h in pairs if c != 0.0])
+    return constant(0.0, M) if body is None else EvenFn(body, M)
 
 
 def scaled(h, c):
@@ -504,4 +504,4 @@ def boundary_curve(h, n_points=DEFAULT_GRID):
         return np.stack([vals * c - dvals * s, vals * s + dvals * c], axis=1)
 
     theta = grid_angles(n_points)
-    return _termwise(h.body, lambda k: spectral(k) if k.grid else k.boundary(theta))
+    return sum(c * (spectral(k) if k.grid else k.boundary(theta)) for c, k in _terms(h.body))

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from scipy.special import ellipe
 
 import hypkonvex.lorentz as lorentz
+import hypkonvex.supportfn as supportfn
 
 from hypkonvex.limits import project_disc_to_segment_geodesic
 from hypkonvex.lorentz import (
@@ -533,43 +534,83 @@ def test_each_part_pairing_calls_its_own_form(monkeypatch):
 
 
 def test_distance_of_points_with_a_body_evaluates_one_form(monkeypatch):
-    # A hyperboloid point keeps its self-form, so a distance pairs only its
-    # two operands, and to the same float as the formula with both self-forms.
+    # A body keeps its self-forms, so a distance pairs two different bodies
+    # once, a pair moved by one element too, and gives the float of the form
+    # ratio _cosh_between.
     rng = np.random.default_rng(3)
     tagged, raw = from_polygon(random_polygon(rng), M), random_support_fn(rng, M)
+    m = random_mobius(rng)
     pairs = [
         (tagged, from_ellipse(random_ellipse(rng), M)),
         (tagged, raw),
         (combine(0.5, from_ellipse(random_ellipse(rng), M), 0.5, raw), tagged),
+        (rho_act(m, tagged), rho_act(m, from_ellipse(random_ellipse(rng), M))),
     ]
     points = [(normalize(a), normalize(b)) for a, b in pairs]
-    calls = []
+    exact, pairings = lorentz._form_exact, []
 
-    def counting(*args):
-        calls.append(len(args))
-        return form_A(*args)
+    def counting(k1, k2):
+        if k1 is not k2:
+            pairings.append((k1, k2))
+        return exact(k1, k2)
 
-    monkeypatch.setattr(lorentz, "form_A", counting)
+    monkeypatch.setattr(lorentz, "_form_exact", counting)
     for p, q in points:
-        calls.clear()
+        pairings.clear()
         d = hyper_dist(p, q)
-        assert calls == [2]
+        assert len(pairings) == 1
         assert d == acosh1p(max(0.0, _cosh_between(p.fn, q.fn) - 1.0))
 
 
 def test_distance_of_two_raw_points_reads_their_self_forms(monkeypatch):
-    # A raw point's self-form is its Parseval sum, kept in p.a, so a raw-raw
-    # distance evaluates no Parseval sum of its own, and gives the float of
-    # the formula with both self-forms recomputed.
+    # A raw point's self-form is its Parseval sum, computed once and kept by
+    # its function, so three distances between the same two points evaluate
+    # each self-sum once, and give the float of the formula with both.
     rng = np.random.default_rng(4)
     p = normalize(random_support_fn(rng, M))
     q = normalize(from_samples(from_polygon(random_polygon(rng), M).samples))
-    spectral, calls = lorentz.form_A_spectral, []
-    monkeypatch.setattr(lorentz, "form_A_spectral", lambda *args: calls.append(len(args)) or spectral(*args))
-    d = hyper_dist(p, q)
-    assert calls == []
-    u, v = p.fn._coeffs / math.sqrt(spectral(p.fn)), q.fn._coeffs / math.sqrt(spectral(q.fn))
-    assert d == acosh1p(max(0.0, -0.5 * lorentz._parseval(u - v, u - v, M)))
+    parseval, self_sums = supportfn._parseval, []
+
+    def counting(c1, c2, grid):
+        if c1 is c2:
+            self_sums.append(c1)
+        return parseval(c1, c2, grid)
+
+    monkeypatch.setattr(supportfn, "_parseval", counting)
+    d = [hyper_dist(p, q), hyper_dist(q, p), hyper_dist(p, q, method="spectral")]
+    assert [id(c) for c in self_sums] == [id(p.fn._coeffs), id(q.fn._coeffs)]
+    u, v = p.fn._coeffs / math.sqrt(form_A_spectral(p.fn)), q.fn._coeffs / math.sqrt(form_A_spectral(q.fn))
+    assert d[0] == d[2] == acosh1p(max(0.0, -0.5 * lorentz._parseval(u - v, u - v, M)))
+
+
+@pytest.mark.parametrize("grid", [256, 2048])
+@pytest.mark.parametrize("s", [0.0, 1.0])
+@pytest.mark.parametrize("t", [0.25, 0.5])
+def test_a_geodesic_to_moved_samples_is_additive(grid, s, t):
+    # Polygon samples P and their image gP, aliased on the grid, are raw
+    # terms, each divided by its own Parseval form: points of one
+    # hyperboloid, on whose chord the geodesic point r lies.
+    p = normalize(from_samples(from_polygon(random_polygon(np.random.default_rng(5)), grid).samples))
+    gp = normalize(rho_act(Mobius.rotation(0.3) @ Mobius.axial(s), p.fn))
+    r = geodesic_point(p, gp, t)
+    d = hyper_dist(p, gp)
+    assert abs(hyper_dist(p, r) + hyper_dist(r, gp) - d) <= 1e-12 * (1.0 + d)
+    assert abs(hyper_dist(gp, p) - d) <= 1e-12 * (1.0 + d)
+
+
+def test_a_coefficient_product_that_underflows_drops_its_term():
+    # The square with vertices (+-3, 0), (0, +-3), normalized, is the
+    # one-term Sum with coefficient 0.418; times 5e-324 that underflows to 0,
+    # a term every read would multiply by 0.
+    p = normalize(from_polygon(np.array([[3.0, 0.0], [0.0, 3.0], [-3.0, 0.0], [0.0, -3.0]])))
+    disc = normalize(unit_disc())
+    assert isinstance(p.fn.body, Sum) and len(p.fn.body.terms) == 1
+    assert combine(1.0, disc.fn, 5e-324, p.fn).body is disc.fn.body
+    assert geodesic_point(disc, p, 5e-324).fn.body is disc.fn.body
+    zero = scaled(p.fn, 5e-324)
+    assert not np.any(zero.samples)
+    with pytest.raises(IsotropicVectorError):
+        normalize(zero)
 
 
 @pytest.mark.parametrize("grid", [64, 256, 2048])
