@@ -7,13 +7,13 @@ Four document types:
     {"type": "polygon", "vertices": [[x1, y1], ...]}
     {"type": "samples", "grid": M, "values": [...]}
 
-Parsers reject ellipse matrices with determinant away from 1, asymmetric
-or non-convex polygons, and a samples grid that is not an integer.  Segments
-and polygons parse to a Polygon held as its generators, the edge vectors
-over half its boundary (2v for the segment [-v, v]).  Every document is a
-body: samples that pass their finiteness and pi-periodicity checks are then
-judged on their own grid by supportfn.is_support_function, the one convexity
-verdict, and refused with NotSupportFunctionError when they fail it.
+Parsers reject ellipse matrices with determinant away from 1 and asymmetric
+or non-convex polygons.  Segments and polygons parse to a Polygon held as its
+generators, the edge vectors over half its boundary (2v for the segment
+[-v, v]).  Samples enter by supportfn.from_samples (an integer grid equal to
+their count, pi-periodic relative to max|s|, finite).  Every document is a
+body: samples are then judged on their own grid by is_support_function, the
+one convexity verdict, and refused with NotSupportFunctionError if they fail.
 """
 
 import json
@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .shapes import Ellipse, Polygon, Segment
-from .supportfn import EvenFn, NotSupportFunctionError, SpectralTailWarning, _on_grid, _tail_share, is_support_function
+from .supportfn import EvenFn, NotSupportFunctionError, SpectralTailWarning, _on_grid, _tail_share, from_samples, is_support_function
 
 
 class ShapeDocError(ValueError):
@@ -30,7 +30,8 @@ class ShapeDocError(ValueError):
 
 
 def parse_shapedoc(text):
-    """Parse a ShapeDoc JSON string into a shape or a body given by its samples."""
+    """Parse a ShapeDoc JSON string into a shape, or a body given by samples (from_samples);
+    a malformed document raises ShapeDocError, samples that are no body NotSupportFunctionError."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -46,13 +47,7 @@ def parse_shapedoc(text):
         if kind == "polygon":
             return Polygon(np.asarray(doc["vertices"], dtype=float))
         if kind == "samples":
-            grid = doc["grid"]
-            if int(grid) != grid:
-                raise ShapeDocError("grid %r is not an integer" % (grid,))
-            values = np.asarray(doc["values"], dtype=float)
-            if values.size != grid:
-                raise ShapeDocError("grid %d does not match %d values" % (grid, values.size))
-            h = EvenFn(values)
+            h = from_samples(doc["values"], doc["grid"])
             body, defect = is_support_function(h)
             if not body:
                 why = "samples are not a support function (chord convexity defect %.3g)"

@@ -475,7 +475,7 @@ def mixed_area(a, b):
     raw term moved by g pairs with a body as a(t, adj(g) K).  Against a
     polygon L with generators e_j it is sum_j H_K(J e_j), half the sum over
     the edge fan +-e_j (H_K, the homogeneous support, is even; t's,
-    |w| t(angle w), to EVEN_TOL), J the quarter turn (x, y) -> (y, -x), so
+    |w| t(angle w), to EVEN_TOL max|t|), J the quarter turn (x, y) -> (y, -x), so
     two polygons pair as (1/2) sum_ij |e_i x f_j| and equal bodies pair by
     the same float operations as a body with itself.  Two ellipses A·D and
     B·D reduce to an ellipse against the disc, a(A·D, B·D) = a(B^{-1}A·D, D)

@@ -97,11 +97,11 @@ def _finite(compute):
 @dataclass(frozen=True, eq=False, init=False)
 class Raw(_Body):
     """A raw term: the trigonometric interpolant t at the M grid angles, rfft/M coefficients c,
-    perimeter 2 pi c_0.  Outside samples are checked once (pi-periodic within EVEN_TOL) and kept
-    with c, taken then and refused with them unless finite (_finite); a linear image of raw terms
-    (_spectral) is c alone.  A move keeps base and element, warning when the base's spectrum, which
-    it shears, is unresolved; the image and its c are computed on first read, |g^T u| t(angle g^T u)
-    at the first M/2 grid angles written twice (exactly pi-periodic, t's odd residue dropped).
+    perimeter 2 pi c_0.  Outside samples are checked once, their halves equal within EVEN_TOL max|s|
+    (exactly below the normal range), then kept with c, taken then and refused with them unless finite
+    (_finite); a linear image of raw terms (_spectral) is c alone.  A move keeps base and element,
+    warning when the base's spectrum, which it shears, is unresolved; the image and its c are computed
+    on first read, |g^T u| t(angle g^T u) at the first M/2 grid angles written twice (t's odd residue dropped).
     """
 
     def __init__(self, samples):
@@ -111,8 +111,10 @@ class Raw(_Body):
         _check_grid(s.size)
         s.setflags(write=False)
 
-        def spectrum():  # a NaN or inf sample makes the tolerance NaN or inf: it passes here, and c is refused
-            if np.abs(s[: s.size // 2] - s[s.size // 2 :]).max() > EVEN_TOL * (1.0 + np.abs(s).max()):
+        def spectrum():  # a NaN or inf sample passes here (a NaN difference, or an inf bound), and c is refused
+            top = np.abs(s).max()
+            bound = EVEN_TOL * top if top >= sys.float_info.min else 0.0  # below the normal range: exact
+            if np.abs(s[: s.size // 2] - s[s.size // 2 :]).max() > bound:
                 raise ValueError("samples are not pi-periodic within tolerance")
             return np.fft.rfft(s, norm="forward")
         vars(self).update(grid=s.size, samples=s, _coeffs=_finite(spectrum))
@@ -228,10 +230,10 @@ class EvenFn:
 
 
 def from_samples(values, M=None):
-    """Wrap raw samples; M, when given, cross-checks the array length."""
+    """Wrap raw samples (Raw); M, when given, must be an integer equal to their count."""
     v = np.asarray(values, dtype=float)
-    if M is not None and v.size != M:
-        raise ValueError("expected %d samples, got %d" % (M, v.size))
+    if M is not None and (int(M) != M or v.size != M):
+        raise ValueError("expected %r samples, got %d" % (M, v.size))
     return EvenFn(v)
 
 
@@ -409,8 +411,8 @@ def _deriv_coeffs(coeffs):
 
 def fourier(h):
     """Real trigonometric coefficients (a, b) of h, indexed by harmonic; a[0]
-    is the mean.  Odd harmonics are at most EVEN_TOL (1 + max|h|), the
-    pi-periodicity every EvenFn is checked to."""
+    is the mean.  Raw samples s have odd harmonics of at most EVEN_TOL max|s|,
+    the pi-periodicity they are checked to where they enter (Raw)."""
     c = h._coeffs
     a, b = 2.0 * c.real, -2.0 * c.imag
     a[[0, -1]], b[[0, -1]] = c[[0, -1]].real, 0.0  # DC and Nyquist count once and are cosines

@@ -245,6 +245,43 @@ def test_samples_whose_spectrum_overflows_exit_2_naming_the_cause(tmp_path, caps
     assert err == "error: cannot read body from %s: invalid samples document: samples and their spectrum must be finite\n" % a
 
 
+# documents refused inside the shape and samples constructors, each with its cause
+_COUNT, _ARRAY = "a symmetric polygon needs an even vertex count >= 4", "polygon vertices must be a finite (n, 2) array"
+_MATRIX = "ellipse matrix must be a finite 2x2 array"
+REFUSED_BY_CONSTRUCTORS = {
+    "polygon-3-vertices": ('{"type":"polygon","vertices":[[1,0],[0,1],[-1,0]]}', _COUNT),
+    "polygon-5-vertices": ('{"type":"polygon","vertices":[[2,0],[1,1],[-1,1],[-2,0],[0,-1]]}', _COUNT),
+    "polygon-nan-vertex": ('{"type":"polygon","vertices":[[1,1],[-1,1],[-1,-1],[NaN,-1]]}', _ARRAY),
+    "polygon-flat-vertices": ('{"type":"polygon","vertices":[1,1,-1,1,-1,-1,1,-1]}', _ARRAY),
+    "ellipse-3x3": ('{"type":"ellipse","matrix":[[1,0,0],[0,1,0],[0,0,1]]}', _MATRIX),
+    "ellipse-overflowing-entry": ('{"type":"ellipse","matrix":[[1e309,0],[0,1]]}', _MATRIX),
+    "samples-2d": ('{"type":"samples","grid":8,"values":[[1,1,1,1],[1,1,1,1]]}', "samples must be a 1-d array"),
+    "samples-fractional-grid": (_SAMPLES_AT % "8.5", "expected 8.5 samples, got 8"),
+    "samples-string-grid": (_SAMPLES_AT % '"8"', "expected '8' samples, got 8"),
+}
+
+
+@pytest.mark.parametrize("text, cause", REFUSED_BY_CONSTRUCTORS.values(), ids=REFUSED_BY_CONSTRUCTORS.keys())
+def test_documents_a_constructor_refuses_exit_2_naming_the_file(tmp_path, capsys, text, cause):
+    a, b = _write(tmp_path, "bad.json", text), _write(tmp_path, "disc.json", DISC)
+    assert main(["dist", a, b, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read body from %s: " % a) and err.endswith(": %s\n" % cause)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: geodesic judges the lifted interpolant on the finer grid")
+def test_dist_and_geodesic_agree_on_square_samples_read_at_a_finer_grid(tmp_path):
+    # The area-pi square's exact samples at M = 256 pass the convexity verdict on their
+    # own grid, so dist reads them; on the 512-point grid their interpolant has chord
+    # defect -26.4, and geodesic refuses its frames.
+    samples = to_even_fn(parse_shapedoc(_area_pi_square()), 256).samples
+    a = _write(tmp_path, "a.json", json.dumps({"type": "samples", "grid": 256, "values": samples.tolist()}))
+    b = _write(tmp_path, "disc.json", DISC)
+    codes = [main(argv + ["--grid", "512", "--out", str(tmp_path / "out")])
+             for argv in (["dist", a, b], ["geodesic", a, b, "--steps", "2"])]
+    assert codes[0] == codes[1]
+
+
 @pytest.mark.parametrize("cmd, most", [("geodesic", 10_000), ("kernels", 100_000)])
 def test_steps_past_the_cap_exit_2_before_any_work(tmp_path, capsys, cmd, most):
     a = _write(tmp_path, "a.json", DISC)

@@ -741,7 +741,7 @@ def test_a_body_pairs_with_raw_samples_through_mixed_area(kind, raw_kind, grid, 
     # same float, and agrees with the edge-sum and quad oracles.  A polygon
     # reads t at its k turned generators J e_i, where the fan sum over +-J e_i
     # would read both normals: the two differ by half the sum of |e_i| times
-    # t's odd residue, here raised to 0.4 of EVEN_TOL (1 + max|t|).
+    # t's odd residue, here raised to 0.4 of EVEN_TOL max|t|.
     rng = np.random.default_rng(seed)
     if raw_kind == "band-limited":
         raw, t = _band_limited(rng, grid, int(rng.integers(2, grid // 4 + 1)))
@@ -756,11 +756,11 @@ def test_a_body_pairs_with_raw_samples_through_mixed_area(kind, raw_kind, grid, 
         body = body.transform(random_mobius(rng))
     assert mixed_area(body, raw) == mixed_area(raw, body)
     assert mixed_area(body, raw) / math.pi == pytest.approx(_body_oracle(body, t, raw.band), rel=1e-12)
-    top = 1.0 + float(np.abs(raw.samples).max())
+    top = float(np.abs(raw.samples).max())
     odd = from_samples(raw.samples + 0.4 * EVEN_TOL * top * np.cos(grid_angles(grid))).body
     for _, p in body.terms if isinstance(body, Sum) else ((1.0, body),):
         if isinstance(p, Polygon):
             fan = np.concatenate([p._turned_fan, -p._turned_fan], axis=1)
             both = 0.5 * float(np.hypot(*fan) @ odd.support(np.arctan2(*fan[::-1])))
-            bound = 0.5 * float(np.hypot(*p._turned_fan).sum()) * EVEN_TOL * (1.0 + float(np.abs(odd.samples).max()))
+            bound = 0.5 * float(np.hypot(*p._turned_fan).sum()) * EVEN_TOL * float(np.abs(odd.samples).max())
             assert abs(mixed_area(p, odd) - both) <= bound

@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hypkonvex.shapedoc import ShapeDocError, parse_shapedoc, to_even_fn
 from hypkonvex.shapes import Ellipse, Polygon
-from hypkonvex.supportfn import EvenFn, SpectralTailWarning, grid_angles
+from hypkonvex.supportfn import EVEN_TOL, EvenFn, SpectralTailWarning, grid_angles
+from hypkonvex.verify import random_ellipse, random_polygon
 
 
 def test_parse_ellipse():
@@ -92,3 +94,32 @@ def test_round_trip():
     h = EvenFn(1.0 + 0.1 * np.cos(2 * grid_angles(64)))
     again = parse_shapedoc(json.dumps({"type": "samples", "grid": h.grid, "values": h.samples.tolist()}))
     assert np.array_equal(again.samples, h.samples)
+
+
+def _samples_doc(values):
+    return json.dumps({"type": "samples", "grid": values.size, "values": values.tolist()})
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(-300, 300),
+    grid=st.sampled_from([8, 64, 256, 1000, 8192]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=-13, grid=256, seed=0)
+@example(k=-300, grid=8192, seed=1)
+def test_pi_periodicity_is_judged_relative_to_the_samples_size(k, grid, seed):
+    # like convexity, the periodicity check scales with max|s|, so 10^k s gets the verdict of s
+    scale, theta = 10.0**k, grid_angles(grid)
+    rng = np.random.default_rng(seed)
+    for body in (random_polygon(rng), random_ellipse(rng)):
+        assert isinstance(parse_shapedoc(_samples_doc(scale * EvenFn(body, grid).samples)), EvenFn)
+    # the off-centre disc 1 + 0.3 cos t is not centrally symmetric at any scale
+    with pytest.raises(ShapeDocError, match="not pi-periodic"):
+        parse_shapedoc(_samples_doc(scale * (1.0 + 0.3 * np.cos(theta))))
+    # beside the disc, the antiperiodic residue r cos t makes the halves differ by up to 2r:
+    # 0.9 of the bound passes, 1.1 of it is refused
+    residue = 0.5 * EVEN_TOL * np.cos(theta)
+    assert isinstance(parse_shapedoc(_samples_doc(scale * (1.0 + 0.9 * residue))), EvenFn)
+    with pytest.raises(ShapeDocError, match="not pi-periodic"):
+        parse_shapedoc(_samples_doc(scale * (1.0 + 1.1 * residue)))

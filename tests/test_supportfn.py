@@ -283,15 +283,14 @@ def test_fourier_examples_and_roundtrip():
 
 
 def test_fourier_odd_harmonics_stay_within_the_periodicity_tolerance():
-    # EvenFn accepts halves that differ by up to EVEN_TOL (1 + max|h|);
+    # EvenFn accepts halves that differ by up to EVEN_TOL max|h|;
     # no odd harmonic can then exceed that bound
     rng = np.random.default_rng(6)
     base = 1.0 + 0.1 * np.cos(2 * THETA)
-    top = 1.0 + np.abs(base).max()
-    odd = 0.9 * EVEN_TOL * top * rng.uniform(-1.0, 1.0, M // 2)
+    odd = 0.9 * EVEN_TOL * np.abs(base).max() * rng.uniform(-1.0, 1.0, M // 2)
     h = EvenFn(base + np.r_[0.5 * odd, -0.5 * odd])
     a, b = fourier(h)
-    assert 0.0 < np.hypot(a[1::2], b[1::2]).max() <= EVEN_TOL * (1.0 + np.abs(h.samples).max())
+    assert 0.0 < np.hypot(a[1::2], b[1::2]).max() <= EVEN_TOL * np.abs(h.samples).max()
 
 
 def test_is_support_function_examples():
